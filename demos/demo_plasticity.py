@@ -14,7 +14,7 @@ from ftcircles import (
     TriangleRatios,
     cosine_residuals,
     cosine_system_weights,
-    plasticity_4,
+    plasticity_n,
     random_floating_config,
     solve,
     transfer_coefficients,
@@ -30,7 +30,7 @@ print()
 print("=" * 72)
 print("1. Recovery with the true free ratio")
 print("=" * 72)
-out = plasticity_4(angles, w[3] / w[0], total=float(w.sum()))
+out = plasticity_n(angles, [w[3] / w[0]], total=float(w.sum()))
 print("recovered:", np.round(out, 9))
 print(f"max error: {np.max(np.abs(out - w)):.2e}")
 
@@ -40,7 +40,7 @@ print("2. The one-parameter family at fixed total")
 print("=" * 72)
 print("   rho = w4/w1      w1        w2        w3        w4   max cosine residual")
 for rho in (0.2, 0.4, 0.6, 0.8, 1.0):
-    member = plasticity_4(angles, rho, total=1.0)
+    member = plasticity_n(angles, [rho], total=1.0)
     res = np.max(np.abs(cosine_residuals(angles, member)))
     print(f"   {rho:8.2f}   " + "  ".join(f"{x:8.5f}" for x in member) + f"   {res:.1e}")
 print("every member satisfies the equilibrium equations at the same point:")
@@ -52,7 +52,7 @@ print("3. Minimum-norm member from the cosine system")
 print("=" * 72)
 member = cosine_system_weights(angles)
 print("minimum-norm member:", np.round(member, 9))
-again = plasticity_4(angles, member[3] / member[0], total=1.0)
+again = plasticity_n(angles, [member[3] / member[0]], total=1.0)
 print(f"family reproduces it: max gap {np.max(np.abs(again - member)):.2e}")
 
 print()

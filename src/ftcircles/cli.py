@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
-from .geometry import Configuration, DistanceMode, Point2, angle_at, project_onto_circle
+from .geometry import Configuration, DistanceMode, Point2, project_onto_circle, sector_decomposition
 from .inverse import AngleTriple, weights_from_angles
 from .oracle import oracle_minimize
 from .plasticity import (
@@ -139,11 +139,7 @@ def _cmd_inverse(args) -> int:
         point = solve(config).point
     projections = [project_onto_circle(point, c) for c in config.circles]
     if config.n == 3:
-        triple = AngleTriple(
-            angle_at(point, projections[1], projections[2]),
-            angle_at(point, projections[0], projections[2]),
-            angle_at(point, projections[0], projections[1]),
-        )
+        triple = AngleTriple.from_sectors(*sector_decomposition(point, projections))
         weights = weights_from_angles(triple)
     else:
         angles = SectorAngles.from_points(point, projections)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionViolated
-from .geometry import Configuration, Point2
+from .geometry import Configuration, Point2, pair_distances
 from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
 from .solver import solve
 
@@ -82,13 +82,7 @@ def default_schedule(config: Configuration, steps: int) -> list[float]:
 
 def default_scale(config: Configuration) -> float:
     """Scale making the largest initial radius 10% of the closest center pair."""
-    centers = config.centers_array()
-    n = config.n
-    dmin = min(
-        float(np.linalg.norm(centers[i] - centers[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    dmin = float(pair_distances(config.centers_array()).min())
     return 0.1 * dmin / max(config.weights)
 
 
@@ -119,39 +113,29 @@ def _pattern(prev: np.ndarray, new: np.ndarray, total: float) -> tuple[WeightCha
     return tuple(out)
 
 
-def _prepare(config: Configuration) -> tuple[Point2, np.ndarray, np.ndarray]:
-    """Solve, check the pentagon preconditions, return point, azimuths, rays."""
+def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
+    """Solve, check the pentagon preconditions, return point, ray layout, unit rays."""
     if config.n != 5:
         raise PreconditionViolated(f"evolution is defined for 5 circles, got {config.n}")
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("evolution requires a floating instance")
-    p = base.point.as_array()
-    centers = config.centers_array()
-    diff = centers - p
-    azimuths = np.arctan2(diff[:, 1], diff[:, 0])
-    rays = diff / np.linalg.norm(diff, axis=1)[:, None]
+    layout = SectorAngles.from_result(base)
+    rays = np.column_stack([np.cos(layout.azimuths), np.sin(layout.azimuths)])
     # growing branches (labels 3, 4) must lie in the sector from ray 2 to
     # ray 0 that avoids ray 1, i.e. the input labels run around the point
-    layout = SectorAngles(azimuths)
-    order = list(layout.cyclic_order())
+    order = list(base.sector_order)
     k = order.index(0)
     seq = order[k:] + order[:k]
     if seq != [0, 1, 2, 3, 4] and seq != [0, 4, 3, 2, 1]:
         raise PreconditionViolated(
             f"circle labels must run around the point in order, got cycle {seq}"
         )
-    return base.point, azimuths, rays
+    return base.point, layout, rays
 
 
 def _overlaps(config: Configuration, radii: np.ndarray) -> bool:
-    centers = config.centers_array()
-    n = config.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]:
-                return True
-    return False
+    return bool(np.any(pair_distances(config.centers_array()) <= radii[:, None] + radii))
 
 
 def evolve_type_a(
@@ -168,7 +152,7 @@ def evolve_type_a(
     (weight 1 up, weights 0 and 2 down) is recorded; violations become
     diagnostics on the trace, not failures.
     """
-    point, azimuths, _ = _prepare(config)
+    point, layout, _ = _prepare(config)
     if increments is None:
         deltas = default_schedule(config, steps)
         increments = [(d, d) for d in deltas]
@@ -177,9 +161,7 @@ def evolve_type_a(
 
     w = config.weights_array()
     total = float(w.sum())
-    coeffs = transfer_coefficients(
-        TriangleRatios.from_angles(SectorAngles(azimuths)), n=5, total=total
-    )
+    coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=total)
     violations: list[str] = []
     radii = scale * w
     steps_out = [
@@ -255,7 +237,8 @@ def evolve_type_b(
     response: weights 0 and 2 decrease while weight 1 and the composite
     increase; deviations are recorded as diagnostics.
     """
-    point, azimuths, rays = _prepare(config)
+    point, layout, rays = _prepare(config)
+    azimuths = layout.azimuths
     if schedule is None:
         schedule = default_schedule(config, steps)
     if scale is None:

@@ -93,13 +93,11 @@ class Configuration:
             raise InvalidConfiguration(f"tolerance must be positive, got {self.tolerance}")
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                ci, cj = self.circles[i], self.circles[j]
-                if ci.center.distance_to(cj.center) <= ci.radius + cj.radius:
-                    raise InvalidConfiguration(
-                        f"circles {i} and {j} overlap or touch"
-                    )
+        radii = self.radii_array()
+        touching = pair_distances(self.centers_array()) <= radii[:, None] + radii
+        if touching.any():
+            i, j = np.argwhere(touching)[0]
+            raise InvalidConfiguration(f"circles {i} and {j} overlap or touch")
 
     @property
     def n(self) -> int:
@@ -115,13 +113,15 @@ class Configuration:
         return np.array(self.weights, dtype=float)
 
 
-def unit_vector(a: Point2, b: Point2) -> np.ndarray:
-    """Unit vector pointing from a toward b. Requires a != b."""
-    v = b.as_array() - a.as_array()
-    norm = float(np.hypot(v[0], v[1]))
-    if norm < COINCIDENT_EPS:
-        raise DegenerateProjection(f"points coincide: {a} and {b}")
-    return v / norm
+def pair_distances(points) -> np.ndarray:
+    """Distances between the rows of an (n, 2) point array, as an (n, n) matrix.
+
+    The diagonal is +inf, so minima and comparisons see distinct pairs only.
+    """
+    p = np.asarray(points, dtype=float)
+    d = np.hypot(p[:, None, 0] - p[:, 0], p[:, None, 1] - p[:, 1])
+    d.flat[:: len(p) + 1] = np.inf
+    return d
 
 
 def project_onto_circle(p: Point2, c: Circle) -> Point2:
@@ -149,23 +149,23 @@ def distance_to_circle(p: Point2, c: Circle, mode: DistanceMode = DistanceMode.T
 
 def angle_at(apex: Point2, a: Point2, b: Point2) -> float:
     """Unsigned angle in [0, pi] between rays apex->a and apex->b."""
-    ua = unit_vector_checked(apex, a)
-    ub = unit_vector_checked(apex, b)
-    dot = float(np.clip(np.dot(ua, ub), -1.0, 1.0))
-    return math.acos(dot)
-
-
-def unit_vector_checked(apex: Point2, p: Point2) -> np.ndarray:
-    """Like unit_vector but raises DegenerateAngle on coincident input."""
-    v = p.as_array() - apex.as_array()
-    norm = float(np.hypot(v[0], v[1]))
-    if norm < COINCIDENT_EPS:
-        raise DegenerateAngle(f"ray endpoint coincides with apex {apex}")
-    return v / norm
+    rays = []
+    for p in (a, b):
+        v = p.as_array() - apex.as_array()
+        norm = float(np.hypot(v[0], v[1]))
+        if norm < COINCIDENT_EPS:
+            raise DegenerateAngle(f"ray endpoint coincides with apex {apex}")
+        rays.append(v / norm)
+    return math.acos(float(np.clip(np.dot(rays[0], rays[1]), -1.0, 1.0)))
 
 
 def azimuths_at(apex: Point2, points: Sequence[Point2]) -> np.ndarray:
-    """Polar angles (atan2, in (-pi, pi]) of each point as seen from apex."""
+    """Polar angles (atan2, in [-pi, pi]) of each point as seen from apex.
+
+    These are the ray azimuths every angle certificate derives from. They
+    use ``math.atan2``: numpy's SIMD ``arctan2`` can differ from it in the
+    last bit, which would move the reported sector angles.
+    """
     out = np.empty(len(points))
     for k, p in enumerate(points):
         dx, dy = p.x - apex.x, p.y - apex.y
@@ -175,19 +175,44 @@ def azimuths_at(apex: Point2, points: Sequence[Point2]) -> np.ndarray:
     return out
 
 
-def sector_decomposition(apex: Point2, points: Sequence[Point2]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Cyclic order of rays around apex and the consecutive sector angles.
+def _wrap_angle(x: float) -> float:
+    """Wrap to (-pi, pi]; values already in that range come back unchanged."""
+    if -math.pi < x <= math.pi:
+        return x
+    y = math.fmod(x + math.pi, 2.0 * math.pi)
+    if y <= 0.0:
+        y += 2.0 * math.pi
+    return y - math.pi
 
-    Returns (order, sectors): ``order`` lists the point indices sorted by
-    ascending polar angle (starting at the smallest), and ``sectors[k]`` is
-    the counterclockwise angle from ray order[k] to ray order[k+1] (wrapping
-    at the end). The sectors sum to 2*pi.
+
+def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Cyclic order of rays with the given azimuths and their sector angles.
+
+    Returns (order, sectors): ``order`` lists the ray indices sorted by
+    ascending azimuth wrapped to (-pi, pi], and ``sectors[k]`` is the
+    counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
+    the end). The sectors sum to 2*pi.
     """
-    az = azimuths_at(apex, points)
-    order = tuple(int(i) for i in np.argsort(az, kind="stable"))
-    sorted_az = az[list(order)]
-    sectors = []
-    for k in range(len(order) - 1):
-        sectors.append(float(sorted_az[k + 1] - sorted_az[k]))
-    sectors.append(float(2.0 * math.pi - (sorted_az[-1] - sorted_az[0])))
-    return order, tuple(sectors)
+    az = np.array([_wrap_angle(a) for a in azimuths])
+    order = np.argsort(az, kind="stable")
+    sorted_az = az[order]
+    sectors = np.append(np.diff(sorted_az), 2.0 * math.pi - (sorted_az[-1] - sorted_az[0]))
+    return tuple(order.tolist()), tuple(sectors.tolist())
+
+
+def cosine_matrix(azimuths: Sequence[float]) -> np.ndarray:
+    """Matrix ``cos(az_j - az_i)`` of the cosines between every pair of rays.
+
+    The diagonal is exactly 1, so ``cosine_matrix(az) @ w`` is the cosine
+    equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``.
+    """
+    az = np.asarray(azimuths, dtype=float)
+    return np.cos(az[None, :] - az[:, None])
+
+
+def sector_decomposition(apex: Point2, points: Sequence[Point2]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Cyclic order of the rays from apex to the points and their sector angles.
+
+    See :func:`sectors_of`; the sectors sum to 2*pi.
+    """
+    return sectors_of(azimuths_at(apex, points))

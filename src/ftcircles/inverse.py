@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import AbsorbedWeights, CalledOnAbsorbed, DegenerateAngles, InvalidConfiguration
 from .solver import SolveResult
-from .geometry import angle_at
 
 _SUM_TOL = 1e-10
 
@@ -43,6 +43,21 @@ class AngleTriple:
     @property
     def angles(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
+
+    @classmethod
+    def from_sectors(cls, order: Sequence[int], sectors: Sequence[float]) -> "AngleTriple":
+        """Angles of three rays from their cyclic order and sector angles.
+
+        ``order`` and ``sectors`` are as returned by
+        :func:`~ftcircles.geometry.sector_decomposition`: the sector between
+        two consecutive rays is the angle opposite the third one.
+        """
+        if len(order) != 3 or len(sectors) != 3:
+            raise InvalidConfiguration("angle triple is defined for exactly 3 rays")
+        phis = [0.0, 0.0, 0.0]
+        for k, sector in enumerate(sectors):
+            phis[order[(k + 2) % 3]] = sector
+        return cls(*phis)
 
 
 def angles_from_weights(w1: float, w2: float, w3: float) -> AngleTriple:
@@ -91,17 +106,11 @@ def weights_from_angles(angles: AngleTriple) -> tuple[float, float, float]:
 def opposite_angles(result: SolveResult) -> AngleTriple:
     """AngleTriple of a solved 3-circle floating instance.
 
-    phi_Q is measured between the rays from the solution point to the two
+    phi_Q is the sector between the rays from the solution point to the two
     projections other than Q.
     """
     if not result.case.is_floating:
         raise CalledOnAbsorbed("angle triple requires a floating solution")
     if len(result.projections) != 3:
         raise InvalidConfiguration("angle triple is defined for exactly 3 circles")
-    p = result.point
-    a1, a2, a3 = result.projections
-    return AngleTriple(
-        angle_at(p, a2, a3),
-        angle_at(p, a1, a3),
-        angle_at(p, a1, a2),
-    )
+    return AngleTriple.from_sectors(result.sector_order, result.sector_angles)

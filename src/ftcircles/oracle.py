@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import FTCirclesError, StepTooLarge, StepTooSmall
-from .geometry import Circle, Configuration, DistanceMode, Point2
+from .geometry import Circle, Configuration, DistanceMode, Point2, pair_distances
 from .solver import classify_case, solve
 
 GRID_CELLS_DEFAULT = 400
@@ -161,19 +161,10 @@ def random_floating_config(
         dist_to_p = np.linalg.norm(centers - p, axis=1)
         if dist_to_p.min() < 0.15:
             continue
-        radii = np.empty(n)
-        ok = True
-        for i in range(n):
-            sep = min(
-                np.linalg.norm(centers[i] - centers[j]) for j in range(n) if j != i
-            )
-            cap = min(0.45 * sep, 0.6 * dist_to_p[i])
-            if cap <= 1e-3:
-                ok = False
-                break
-            radii[i] = cap * rng.uniform(0.3, 0.9)
-        if not ok:
+        caps = np.minimum(0.45 * pair_distances(centers).min(axis=1), 0.6 * dist_to_p)
+        if caps.min() <= 1e-3:
             continue
+        radii = caps * rng.uniform(0.3, 0.9, size=n)
         return Configuration(
             tuple(Circle(Point2(*c), float(r)) for c, r in zip(centers, radii)),
             tuple(float(w) for w in weights),
@@ -231,11 +222,6 @@ def regular_polygon_config(
 def _sample_centers(rng, n: int, box: float, min_separation: float) -> np.ndarray:
     for _ in range(5000):
         pts = rng.uniform(0.0, box, size=(n, 2))
-        ok = all(
-            np.linalg.norm(pts[i] - pts[j]) >= min_separation
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if ok:
+        if pair_distances(pts).min() >= min_separation:
             return pts
     raise RuntimeError("center sampling failed; box too tight for the separation")

@@ -8,7 +8,7 @@ with each other:
 
 * ``cosine_system_weights``: minimum-norm member of the solution family of
   the weighted cosine equations plus the unit-sum constraint;
-* ``plasticity_4`` / ``plasticity_n``: closed-form ratios
+* ``plasticity_n``: closed-form ratios
   ``(w2/w1)`` and ``(w3/w1)`` driven by the free ratios ``w_j/w_1``;
 * ``transfer_coefficients``: the affine map from free weights to the first
   three weights under the constant-sum closure.
@@ -38,18 +38,18 @@ from .errors import (
     SingularSystem,
     InvalidConfiguration,
 )
-from .geometry import Circle, Configuration, Point2, azimuths_at
+from .geometry import (
+    Circle,
+    Configuration,
+    Point2,
+    _wrap_angle,
+    azimuths_at,
+    cosine_matrix,
+    sectors_of,
+)
 from .solver import SolveResult, classify_case, solve
 
 _MIN_SINE = 1e-12
-
-
-def _wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y <= 0.0:
-        y += 2.0 * math.pi
-    return y - math.pi
 
 
 class SectorAngles:
@@ -70,16 +70,17 @@ class SectorAngles:
             raise InvalidConfiguration("need at least 3 ray azimuths")
         self.n = int(az.size)
         self.azimuths = az
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if abs(_wrap_angle(az[i] - az[j])) < 1e-9:
-                    raise InvalidConfiguration(f"rays {i} and {j} coincide")
+        order, sectors = sectors_of(az)
+        k = int(np.argmin(sectors))
+        if sectors[k] < 1e-9:
+            i, j = sorted((order[k], order[(k + 1) % self.n]))
+            raise InvalidConfiguration(f"rays {i} and {j} coincide")
 
     @classmethod
     def from_result(cls, result: SolveResult) -> "SectorAngles":
         if not result.case.is_floating:
             raise PreconditionViolated("sector angles require a floating solution")
-        return cls.from_points(result.point, result.projections)
+        return cls(result.ray_azimuths)
 
     @classmethod
     def from_points(cls, apex: Point2, points: Sequence[Point2]) -> "SectorAngles":
@@ -128,16 +129,11 @@ class SectorAngles:
         return math.sin(self.azimuths[j] - self.azimuths[i])
 
     def cyclic_order(self) -> tuple[int, ...]:
-        wrapped = np.array([_wrap_angle(a) for a in self.azimuths])
-        return tuple(int(i) for i in np.argsort(wrapped, kind="stable"))
+        return sectors_of(self.azimuths)[0]
 
     def sectors(self) -> tuple[float, ...]:
         """Consecutive sector angles aligned with :meth:`cyclic_order`."""
-        order = self.cyclic_order()
-        wrapped = sorted(_wrap_angle(a) for a in self.azimuths)
-        out = [wrapped[k + 1] - wrapped[k] for k in range(len(order) - 1)]
-        out.append(2.0 * math.pi - (wrapped[-1] - wrapped[0]))
-        return tuple(out)
+        return sectors_of(self.azimuths)[1]
 
 
 @dataclass(frozen=True)
@@ -246,10 +242,7 @@ def transfer_residuals(coeffs: PlasticityCoefficients, weights: Sequence[float])
 
 def cosine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
     """Residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)`` of the cosine system."""
-    w = np.asarray(weights, dtype=float)
-    g = np.cos(angles.matrix())
-    np.fill_diagonal(g, 1.0)
-    return g @ w
+    return cosine_matrix(angles.azimuths) @ np.asarray(weights, dtype=float)
 
 
 def sine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
@@ -275,8 +268,7 @@ def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarra
     system, and warns when the returned member leaves the positive cone.
     """
     n = angles.n
-    g = np.cos(angles.matrix())
-    np.fill_diagonal(g, 1.0)
+    g = cosine_matrix(angles.azimuths)
     a = np.vstack([g, np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
@@ -293,30 +285,6 @@ def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarra
     return w
 
 
-def plasticity_4(
-    angles: SectorAngles,
-    w4_over_w1: float,
-    total: float = 1.0,
-    strict: bool = False,
-) -> np.ndarray:
-    """Four-ray dynamic plasticity closed with a constant sum.
-
-    (w2/w1) = (w2/w1)_123 * [1 - (w4/w1) * (w1/w4)_134]
-    (w3/w1) = (w3/w1)_123 * [1 - (w4/w1) * (w1/w4)_124]
-
-    ``strict=True`` additionally enforces the interior/exterior triangle
-    hypotheses of the four-ray statement via
-    :func:`plasticity4_preconditions`.
-    """
-    if angles.n != 4:
-        raise InvalidConfiguration(f"plasticity_4 needs 4 rays, got {angles.n}")
-    if strict and not plasticity4_preconditions(angles):
-        raise GeometryPreconditionViolated(
-            "ray layout violates the interior/exterior triangle hypotheses"
-        )
-    return plasticity_n(angles, [w4_over_w1], total=total)
-
-
 def plasticity_n(
     angles: SectorAngles,
     free_ratios: Sequence[float],
@@ -329,7 +297,9 @@ def plasticity_n(
     (w3/w1) = (w3/w1)_123 * [1 - sum_j (wj/w1) * (w1/wj)_12j]
 
     The free ratios run over rays 4..n (0-based labels 3..n-1). The weight
-    scale is fixed by the constant total.
+    scale is fixed by the constant total. With four rays, ``strict=True``
+    additionally enforces the interior/exterior triangle hypotheses of the
+    four-ray statement via :func:`plasticity4_preconditions`.
     """
     n = angles.n
     free = np.asarray(free_ratios, dtype=float)

@@ -24,10 +24,12 @@ from .geometry import (
     COINCIDENT_EPS,
     Configuration,
     Point2,
-    angle_at,
+    azimuths_at,
+    cosine_matrix,
     distance_to_circle,
+    pair_distances,
     project_onto_circle,
-    sector_decomposition,
+    sectors_of,
 )
 
 DEFAULT_MAX_ITERS = 10000
@@ -62,10 +64,12 @@ class CaseTag:
 class SolveResult:
     """Solution point with its geometric certificate.
 
-    ``sector_angles`` are the consecutive counterclockwise angles between
-    rays to the projection points, aligned with ``sector_order`` (input
-    indices sorted by polar angle around the point). Both are empty for an
-    absorbed solution, which carries no angle certificate.
+    ``ray_azimuths`` are the polar angles of the rays from the point to the
+    projection points, in input order; every angle of the certificate is
+    derived from them. ``sector_angles`` are the consecutive counterclockwise
+    angles between those rays, aligned with ``sector_order`` (input indices
+    sorted by azimuth). All three are empty for an absorbed solution, which
+    carries no angle certificate.
     """
 
     point: Point2
@@ -77,23 +81,16 @@ class SolveResult:
     case: CaseTag
     equilibrium_residual: float
     iterations: int = 0
+    ray_azimuths: tuple[float, ...] = ()
 
 
 def resultant_norms(config: Configuration) -> np.ndarray:
     """Norm of the pull ``sum_{j!=i} w_j u(A_i, A_j)`` at every center."""
     centers = config.centers_array()
     weights = config.weights_array()
-    n = config.n
-    out = np.empty(n)
-    for i in range(n):
-        acc = np.zeros(2)
-        for j in range(n):
-            if j == i:
-                continue
-            v = centers[j] - centers[i]
-            acc += weights[j] * v / np.linalg.norm(v)
-        out[i] = float(np.linalg.norm(acc))
-    return out
+    diff = centers[None, :, :] - centers[:, None, :]
+    pull = (weights[None, :, None] * diff / pair_distances(centers)[:, :, None]).sum(axis=1)
+    return np.hypot(pull[:, 0], pull[:, 1])
 
 def classify_case(config: Configuration) -> CaseTag:
     """Floating when every center's pull exceeds its own weight.
@@ -195,11 +192,7 @@ def _weiszfeld(
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
     else:
         p = np.asarray(initial, dtype=float).copy()
-    pair_min = min(
-        np.linalg.norm(centers[i] - centers[j])
-        for i in range(len(centers))
-        for j in range(i + 1, len(centers))
-    )
+    pair_min = pair_distances(centers).min()
     residual = math.inf
     for it in range(1, max_iters + 1):
         diff = centers - p
@@ -268,7 +261,8 @@ def solve(
         distance_to_circle(point, c, config.distance_mode) for c in config.circles
     )
     objective = float(np.dot(weights, distances))
-    order, sectors = sector_decomposition(point, projections)
+    azimuths = azimuths_at(point, projections)
+    order, sectors = sectors_of(azimuths)
     return SolveResult(
         point=point,
         projections=projections,
@@ -279,6 +273,7 @@ def solve(
         case=case,
         equilibrium_residual=residual,
         iterations=iters,
+        ray_azimuths=tuple(azimuths.tolist()),
     )
 
 
@@ -321,20 +316,10 @@ def _absorbed_result(config: Configuration, m: int) -> SolveResult:
 def certificate_residuals(result: SolveResult, config: Configuration) -> list[float]:
     """Cosine equilibrium residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)``.
 
-    All residuals vanish at the true floating minimizer. Raises
-    CalledOnAbsorbed for absorbed results, which have no angle certificate.
+    The cosines come from the result's ray azimuths. All residuals vanish at
+    the true floating minimizer. Raises CalledOnAbsorbed for absorbed
+    results, which have no angle certificate.
     """
     if not result.case.is_floating:
         raise CalledOnAbsorbed("cosine residuals require a floating solution")
-    n = config.n
-    out = []
-    for i in range(n):
-        acc = config.weights[i]
-        for j in range(n):
-            if j == i:
-                continue
-            acc += config.weights[j] * math.cos(
-                angle_at(result.point, result.projections[i], result.projections[j])
-            )
-        out.append(float(acc))
-    return out
+    return (cosine_matrix(result.ray_azimuths) @ config.weights_array()).tolist()

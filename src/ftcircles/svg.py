@@ -72,12 +72,8 @@ def render_svg(config: Configuration, result: SolveResult | None = None, size: i
             )
         if result.sector_angles:
             arc_r = 0.2 * min(p.distance_to(proj) for proj in result.projections)
-            order = result.sector_order
-            for idx, i in enumerate(order):
-                proj_i = result.projections[i]
-                proj_j = result.projections[order[(idx + 1) % len(order)]]
-                a0 = math.atan2(proj_i.y - p.y, proj_i.x - p.x)
-                sector = result.sector_angles[idx]
+            for i, sector in zip(result.sector_order, result.sector_angles):
+                a0 = result.ray_azimuths[i]
                 a1 = a0 + sector
                 x0, y0 = p.x + arc_r * math.cos(a0), p.y + arc_r * math.sin(a0)
                 x1, y1 = p.x + arc_r * math.cos(a1), p.y + arc_r * math.sin(a1)

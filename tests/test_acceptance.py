@@ -29,7 +29,6 @@ from ftcircles import (
     opposite_angles,
     oracle_minimize,
     plasticity4_preconditions,
-    plasticity_4,
     plasticity_n,
     random_dominated_config,
     random_floating_config,
@@ -147,13 +146,13 @@ def test_criterion_05_four_circle_plasticity(scenes4):
         angles = SectorAngles.from_result(result)
         w = config.weights_array()
         normalized = w / w.sum()
-        out = plasticity_4(angles, w[3] / w[0], total=1.0)
+        out = plasticity_n(angles, [w[3] / w[0]], total=1.0)
         worst_true = max(worst_true, float(np.max(np.abs(out - normalized))))
         member = cosine_system_weights(angles)
         worst_system = max(
             worst_system, float(np.max(np.abs(cosine_residuals(angles, member))))
         )
-        again = plasticity_4(angles, member[3] / member[0], total=float(member.sum()))
+        again = plasticity_n(angles, [member[3] / member[0]], total=float(member.sum()))
         worst_family = max(worst_family, float(np.max(np.abs(again - member))))
     ok = worst_true < 1e-7 and worst_family < 1e-7 and worst_system < 1e-7
     _report(

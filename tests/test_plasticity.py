@@ -19,7 +19,6 @@ from ftcircles import (
     cosine_residuals,
     cosine_system_weights,
     plasticity4_preconditions,
-    plasticity_4,
     plasticity_n,
     random_floating_config,
     regular_polygon_config,
@@ -86,6 +85,16 @@ class TestSectorAngles:
                 direct = angle_at(result.point, result.projections[i], result.projections[j])
                 assert angles.angle(i, j) == pytest.approx(direct, abs=1e-12)
 
+    def test_from_result_is_the_solver_layout(self):
+        # one ray layout per solution: the plasticity view of a result
+        # reproduces the solver's own sectors bit for bit
+        for n in (3, 4, 5, 6):
+            for seed in range(10):
+                result = solve(random_floating_config(n, seed=seed))
+                angles = SectorAngles.from_result(result)
+                assert angles.sectors() == result.sector_angles
+                assert angles.cyclic_order() == result.sector_order
+
 
 class TestCosineSystem:
     def test_square_symmetric(self):
@@ -113,7 +122,7 @@ class TestCosineSystem:
         # own free ratio, reproduces itself
         _, angles = solved_angles(4, seed=12)
         w = cosine_system_weights(angles)
-        again = plasticity_4(angles, w[3] / w[0], total=float(w.sum()))
+        again = plasticity_n(angles, [w[3] / w[0]], total=float(w.sum()))
         assert_close(again, w, 1e-9, "family parametrization")
 
 
@@ -122,12 +131,12 @@ class TestPlasticity4:
         for seed in (1, 4, 7, 13):
             config, angles = solved_angles(4, seed=seed)
             w = config.weights_array()
-            out = plasticity_4(angles, w[3] / w[0], total=float(w.sum()))
+            out = plasticity_n(angles, [w[3] / w[0]], total=float(w.sum()))
             assert_close(out, w, 1e-8, f"seed {seed}")
 
     def test_zero_free_ratio_reduces_to_triangle(self):
         angles = SectorAngles(CANONICAL_AZIMUTHS)
-        out = plasticity_4(angles, 0.0, total=2.0)
+        out = plasticity_n(angles, [0.0], total=2.0)
         assert out[3] == 0.0
         ratios = TriangleRatios.from_angles(angles)
         scale = 2.0 / (1.0 + ratios.r2 + ratios.r3)
@@ -136,7 +145,7 @@ class TestPlasticity4:
     def test_sweep_monotonicity(self):
         # increasing the free weight raises w2 and lowers w1, w3
         angles = SectorAngles(CANONICAL_AZIMUTHS)
-        sweep = [plasticity_4(angles, rho, total=1.0) for rho in (0.2, 0.3, 0.4, 0.5)]
+        sweep = [plasticity_n(angles, [rho], total=1.0) for rho in (0.2, 0.3, 0.4, 0.5)]
         for a, b in zip(sweep, sweep[1:]):
             assert b[1] > a[1]
             assert b[0] < a[0]
@@ -147,7 +156,7 @@ class TestPlasticity4:
         angles = SectorAngles(np.deg2rad([0.0, 70.0, 140.0, 210.0]))
         assert not plasticity4_preconditions(angles)
         with pytest.raises(GeometryPreconditionViolated):
-            plasticity_4(angles, 0.3, strict=True)
+            plasticity_n(angles, [0.3], strict=True)
 
     def test_preconditions_hold_on_canonical(self):
         assert plasticity4_preconditions(SectorAngles(CANONICAL_AZIMUTHS))
@@ -203,12 +212,6 @@ class TestTransferCoefficients:
 
 
 class TestPlasticityN:
-    def test_equals_plasticity4(self):
-        _, angles = solved_angles(4, seed=5)
-        a = plasticity_4(angles, 0.37, total=1.0)
-        b = plasticity_n(angles, [0.37], total=1.0)
-        assert_close(a, b, 1e-15, "n=4 equivalence")
-
     def test_zero_free_ratios_triangle(self):
         _, angles = solved_angles(5, seed=5)
         out = plasticity_n(angles, [0.0, 0.0], total=1.0)
@@ -261,7 +264,7 @@ class TestResidualSystems:
         # with the hypotheses satisfied the signed residuals coincide term
         # by term with the displayed unsigned-sine equations
         angles = SectorAngles(CANONICAL_AZIMUTHS)
-        w = plasticity_4(angles, 0.4, total=1.0)
+        w = plasticity_n(angles, [0.4], total=1.0)
         a = angles.angle
         eq12 = -w[0] * math.sin(a(1, 0)) + w[2] * math.sin(a(1, 2)) + w[3] * math.sin(a(1, 3))
         eq13 = -w[1] * math.sin(a(0, 1)) + w[2] * math.sin(a(0, 2)) + w[3] * math.sin(a(0, 3))

@@ -10,8 +10,10 @@ from ftcircles import (
     Circle,
     Configuration,
     DistanceMode,
+    InvalidConfiguration,
     NonConvergence,
     Point2,
+    SectorAngles,
     SolutionInsideDisk,
     certificate_residuals,
     classify_case,
@@ -195,3 +197,29 @@ class TestCertificate:
         result = solve(config)
         residuals = certificate_residuals(result, config)
         assert max(abs(r) for r in residuals) < 1e-7
+
+    def test_two_circles_on_one_ray(self):
+        # circles 0 and 1 sit on the same ray from the point: a valid
+        # floating solution with a zero-width sector, which the certificate
+        # handles and the plasticity machinery rejects
+        from ftcircles.scene import result_dict
+        from ftcircles.svg import render_svg
+
+        third = 2.0 * math.pi / 3.0
+        config = Configuration(
+            (
+                Circle(Point2(2.0, 0.0), 0.5),
+                Circle(Point2(4.0, 0.0), 0.5),
+                Circle(Point2(2.0 * math.cos(third), 2.0 * math.sin(third)), 0.5),
+                Circle(Point2(2.0 * math.cos(2 * third), 2.0 * math.sin(2 * third)), 0.5),
+            ),
+            (0.5, 0.5, 1.0, 1.0),
+        )
+        result = solve(config)
+        assert result.case.is_floating
+        assert max(abs(r) for r in certificate_residuals(result, config)) <= 1e-12
+        assert sum(result.sector_angles) == pytest.approx(2 * math.pi, abs=1e-12)
+        assert result_dict(config, result)["case"] == "floating"
+        assert render_svg(config, result).count("<path") == 4
+        with pytest.raises(InvalidConfiguration):
+            SectorAngles.from_result(result)
