@@ -7,7 +7,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -75,6 +75,10 @@ class Configuration:
     weights: tuple[float, ...]
     tolerance: float = 1e-10
     distance_mode: DistanceMode = DistanceMode.TO_CURVE
+    # read-only arrays, built once by __post_init__
+    _centers: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    _radii: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "circles", tuple(self.circles))
@@ -93,8 +97,16 @@ class Configuration:
             raise InvalidConfiguration(f"tolerance must be positive, got {self.tolerance}")
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
-        radii = self.radii_array()
-        touching = pair_distances(self.centers_array()) <= radii[:, None] + radii
+        for name, values in (
+            ("_centers", [[c.center.x, c.center.y] for c in self.circles]),
+            ("_radii", [c.radius for c in self.circles]),
+            ("_weights", self.weights),
+        ):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        radii = self._radii
+        touching = pair_distances(self._centers) <= radii[:, None] + radii
         if touching.any():
             i, j = np.argwhere(touching)[0]
             raise InvalidConfiguration(f"circles {i} and {j} overlap or touch")
@@ -104,13 +116,13 @@ class Configuration:
         return len(self.circles)
 
     def centers_array(self) -> np.ndarray:
-        return np.array([[c.center.x, c.center.y] for c in self.circles], dtype=float)
+        return self._centers
 
     def radii_array(self) -> np.ndarray:
-        return np.array([c.radius for c in self.circles], dtype=float)
+        return self._radii
 
     def weights_array(self) -> np.ndarray:
-        return np.array(self.weights, dtype=float)
+        return self._weights
 
 
 def pair_distances(points) -> np.ndarray:
@@ -175,14 +187,12 @@ def azimuths_at(apex: Point2, points: Sequence[Point2]) -> np.ndarray:
     return out
 
 
-def _wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]; values already in that range come back unchanged."""
-    if -math.pi < x <= math.pi:
-        return x
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y <= 0.0:
-        y += 2.0 * math.pi
-    return y - math.pi
+def wrap_angle(x) -> np.ndarray:
+    """Wrap to (-pi, pi] elementwise; values already in that range come back unchanged."""
+    x = np.asarray(x, dtype=float)
+    y = np.fmod(x + math.pi, 2.0 * math.pi)
+    y = np.where(y <= 0.0, y + 2.0 * math.pi, y) - math.pi
+    return np.where((x > -math.pi) & (x <= math.pi), x, y)
 
 
 def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -193,7 +203,7 @@ def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float,
     counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
     the end). The sectors sum to 2*pi.
     """
-    az = np.array([_wrap_angle(a) for a in azimuths])
+    az = wrap_angle(azimuths)
     order = np.argsort(az, kind="stable")
     sorted_az = az[order]
     sectors = np.append(np.diff(sorted_az), 2.0 * math.pi - (sorted_az[-1] - sorted_az[0]))
@@ -208,6 +218,12 @@ def cosine_matrix(azimuths: Sequence[float]) -> np.ndarray:
     """
     az = np.asarray(azimuths, dtype=float)
     return np.cos(az[None, :] - az[:, None])
+
+
+def sine_matrix(azimuths: Sequence[float]) -> np.ndarray:
+    """Matrix ``sin(az_j - az_i)`` of the signed sines between every pair of rays."""
+    az = np.asarray(azimuths, dtype=float)
+    return np.sin(az[None, :] - az[:, None])
 
 
 def sector_decomposition(apex: Point2, points: Sequence[Point2]) -> tuple[tuple[int, ...], tuple[float, ...]]:

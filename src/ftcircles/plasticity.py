@@ -42,10 +42,11 @@ from .geometry import (
     Circle,
     Configuration,
     Point2,
-    _wrap_angle,
     azimuths_at,
     cosine_matrix,
     sectors_of,
+    sine_matrix,
+    wrap_angle,
 )
 from .solver import SolveResult, classify_case, solve
 
@@ -104,9 +105,7 @@ class SectorAngles:
             best = None
             for sign in (1.0, -1.0):
                 cand = sign * m[0, j]
-                err = max(
-                    abs(abs(_wrap_angle(cand - az[i])) - m[i, j]) for i in range(1, j)
-                )
+                err = float(np.max(np.abs(np.abs(wrap_angle(cand - az[1:j])) - m[1:j, j])))
                 if best is None or err < best[0]:
                     best = (err, cand)
             if best[0] > 1e-6:
@@ -118,11 +117,10 @@ class SectorAngles:
 
     def angle(self, i: int, j: int) -> float:
         """Unsigned angle in [0, pi] between rays i and j."""
-        return abs(_wrap_angle(self.azimuths[j] - self.azimuths[i]))
+        return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
 
     def matrix(self) -> np.ndarray:
-        d = self.azimuths[None, :] - self.azimuths[:, None]
-        return np.abs(np.arctan2(np.sin(d), np.cos(d)))
+        return np.abs(wrap_angle(self.azimuths[None, :] - self.azimuths[:, None]))
 
     def signed_sin(self, i: int, j: int) -> float:
         """sin of the signed rotation from ray i to ray j."""
@@ -252,9 +250,7 @@ def sine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray
     with rays laid out per the interior/exterior hypotheses they reduce
     term-by-term to the displayed weighted sine equations.
     """
-    w = np.asarray(weights, dtype=float)
-    d = angles.azimuths[None, :] - angles.azimuths[:, None]
-    return np.sin(d) @ w
+    return sine_matrix(angles.azimuths) @ np.asarray(weights, dtype=float)
 
 
 def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarray:
@@ -339,13 +335,8 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     else:
         return False  # labels do not run around the apex: crossed quadrilateral
     az = angles.azimuths if ccw else -angles.azimuths
-    b = []
-    for k in range(4):
-        d = _wrap_angle(az[(k + 1) % 4] - az[k])
-        if d <= 0:
-            d += 2.0 * math.pi
-        b.append(d)
-    b1, b2, b3, b4 = b
+    b = wrap_angle(np.roll(az, -1) - az)
+    b1, b2, b3, b4 = np.where(b <= 0, b + 2.0 * math.pi, b).tolist()
     return (
         b1 < math.pi
         and b2 < math.pi

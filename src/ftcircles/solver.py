@@ -3,8 +3,8 @@
 The minimizer of ``sum_i w_i * d(P, circle_i)`` over the region outside all
 disks coincides with the classic weighted Fermat-Torricelli point of the
 centers, because subtracting the radii is a constant shift there. The solver
-therefore runs a Weiszfeld fixed-point iteration on the centers, classifies
-the floating/absorbed case first, and assembles a full geometric certificate
+classifies the floating/absorbed case first, runs one damped Newton loop on
+the centers (see ``_minimize``), and assembles a full geometric certificate
 (projections, sector angles, equilibrium residual) afterwards.
 """
 
@@ -112,118 +112,102 @@ def _equilibrium_gradient(p: np.ndarray, centers: np.ndarray, weights: np.ndarra
     return (weights[:, None] * diff / d[:, None]).sum(axis=0)
 
 
-def _objective_points(p: np.ndarray, centers: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights @ np.linalg.norm(centers - p, axis=1))
-
-
-def _newton_polish(
-    p: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    tol: float,
-    iters: int,
-) -> tuple[np.ndarray, float, float]:
-    """Damped Newton steps on the smooth center objective.
-
-    Returns (point, last step length, residual). Stops early at centers or
-    when backtracking cannot make progress; the caller falls back to the
-    fixed-point iteration then.
-    """
-    step = math.inf
-    f = _objective_points(p, centers, weights)
-    residual = float(np.linalg.norm(_equilibrium_gradient(p, centers, weights)))
-    for _ in range(iters):
-        diff = centers - p
-        d = np.linalg.norm(diff, axis=1)
-        if d.min() < 1e3 * COINCIDENT_EPS:
-            break
-        e = diff / d[:, None]
-        grad = -(weights[:, None] * e).sum(axis=0)
-        k = weights / d
-        h_xx = float(np.sum(k * (1.0 - e[:, 0] ** 2)))
-        h_yy = float(np.sum(k * (1.0 - e[:, 1] ** 2)))
-        h_xy = float(np.sum(k * (-e[:, 0] * e[:, 1])))
-        det = h_xx * h_yy - h_xy * h_xy
-        if det <= 0.0:
-            break
-        delta = np.array(
-            [(-grad[0] * h_yy + grad[1] * h_xy) / det,
-             (-grad[1] * h_xx + grad[0] * h_xy) / det]
-        )
-        t = 1.0
-        improved = False
-        for _ in range(40):
-            cand = p + t * delta
-            d_cand = np.linalg.norm(centers - cand, axis=1)
-            if d_cand.min() >= 1e3 * COINCIDENT_EPS:
-                f_cand = _objective_points(cand, centers, weights)
-                if f_cand <= f:
-                    p = cand
-                    f = f_cand
-                    step = t * float(np.linalg.norm(delta))
-                    improved = True
-                    break
-            t *= 0.5
-        if not improved:
-            break
-        residual = float(np.linalg.norm(_equilibrium_gradient(p, centers, weights)))
-        if step < tol and residual < 10.0 * tol:
-            break
-    return p, step, residual
-
-
-def _weiszfeld(
+def _minimize(
     centers: np.ndarray,
     weights: np.ndarray,
     tol: float,
     max_iters: int,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
-    """Weiszfeld iteration with center-collision handling and Newton polish.
+    """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
 
-    Convergence requires both a small step and a small equilibrium residual.
-    When an iterate lands on a center, the single-point optimality test is
-    applied; if the center is not optimal, the iterate steps off along the
-    resultant (descent) direction. The fixed-point rate degrades near the
-    absorbed boundary, so a damped Newton polish is interleaved; it shares
-    the same convergence test and never accepts an objective increase.
+    Returns (point, steps taken, residual). Each step is the damped Newton
+    step, or the Weiszfeld map when backtracking accepts no Newton point. An
+    iterate on a center gets the single-point optimality test; if the center
+    is not optimal, the Vardi-Zhang step moves it off along the pull of the
+    other centers. The iteration stops when both the last step and the
+    equilibrium residual are small.
     """
     if initial is None:
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
     else:
         p = np.asarray(initial, dtype=float).copy()
-    pair_min = pair_distances(centers).min()
-    residual = math.inf
-    for it in range(1, max_iters + 1):
+    step = residual = math.inf
+    for it in range(max_iters + 1):
         diff = centers - p
-        d = np.linalg.norm(diff, axis=1)
+        d = np.hypot(diff[:, 0], diff[:, 1])
         hit = int(np.argmin(d))
-        if d[hit] < COINCIDENT_EPS:
+        on_center = d[hit] < COINCIDENT_EPS
+        if not on_center:
+            e = diff / d[:, None]
+            grad = -(weights @ e)
+            residual = math.hypot(grad[0], grad[1])
+            if step < tol and residual < 10.0 * tol:
+                return p, it, residual
+        if it == max_iters:
+            break
+        if on_center:
             rest = np.delete(np.arange(len(centers)), hit)
             pull = _equilibrium_gradient(centers[hit], centers[rest], weights[rest])
             pull_norm = float(np.linalg.norm(pull))
             if pull_norm <= weights[hit]:
                 # center itself optimal: absorbed, caller classifies
                 return centers[hit].copy(), it, 0.0
-            p = centers[hit] + 1e-3 * pair_min * pull / pull_norm
-            continue
-        inv = weights / d
-        new_p = (inv[:, None] * centers).sum(axis=0) / inv.sum()
-        step = float(np.linalg.norm(new_p - p))
+            inv = weights[rest] / d[rest]
+            new_p = centers[hit] + (1.0 - weights[hit] / pull_norm) * pull / inv.sum()
+        else:
+            new_p = _newton_step(p, d, e, grad, residual, centers, weights)
+            if new_p is None:
+                inv = weights / d
+                new_p = (inv @ centers) / inv.sum()
+        step = math.hypot(new_p[0] - p[0], new_p[1] - p[1])
         p = new_p
-        residual = float(np.linalg.norm(_equilibrium_gradient(p, centers, weights)))
-        if step < tol and residual < 10.0 * tol:
-            return p, it, residual
-        if it % 16 == 0:
-            p, step, residual = _newton_polish(p, centers, weights, tol, iters=40)
-            if step < tol and residual < 10.0 * tol:
-                return p, it, residual
-    if residual < 10.0 * tol:
-        return p, max_iters, residual
     raise NonConvergence(
         f"iteration did not reach tolerance {tol} in {max_iters} steps "
         f"(residual {residual:.3e})"
     )
+
+
+def _newton_step(p, d, e, grad, residual, centers, weights) -> np.ndarray | None:
+    """Damped Newton point from p on the closed-form 2x2 Hessian, or None.
+
+    A candidate is accepted when it does not raise the objective, or when it
+    lowers the gradient norm and raises the objective by no more than the
+    rounding error of its sum. When the full step reaches the nearest
+    center, where the objective has a kink the Newton model cannot see, the
+    center itself is tried first. None means backtracking accepted nothing.
+    """
+    k = weights / d
+    h_xx = float(k @ (1.0 - e[:, 0] ** 2))
+    h_yy = float(k @ (1.0 - e[:, 1] ** 2))
+    h_xy = -float(k @ (e[:, 0] * e[:, 1]))
+    det = h_xx * h_yy - h_xy * h_xy
+    if det <= 0.0:
+        return None
+    delta = np.array(
+        [(-grad[0] * h_yy + grad[1] * h_xy) / det,
+         (-grad[1] * h_xx + grad[0] * h_xy) / det]
+    )
+    f = float(weights @ d)
+    hit = int(np.argmin(d))
+    reaches_center = math.hypot(delta[0], delta[1]) >= d[hit]
+    if reaches_center and weights @ np.hypot(*(centers - centers[hit]).T) <= f:
+        return centers[hit]
+    slack = len(d) * np.finfo(float).eps * f
+    t = 1.0
+    for _ in range(40):
+        cand = p + t * delta
+        diff = centers - cand
+        d_cand = np.hypot(diff[:, 0], diff[:, 1])
+        f_cand = float(weights @ d_cand)
+        if f_cand <= f:
+            return cand
+        if f_cand - f <= slack and d_cand.min() >= COINCIDENT_EPS:
+            g = weights @ (diff / d_cand[:, None])
+            if math.hypot(g[0], g[1]) < residual:
+                return cand
+        t *= 0.5
+    return None
 
 
 def solve(
@@ -233,11 +217,13 @@ def solve(
 ) -> SolveResult:
     """Solve the weighted minimum-distance-sum problem for the configuration.
 
-    Floating case: Weiszfeld iteration on the centers, then projections,
-    consecutive sector angles, objective with radii subtracted, and the
-    equilibrium residual. Raises SolutionInsideDisk if the center-problem
-    minimizer falls strictly inside some disk, where the curve-distance
-    theory does not apply.
+    Floating case: the solver loop on the centers, started from the weighted
+    centroid or from ``initial``, then projections, consecutive sector
+    angles, objective with radii subtracted, and the equilibrium residual.
+    ``iterations`` counts the steps of the loop. Raises NonConvergence when
+    ``max_iters`` steps do not meet the convergence test, and
+    SolutionInsideDisk if the center-problem minimizer falls strictly inside
+    some disk, where the curve-distance theory does not apply.
 
     Absorbed case: the point is the absorbing center; distances and
     projections are computed from it and no angle certificate is produced.
@@ -249,7 +235,7 @@ def solve(
     centers = config.centers_array()
     weights = config.weights_array()
     start = initial.as_array() if initial is not None else None
-    p, iters, residual = _weiszfeld(centers, weights, config.tolerance, max_iters, start)
+    p, iters, residual = _minimize(centers, weights, config.tolerance, max_iters, start)
 
     for i, c in enumerate(config.circles):
         if Point2.from_array(p).distance_to(c.center) < c.radius:

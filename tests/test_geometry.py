@@ -20,6 +20,7 @@ from ftcircles import (
     project_onto_circle,
     sector_decomposition,
 )
+from ftcircles.geometry import wrap_angle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
 
@@ -133,6 +134,21 @@ class TestSectorDecomposition:
                 assert sectors[k] == pytest.approx(angle_at(apex, pts[i], pts[j]), abs=1e-12)
 
 
+    def test_wrap_angle_matches_scalar_reference(self):
+        def reference(x):
+            if -math.pi < x <= math.pi:
+                return x
+            y = math.fmod(x + math.pi, 2.0 * math.pi)
+            if y <= 0.0:
+                y += 2.0 * math.pi
+            return y - math.pi
+
+        edges = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, 0.0, -0.0]
+        x = np.concatenate([np.random.default_rng(4).uniform(-20, 20, 2000), edges])
+        expected = np.array([reference(float(v)) for v in x])
+        assert wrap_angle(x).tobytes() == expected.tobytes()
+
+
 def _dirs(rng, n):
     ang = rng.uniform(0, 2 * math.pi, n)
     return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -160,6 +176,22 @@ class TestConfigurationValidation:
                 ),
                 (1.0, 1.0, 1.0),
             )
+
+    def test_arrays_built_once_read_only(self):
+        config = Configuration(
+            (
+                Circle(Point2(0, 0), 0.5),
+                Circle(Point2(2.0, 0), 0.25),
+                Circle(Point2(5, 5), 1.0),
+            ),
+            (1.0, 2.0, 3.0),
+        )
+        for get in (config.centers_array, config.radii_array, config.weights_array):
+            assert get() is get()
+            assert not get().flags.writeable
+        assert config.centers_array().tolist() == [[0, 0], [2, 0], [5, 5]]
+        assert config.radii_array().tolist() == [0.5, 0.25, 1.0]
+        assert config.weights_array().tolist() == [1.0, 2.0, 3.0]
 
     def test_weight_count_mismatch(self):
         with pytest.raises(InvalidConfiguration):

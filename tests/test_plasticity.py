@@ -87,13 +87,16 @@ class TestSectorAngles:
 
     def test_from_result_is_the_solver_layout(self):
         # one ray layout per solution: the plasticity view of a result
-        # reproduces the solver's own sectors bit for bit
+        # reproduces the solver's own sectors bit for bit, and its angle
+        # matrix holds the same unsigned angles as angle(i, j)
         for n in (3, 4, 5, 6):
-            for seed in range(10):
+            for seed in range(40):
                 result = solve(random_floating_config(n, seed=seed))
                 angles = SectorAngles.from_result(result)
                 assert angles.sectors() == result.sector_angles
                 assert angles.cyclic_order() == result.sector_order
+                pairwise = [[angles.angle(i, j) for j in range(n)] for i in range(n)]
+                assert angles.matrix().tolist() == pairwise
 
 
 class TestCosineSystem:

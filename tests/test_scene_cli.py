@@ -1,10 +1,11 @@
 """Scene I/O, SVG determinism, and CLI behavior tests."""
 
 import json
+import math
 
 import pytest
 
-from ftcircles import DistanceMode, SceneError, solve
+from ftcircles import Circle, Configuration, DistanceMode, Point2, SceneError, solve
 from ftcircles.cli import CSV_HEADER, main, trace_csv
 from ftcircles.evolution import evolve_type_a
 from ftcircles.oracle import regular_polygon_config
@@ -163,8 +164,25 @@ class TestCli:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_check(self, eq_scene_path, capsys):
+    def test_check(self, eq_scene_path, tmp_path, capsys):
         assert main(["check", eq_scene_path]) == 0
+        out = capsys.readouterr().out
+        assert "case=floating" in out
+        assert "sine system residual" in out
+        # circles 0 and 1 on one ray from the point: floating and valid
+        third = 2.0 * math.pi / 3.0
+        config = Configuration(
+            (
+                Circle(Point2(2.0, 0.0), 0.5),
+                Circle(Point2(4.0, 0.0), 0.5),
+                Circle(Point2(2.0 * math.cos(third), 2.0 * math.sin(third)), 0.5),
+                Circle(Point2(2.0 * math.cos(2 * third), 2.0 * math.sin(2 * third)), 0.5),
+            ),
+            (0.5, 0.5, 1.0, 1.0),
+        )
+        path = tmp_path / "collinear.json"
+        path.write_text(dump_json(scene_dict(config)))
+        assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out
         assert "case=floating" in out
         assert "sine system residual" in out

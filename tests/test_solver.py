@@ -81,15 +81,18 @@ class TestFloatingSolve:
         assert result.equilibrium_residual < 10 * config.tolerance
 
     def test_restarts_agree(self):
-        config = triangle_config(weights=(0.9, 1.2, 1.0))
+        # random starts plus every center, where the solver must step off
+        configs = [triangle_config(weights=(0.9, 1.2, 1.0))]
+        configs += [random_floating_config(n, seed=s) for n in (3, 4, 5, 6) for s in range(25)]
         rng = np.random.default_rng(11)
-        base = solve(config).point
-        centers = config.centers_array()
-        lo, hi = centers.min(axis=0), centers.max(axis=0)
-        for _ in range(10):
-            start = Point2(*rng.uniform(lo, hi))
-            other = solve(config, initial=start).point
-            assert other.distance_to(base) < 1e-6
+        for config in configs:
+            base = solve(config).point
+            centers = config.centers_array()
+            lo, hi = centers.min(axis=0), centers.max(axis=0)
+            starts = [Point2(*rng.uniform(lo, hi)) for _ in range(10)]
+            for start in starts + [c.center for c in config.circles]:
+                other = solve(config, initial=start).point
+                assert other.distance_to(base) < 1e-6
 
     def test_local_minimality_probes(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
@@ -148,10 +151,73 @@ class TestFloatingSolve:
             solve(config)
         assert err.value.index == 0
 
+    def test_large_n_accepts_steps_within_rounding(self):
+        # at n = 200 the last Newton step can raise the computed objective by
+        # an ulp while it cuts the residual; rejecting it stalls the solve
+        grid = np.stack(np.meshgrid(np.arange(-11.0, 12.0), np.arange(-11.0, 12.0)), -1)
+        lattice = grid.reshape(-1, 2)
+        ring = np.hypot(lattice[:, 0], lattice[:, 1])
+        lattice = lattice[(ring >= 5.25) & (ring <= 10.5)]
+        for seed in (2, 19, 21):
+            rng = np.random.default_rng(seed)
+            centers = lattice[rng.choice(len(lattice), size=200, replace=False)]
+            centers = centers + rng.uniform(-0.2, 0.2, size=(200, 2))
+            weights = rng.uniform(0.5, 1.5, size=200)
+            config = Configuration(
+                tuple(Circle(Point2(*c), 0.05) for c in centers), tuple(weights)
+            )
+            result = solve(config, max_iters=100)
+            assert result.case.is_floating
+            assert result.equilibrium_residual < 10 * config.tolerance
+
+    def test_newton_step_count(self):
+        # Newton is the primary method: a handful of steps per solve
+        steps = [
+            solve(random_floating_config(n, seed=seed)).iterations
+            for n in (3, 4, 5, 6)
+            for seed in range(50)
+        ]
+        assert np.median(steps) <= 8
+        # here Newton heads for a center that is not optimal; trying the
+        # center and stepping off it beats creeping toward it (30 steps)
+        assert solve(random_floating_config(4, seed=447)).iterations <= 12
+
     def test_non_convergence(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
         with pytest.raises(NonConvergence):
             solve(config, max_iters=1)
+
+
+def _rebuilt(config, centers, order):
+    """The configuration with new centers, circles and weights taken in ``order``."""
+    radii = config.radii_array()
+    circles = tuple(Circle(Point2(*centers[i]), float(radii[i])) for i in order)
+    return Configuration(circles, tuple(config.weights[i] for i in order))
+
+
+class TestEquivariance:
+    def test_translation_rotation_permutation(self):
+        # the point moves with the circles and ignores their order
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for n in (3, 4, 5, 6):
+            for seed in range(60):
+                config = random_floating_config(n, seed=seed)
+                centers = config.centers_array()
+                base = solve(config).point.as_array()
+                offset = rng.uniform(-100.0, 100.0, size=2)
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+                order = rng.permutation(n)
+                cases = [
+                    (_rebuilt(config, centers + offset, range(n)), base + offset),
+                    (_rebuilt(config, centers @ rot.T, range(n)), rot @ base),
+                    (_rebuilt(config, centers, order), base),
+                ]
+                for moved, expected in cases:
+                    gap = float(np.hypot(*(solve(moved).point.as_array() - expected)))
+                    worst = max(worst, gap)
+        assert worst <= 1e-8
 
 
 class TestAbsorbedSolve:
