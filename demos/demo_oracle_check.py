@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Oracle walkthrough: brute force versus the fixed-point solver.
+"""Oracle walkthrough: brute force versus the solver.
 
 The oracle knows nothing about equilibria: it grids the plane, excludes
-disk interiors, and polishes the best cell with Nelder-Mead. Agreement with
-the solver is the ground-truth check used throughout the test suite.
+disk interiors, and zooms in on the best grid point with ever finer grids,
+using objective values only. Agreement with the solver is the ground-truth
+check used throughout the test suite.
 """
 
 import numpy as np

@@ -26,7 +26,7 @@ from .geometry import (
     sine_matrix,
 )
 from .inverse import AngleTriple, weights_from_angles
-from .oracle import oracle_minimize
+from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
 from .plasticity import (
     SectorAngles,
     TriangleRatios,
@@ -95,8 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimizer vs the solver")
     p.add_argument("scene")
-    p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--refine", type=int, default=200)
+    p.add_argument("--grid", type=int, default=GRID_CELLS_DEFAULT,
+                   help="points per side of the coarse grid (default %(default)s)")
+    p.add_argument("--refine", type=int, default=REFINE_ITERS_DEFAULT,
+                   help="cap on the zoom rounds after the coarse grid (default %(default)s)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify-geometric", help="radial shifts must keep the point fixed")

@@ -111,6 +111,14 @@ class Configuration:
             i, j = np.argwhere(touching)[0]
             raise InvalidConfiguration(f"circles {i} and {j} overlap or touch")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, so a copy is
+        # validated and gets its own read-only arrays
+        return (
+            Configuration,
+            (self.circles, self.weights, self.tolerance, self.distance_mode),
+        )
+
     @property
     def n(self) -> int:
         return len(self.circles)

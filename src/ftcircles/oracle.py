@@ -1,12 +1,12 @@
 """Independent brute-force verification and random instance generation.
 
-The oracle minimizer never touches the fixed-point solver: it evaluates the
-exact objective on a dense grid over the inflated bounding box of the
-centers and polishes the best cell with Nelder-Mead. Finite-difference
-helpers check the gradient and the first-variation identity for segment
-lengths. Instance generators are seeded and reject configurations that
-violate non-overlap, the floating condition, or the point-outside-disks
-assumption.
+The oracle minimizer never touches the solver: it evaluates the exact
+objective on a coarse grid over the inflated bounding box of the centers,
+then zooms in on the best point with ever smaller grids. It uses objective
+values only, no gradients. Finite-difference helpers check the gradient and
+the first-variation identity for segment lengths. Instance generators are
+seeded and reject configurations that violate non-overlap, the floating
+condition, or the point-outside-disks assumption.
 """
 
 from __future__ import annotations
@@ -15,33 +15,64 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import FTCirclesError, StepTooLarge, StepTooSmall
 from .geometry import Circle, Configuration, DistanceMode, Point2, pair_distances
 from .solver import classify_case, solve
 
-GRID_CELLS_DEFAULT = 400
-REFINE_ITERS_DEFAULT = 200
+GRID_CELLS_DEFAULT = 64
+REFINE_ITERS_DEFAULT = 40
+
+# Each zoom grid has _ZOOM_POINTS per side and spans +-_ZOOM_CELLS cells of
+# the previous grid around the best point; the window shrinks by
+# _ZOOM_SHRINK per round and the zoom stops once its half-width is below
+# _ZOOM_STOP times the box size. 17 points over +-2 cells shrink 4x per round,
+# so each grid's spacing is the next window's half-width over two.
+_ZOOM_POINTS = 17
+_ZOOM_CELLS = 2.0
+_ZOOM_SHRINK = 4.0
+_ZOOM_STOP = 1e-10
+
+
+def _center_distances(config: Configuration, pts: np.ndarray) -> np.ndarray:
+    """Distances from each of the (m, 2) points to each center, as (m, n)."""
+    centers = config.centers_array()
+    return np.hypot(
+        pts[:, 0:1] - centers[None, :, 0], pts[:, 1:2] - centers[None, :, 1]
+    )
+
+
+def _objective_from_distances(config: Configuration, d: np.ndarray) -> np.ndarray:
+    radii = config.radii_array()
+    if config.distance_mode is DistanceMode.TO_CURVE:
+        dist = np.abs(d - radii[None, :])
+    else:
+        dist = np.maximum(d - radii[None, :], 0.0)
+    return dist @ config.weights_array()
 
 
 def objective(config: Configuration, points) -> np.ndarray | float:
     """Exact objective ``sum_i w_i d(p, circle_i)`` at one or many points."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    centers = config.centers_array()
-    radii = config.radii_array()
-    weights = config.weights_array()
-    d = np.hypot(
-        pts[:, 0:1] - centers[None, :, 0], pts[:, 1:2] - centers[None, :, 1]
-    )
-    if config.distance_mode is DistanceMode.TO_CURVE:
-        dist = np.abs(d - radii[None, :])
-    else:
-        dist = np.maximum(d - radii[None, :], 0.0)
-    vals = dist @ weights
+    vals = _objective_from_distances(config, _center_distances(config, np.atleast_2d(pts)))
     return float(vals[0]) if single else vals
+
+
+def _best_on_grid(config: Configuration, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best grid point of ``xs`` x ``ys`` and its objective value.
+
+    In curve mode points strictly inside a disk are excluded; the value is
+    +inf when every point is.
+    """
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    d = _center_distances(config, pts)
+    vals = _objective_from_distances(config, d)
+    if config.distance_mode is DistanceMode.TO_CURVE:
+        vals[(d < config.radii_array()[None, :]).any(axis=1)] = np.inf
+    k = int(np.argmin(vals))
+    return pts[k], float(vals[k])
 
 
 def oracle_minimize(
@@ -49,45 +80,34 @@ def oracle_minimize(
     grid_cells: int = GRID_CELLS_DEFAULT,
     refine_iters: int = REFINE_ITERS_DEFAULT,
 ) -> Point2:
-    """Grid search plus Nelder-Mead refinement of the exact objective.
+    """Coarse grid search plus grid zoom on the exact objective.
 
-    The grid covers the bounding box of the centers inflated by the largest
-    radius; in curve mode grid points strictly inside a disk are excluded
-    before picking the refinement start. Always returns the best point
-    found.
+    The coarse grid has ``grid_cells`` points per side over the bounding box
+    of the centers inflated by the largest radius; in curve mode grid points
+    strictly inside a disk are excluded. Each zoom round re-grids a window
+    of a few cells around the best point seen and shrinks the window, until
+    its half-width falls below ``1e-10`` times the box size or
+    ``refine_iters`` rounds have run. Uses objective values only and
+    returns the best point seen.
     """
     centers = config.centers_array()
-    radii = config.radii_array()
-    pad = float(radii.max()) + 1e-6
+    pad = float(config.radii_array().max()) + 1e-6
     lo = centers.min(axis=0) - pad
     hi = centers.max(axis=0) + pad
-    xs = np.linspace(lo[0], hi[0], grid_cells)
-    ys = np.linspace(lo[1], hi[1], grid_cells)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    vals = objective(config, pts)
-    if config.distance_mode is DistanceMode.TO_CURVE:
-        inside = np.zeros(len(pts), dtype=bool)
-        for c, r in zip(centers, radii):
-            inside |= np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
-        vals = np.where(inside, np.inf, vals)
-    best = pts[int(np.argmin(vals))]
-
-    cell = max((hi[0] - lo[0]), (hi[1] - lo[1])) / max(grid_cells - 1, 1)
-    simplex = np.array([best, best + [cell, 0.0], best + [0.0, cell]])
-    res = optimize.minimize(
-        lambda x: objective(config, x),
-        best,
-        method="Nelder-Mead",
-        options={
-            "maxiter": refine_iters,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "initial_simplex": simplex,
-        },
+    best, best_val = _best_on_grid(
+        config, np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells)
     )
-    refined = res.x if res.fun <= objective(config, best) else best
-    return Point2(float(refined[0]), float(refined[1]))
+    size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
+    half = _ZOOM_CELLS * size / max(grid_cells - 1, 1)
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    for _ in range(refine_iters):
+        if half < _ZOOM_STOP * size:
+            break
+        p, val = _best_on_grid(config, best[0] + half * offsets, best[1] + half * offsets)
+        if val < best_val:
+            best, best_val = p, val
+        half /= _ZOOM_SHRINK
+    return Point2(float(best[0]), float(best[1]))
 
 
 def _check_step(h: float) -> None:

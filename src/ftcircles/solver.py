@@ -127,12 +127,17 @@ def _minimize(
     is not optimal, the Vardi-Zhang step moves it off along the pull of the
     other centers. The iteration stops when both the last step and the
     equilibrium residual are small.
+
+    The next point depends only on the current one, so an iterate equal to
+    the previous point or the one before it repeats forever: that raises
+    NonConvergence at once instead of spending the rest of the budget.
     """
     if initial is None:
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
     else:
         p = np.asarray(initial, dtype=float).copy()
     step = residual = math.inf
+    prev = prev2 = None
     for it in range(max_iters + 1):
         diff = centers - p
         d = np.hypot(diff[:, 0], diff[:, 1])
@@ -144,6 +149,11 @@ def _minimize(
             residual = math.hypot(grad[0], grad[1])
             if step < tol and residual < 10.0 * tol:
                 return p, it, residual
+        if _same(p, prev) or _same(p, prev2):
+            raise NonConvergence(
+                f"iteration revisits a point after {it} steps without reaching "
+                f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
+            )
         if it == max_iters:
             break
         if on_center:
@@ -161,11 +171,15 @@ def _minimize(
                 inv = weights / d
                 new_p = (inv @ centers) / inv.sum()
         step = math.hypot(new_p[0] - p[0], new_p[1] - p[1])
-        p = new_p
+        prev2, prev, p = prev, p, new_p
     raise NonConvergence(
         f"iteration did not reach tolerance {tol} in {max_iters} steps "
         f"(residual {residual:.3e})"
     )
+
+
+def _same(p: np.ndarray, q: np.ndarray | None) -> bool:
+    return q is not None and p[0] == q[0] and p[1] == q[1]
 
 
 def _newton_step(p, d, e, grad, residual, centers, weights) -> np.ndarray | None:

@@ -1,6 +1,8 @@
 """Geometry primitive tests."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,12 +188,15 @@ class TestConfigurationValidation:
             ),
             (1.0, 2.0, 3.0),
         )
-        for get in (config.centers_array, config.radii_array, config.weights_array):
-            assert get() is get()
-            assert not get().flags.writeable
-        assert config.centers_array().tolist() == [[0, 0], [2, 0], [5, 5]]
-        assert config.radii_array().tolist() == [0.5, 0.25, 1.0]
-        assert config.weights_array().tolist() == [1.0, 2.0, 3.0]
+        # copies rebuild through the constructor, read-only arrays included
+        for c in (config, pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert c == config
+            for get in (c.centers_array, c.radii_array, c.weights_array):
+                assert get() is get()
+                assert not get().flags.writeable
+            assert c.centers_array().tolist() == [[0, 0], [2, 0], [5, 5]]
+            assert c.radii_array().tolist() == [0.5, 0.25, 1.0]
+            assert c.weights_array().tolist() == [1.0, 2.0, 3.0]
 
     def test_weight_count_mismatch(self):
         with pytest.raises(InvalidConfiguration):

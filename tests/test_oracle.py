@@ -1,10 +1,17 @@
 """Oracle tests: brute-force minimizer, finite differences, generators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ftcircles
+import ftcircles.oracle
+import ftcircles.solver
 from ftcircles import (
     Circle,
     Point2,
@@ -32,6 +39,36 @@ class TestOracleMinimize:
             solved = solve(config).point
             brute = oracle_minimize(config, grid_cells=250, refine_iters=200)
             assert solved.distance_to(brute) < 1e-4, f"n={n} seed={seed}"
+
+    def test_uses_no_solver_code(self, monkeypatch):
+        # the oracle is an independent check only if it never reaches the
+        # solver or a gradient; the points were computed by solve()
+        expected = {
+            (3, 0): (1.3092993970395115, 3.0560070211300507),
+            (4, 1): (1.788043185014246, 2.3742067867973344),
+            (5, 2): (1.5251103091174891, 2.275828738441087),
+            (6, 3): (2.609781986962419, 2.594727413828422),
+        }
+        configs = {key: random_floating_config(*key) for key in expected}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called solver or gradient code")
+
+        for target in (ftcircles.solver, ftcircles.oracle):
+            for name in ("solve", "classify_case", "_minimize", "finite_difference_gradient"):
+                if hasattr(target, name):
+                    monkeypatch.setattr(target, name, forbidden)
+        for key, config in configs.items():
+            assert oracle_minimize(config).distance_to(Point2(*expected[key])) < 1e-4, key
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(ftcircles.__file__).resolve().parents[1])
+        code = "import sys, ftcircles; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_absorbed_instance(self):
         config = random_dominated_config(3, seed=4, radius=1e-4)

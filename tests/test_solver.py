@@ -1,6 +1,7 @@
 """Solver tests: classification, the floating certificate, absorbed returns."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,47 @@ class TestFloatingSolve:
         config = triangle_config(weights=(0.9, 1.2, 1.0))
         with pytest.raises(NonConvergence):
             solve(config, max_iters=1)
+
+    @pytest.mark.parametrize(
+        "centers, radii, weights",
+        [
+            # relative margin 2.1e-7 from absorption: Newton reaches an
+            # exact fixed point whose residual is above 10 * tolerance
+            (
+                [[0.7008692930687466, 2.517843857091286],
+                 [3.0986207376019355, 2.033922188303402],
+                 [0.24754841557941276, 3.7568109056797176],
+                 [1.708682204543856, 3.7609368512336183],
+                 [1.7058515404087347, 0.09092711249060548]],
+                [4.4863471736475677e-08, 0.33471127162953895, 0.3144651072731007,
+                 0.3012332136539061, 0.4481093720216032],
+                [2.0115995356258045, 1.354858910653428, 1.0116839878911164,
+                 0.75391200318782, 1.4507389292947956],
+            ),
+            # margin 9.4e-8: the iterates alternate between two points
+            (
+                [[3.848161222514962, 2.3726124601142664],
+                 [3.1812183178504885, 3.7088266438837025],
+                 [0.9041549906481281, 0.37512382842503333],
+                 [2.9519966518080474, 0.5663396101719709],
+                 [1.1625053298502532, 1.617801304826314],
+                 [0.11592488869616657, 3.2129617857189148]],
+                [0.42630401681909885, 0.2155093301294668, 0.2525763429073912,
+                 0.3232845299126602, 1.3816256504397861e-08, 0.5184858546378035],
+                [0.6440674620734577, 0.6398749013017746, 1.3808952717439684,
+                 0.8523844044309511, 1.3323033964565474, 0.6247072578180964],
+            ),
+        ],
+        ids=["fixed-point", "two-cycle"],
+    )
+    def test_revisited_point_fails_fast(self, centers, radii, weights):
+        config = Configuration(
+            tuple(Circle(Point2(*c), r) for c, r in zip(centers, radii)), tuple(weights)
+        )
+        with pytest.raises(NonConvergence) as info:
+            solve(config)
+        steps = re.search(r"after (\d+) steps", str(info.value))
+        assert steps is not None and int(steps.group(1)) <= 50
 
 
 def _rebuilt(config, centers, order):
