@@ -134,8 +134,9 @@ def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
     return base.point, layout, rays
 
 
-def _overlaps(config: Configuration, radii: np.ndarray) -> bool:
-    return bool(np.any(pair_distances(config.centers_array()) <= radii[:, None] + radii))
+def _overlaps(center_gaps: np.ndarray, radii: np.ndarray) -> bool:
+    """Whether any two circles overlap or touch, given their center distances."""
+    return bool(np.any(center_gaps <= radii[:, None] + radii))
 
 
 def evolve_type_a(
@@ -163,6 +164,8 @@ def evolve_type_a(
     total = float(w.sum())
     coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=total)
     violations: list[str] = []
+    # the centers never move, so their distances serve every step
+    center_gaps = pair_distances(config.centers_array())
     radii = scale * w
     steps_out = [
         EvolutionStep(
@@ -182,7 +185,7 @@ def evolve_type_a(
             termination = TerminationReason.NONPOSITIVE_WEIGHT
             break
         new_radii = scale * new_w
-        if _overlaps(config, new_radii):
+        if _overlaps(center_gaps, new_radii):
             termination = TerminationReason.OVERLAP
             break
         pattern = _pattern(w, new_w, total)
@@ -272,6 +275,8 @@ def evolve_type_b(
     )
 
     violations: list[str] = []
+    # the centers never move, so their distances serve every step
+    center_gaps = pair_distances(config.centers_array())
     radii = scale * w
     steps_out = [
         EvolutionStep(
@@ -301,7 +306,7 @@ def evolve_type_b(
             termination = TerminationReason.NONPOSITIVE_WEIGHT
             break
         new_radii = scale * new_w
-        if _overlaps(config, new_radii):
+        if _overlaps(center_gaps, new_radii):
             termination = TerminationReason.OVERLAP
             break
         pattern = _pattern(w, new_w, reduced_total)

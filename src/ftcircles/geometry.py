@@ -9,11 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DegenerateAngle, DegenerateProjection, InvalidConfiguration
+
+if TYPE_CHECKING:
+    from .solver import SolveResult
 
 #: Two points closer than this are treated as coincident.
 COINCIDENT_EPS = 1e-12
@@ -79,6 +82,10 @@ class Configuration:
     _centers: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
     _radii: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    # result of the first successful default ``solve``, which later ones return
+    _solved: SolveResult | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "circles", tuple(self.circles))
@@ -113,7 +120,7 @@ class Configuration:
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so a copy is
-        # validated and gets its own read-only arrays
+        # validated, gets its own read-only arrays and no stored result
         return (
             Configuration,
             (self.circles, self.weights, self.tolerance, self.distance_mode),
@@ -165,6 +172,17 @@ def distance_to_circle(p: Point2, c: Circle, mode: DistanceMode = DistanceMode.T
     if mode is DistanceMode.TO_CURVE:
         return abs(d - c.radius)
     return max(d - c.radius, 0.0)
+
+
+def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndarray:
+    """``distance_to_circle`` elementwise, from the distances to the centers.
+
+    ``radii`` broadcasts against ``center_distances`` along the last axis.
+    """
+    gap = center_distances - radii
+    if mode is DistanceMode.TO_CURVE:
+        return np.abs(gap)
+    return np.maximum(gap, 0.0)
 
 
 def angle_at(apex: Point2, a: Point2, b: Point2) -> float:

@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FTCirclesError, StepTooLarge, StepTooSmall
-from .geometry import Circle, Configuration, DistanceMode, Point2, pair_distances
+from .geometry import (
+    Circle,
+    Configuration,
+    DistanceMode,
+    Point2,
+    distances_to_circles,
+    pair_distances,
+)
 from .solver import classify_case, solve
 
 GRID_CELLS_DEFAULT = 64
@@ -43,11 +50,7 @@ def _center_distances(config: Configuration, pts: np.ndarray) -> np.ndarray:
 
 
 def _objective_from_distances(config: Configuration, d: np.ndarray) -> np.ndarray:
-    radii = config.radii_array()
-    if config.distance_mode is DistanceMode.TO_CURVE:
-        dist = np.abs(d - radii[None, :])
-    else:
-        dist = np.maximum(d - radii[None, :], 0.0)
+    dist = distances_to_circles(d, config.radii_array(), config.distance_mode)
     return dist @ config.weights_array()
 
 

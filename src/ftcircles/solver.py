@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CalledOnAbsorbed,
+    DegenerateProjection,
     NonConvergence,
     SolutionInsideDisk,
 )
@@ -26,13 +27,13 @@ from .geometry import (
     Point2,
     azimuths_at,
     cosine_matrix,
-    distance_to_circle,
+    distances_to_circles,
     pair_distances,
-    project_onto_circle,
     sectors_of,
 )
 
 DEFAULT_MAX_ITERS = 10000
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,16 @@ def _minimize(
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
     else:
         p = np.asarray(initial, dtype=float).copy()
+    diff, d = _offsets(centers, p)
     step = residual = math.inf
     prev = prev2 = None
     for it in range(max_iters + 1):
-        diff = centers - p
-        d = np.hypot(diff[:, 0], diff[:, 1])
-        hit = int(np.argmin(d))
+        hit = int(d.argmin())
         on_center = d[hit] < COINCIDENT_EPS
         if not on_center:
             e = diff / d[:, None]
-            grad = -(weights @ e)
-            residual = math.hypot(grad[0], grad[1])
+            grad = (-(weights @ e)).tolist()
+            residual = math.hypot(*grad)
             if step < tol and residual < 10.0 * tol:
                 return p, it, residual
         if _same(p, prev) or _same(p, prev2):
@@ -156,6 +156,7 @@ def _minimize(
             )
         if it == max_iters:
             break
+        accepted = None
         if on_center:
             rest = np.delete(np.arange(len(centers)), hit)
             pull = _equilibrium_gradient(centers[hit], centers[rest], weights[rest])
@@ -166,60 +167,73 @@ def _minimize(
             inv = weights[rest] / d[rest]
             new_p = centers[hit] + (1.0 - weights[hit] / pull_norm) * pull / inv.sum()
         else:
-            new_p = _newton_step(p, d, e, grad, residual, centers, weights)
-            if new_p is None:
+            accepted = _newton_step(p, d, e, grad, residual, hit, centers, weights)
+            if accepted is None:
                 inv = weights / d
                 new_p = (inv @ centers) / inv.sum()
+            else:
+                new_p, diff, d = accepted
         step = math.hypot(new_p[0] - p[0], new_p[1] - p[1])
         prev2, prev, p = prev, p, new_p
+        if accepted is None:
+            diff, d = _offsets(centers, p)
     raise NonConvergence(
         f"iteration did not reach tolerance {tol} in {max_iters} steps "
         f"(residual {residual:.3e})"
     )
 
 
+def _offsets(centers: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``centers - p`` and its row lengths."""
+    diff = centers - p
+    return diff, np.hypot(diff[:, 0], diff[:, 1])
+
+
 def _same(p: np.ndarray, q: np.ndarray | None) -> bool:
     return q is not None and p[0] == q[0] and p[1] == q[1]
 
 
-def _newton_step(p, d, e, grad, residual, centers, weights) -> np.ndarray | None:
+def _newton_step(p, d, e, grad, residual, hit, centers, weights):
     """Damped Newton point from p on the closed-form 2x2 Hessian, or None.
 
     A candidate is accepted when it does not raise the objective, or when it
     lowers the gradient norm and raises the objective by no more than the
     rounding error of its sum. When the full step reaches the nearest
-    center, where the objective has a kink the Newton model cannot see, the
-    center itself is tried first. None means backtracking accepted nothing.
+    center ``hit``, where the objective has a kink the Newton model cannot
+    see, the center itself is tried first. ``grad`` is the gradient at p as
+    two floats. Returns the accepted point with its ``centers - point`` and
+    distances, which the next step reuses, or None when backtracking
+    accepted nothing.
     """
     k = weights / d
-    h_xx = float(k @ (1.0 - e[:, 0] ** 2))
-    h_yy = float(k @ (1.0 - e[:, 1] ** 2))
-    h_xy = -float(k @ (e[:, 0] * e[:, 1]))
+    ex, ey = e.T
+    h_xx = float(k @ (1.0 - ex ** 2))
+    h_yy = float(k @ (1.0 - ey ** 2))
+    h_xy = -float(k @ (ex * ey))
     det = h_xx * h_yy - h_xy * h_xy
     if det <= 0.0:
         return None
-    delta = np.array(
-        [(-grad[0] * h_yy + grad[1] * h_xy) / det,
-         (-grad[1] * h_xx + grad[0] * h_xy) / det]
-    )
+    gx, gy = grad
+    delta_x = (-gx * h_yy + gy * h_xy) / det
+    delta_y = (-gy * h_xx + gx * h_xy) / det
     f = float(weights @ d)
-    hit = int(np.argmin(d))
-    reaches_center = math.hypot(delta[0], delta[1]) >= d[hit]
-    if reaches_center and weights @ np.hypot(*(centers - centers[hit]).T) <= f:
-        return centers[hit]
-    slack = len(d) * np.finfo(float).eps * f
+    if math.hypot(delta_x, delta_y) >= d[hit]:
+        diff, d_cand = _offsets(centers, centers[hit])
+        if weights @ d_cand <= f:
+            return centers[hit], diff, d_cand
+    slack = len(d) * _EPS * f
+    delta = np.array([delta_x, delta_y])
     t = 1.0
     for _ in range(40):
         cand = p + t * delta
-        diff = centers - cand
-        d_cand = np.hypot(diff[:, 0], diff[:, 1])
+        diff, d_cand = _offsets(centers, cand)
         f_cand = float(weights @ d_cand)
         if f_cand <= f:
-            return cand
+            return cand, diff, d_cand
         if f_cand - f <= slack and d_cand.min() >= COINCIDENT_EPS:
             g = weights @ (diff / d_cand[:, None])
             if math.hypot(g[0], g[1]) < residual:
-                return cand
+                return cand, diff, d_cand
         t *= 0.5
     return None
 
@@ -241,35 +255,50 @@ def solve(
 
     Absorbed case: the point is the absorbing center; distances and
     projections are computed from it and no angle certificate is produced.
+
+    Each configuration is solved once: a call with the default ``max_iters``
+    and no ``initial`` stores its result on the (immutable) configuration,
+    and later such calls return that same object. Calls with other
+    arguments always compute and never store. Errors are never stored, so a
+    failing call raises again. Pickled and deep-copied configurations start
+    without a stored result.
     """
+    default = max_iters == DEFAULT_MAX_ITERS and initial is None
+    if default and config._solved is not None:
+        return config._solved
+    result = _solve(config, max_iters, initial)
+    if default:
+        object.__setattr__(config, "_solved", result)
+    return result
+
+
+def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> SolveResult:
     case = classify_case(config)
     if not case.is_floating:
         return _absorbed_result(config, case.index)
 
-    centers = config.centers_array()
     weights = config.weights_array()
     start = initial.as_array() if initial is not None else None
-    p, iters, residual = _minimize(centers, weights, config.tolerance, max_iters, start)
-
-    for i, c in enumerate(config.circles):
-        if Point2.from_array(p).distance_to(c.center) < c.radius:
-            raise SolutionInsideDisk(i)
-
-    point = Point2.from_array(p)
-    projections = tuple(project_onto_circle(point, c) for c in config.circles)
-    distances = tuple(
-        distance_to_circle(point, c, config.distance_mode) for c in config.circles
+    p, iters, residual = _minimize(
+        config.centers_array(), weights, config.tolerance, max_iters, start
     )
-    objective = float(np.dot(weights, distances))
+
+    offsets, d = _point_offsets(config, p)
+    inside = np.flatnonzero(d < config.radii_array())
+    if inside.size:
+        raise SolutionInsideDisk(int(inside[0]))
+    point = Point2.from_array(p)
+    projections = _projections(config, offsets, d)
+    distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
     azimuths = azimuths_at(point, projections)
     order, sectors = sectors_of(azimuths)
     return SolveResult(
         point=point,
         projections=projections,
-        distances=distances,
+        distances=tuple(distances.tolist()),
         sector_angles=sectors,
         sector_order=order,
-        objective=objective,
+        objective=float(np.dot(weights, distances)),
         case=case,
         equilibrium_residual=residual,
         iterations=iters,
@@ -285,32 +314,46 @@ def _absorbed_result(config: Configuration, m: int) -> SolveResult:
     pull = _equilibrium_gradient(centers[m], centers[rest], weights[rest])
     pull_norm = float(np.linalg.norm(pull))
 
-    projections = []
-    for i, c in enumerate(config.circles):
-        if i == m:
-            # projection of the center onto its own circle is not unique;
-            # report the circle point in the pull direction
-            direction = pull / pull_norm if pull_norm > 0 else np.array([1.0, 0.0])
-            projections.append(
-                Point2(c.center.x + c.radius * direction[0], c.center.y + c.radius * direction[1])
-            )
-        else:
-            projections.append(project_onto_circle(point, c))
-    distances = tuple(
-        distance_to_circle(point, c, config.distance_mode) for c in config.circles
-    )
-    objective = float(np.dot(weights, distances))
+    offsets, d = _point_offsets(config, centers[m])
+    distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
+    # projection of the center onto its own circle is not unique; report
+    # the circle point in the pull direction, a unit offset along it
+    offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
+    d[m] = 1.0
     return SolveResult(
         point=point,
-        projections=tuple(projections),
-        distances=distances,
+        projections=_projections(config, offsets, d),
+        distances=tuple(distances.tolist()),
         sector_angles=(),
         sector_order=(),
-        objective=objective,
+        objective=float(np.dot(weights, distances)),
         case=CaseTag.absorbed(m),
         equilibrium_residual=max(0.0, pull_norm - weights[m]),
         iterations=0,
     )
+
+
+def _point_offsets(config: Configuration, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``p - center`` of every circle, as an (n, 2) array, and their lengths.
+
+    The lengths use ``math.hypot``, as ``Point2.distance_to`` does: numpy's
+    ``hypot`` can differ from it in the last bit, which would move the
+    reported distances and objective.
+    """
+    offsets = p - config.centers_array()
+    return offsets, np.array([math.hypot(x, y) for x, y in offsets.tolist()])
+
+
+def _projections(config: Configuration, offsets: np.ndarray, d: np.ndarray) -> tuple[Point2, ...]:
+    """Each circle's point at its radius along ``offsets`` (of lengths ``d``).
+
+    For the offsets of a point these are its projections onto the circles,
+    computed as ``project_onto_circle`` does.
+    """
+    if d.min() < COINCIDENT_EPS:
+        raise DegenerateProjection("projection of the center onto its circle is not unique")
+    points = config.centers_array() + (config.radii_array() / d)[:, None] * offsets
+    return tuple(Point2(x, y) for x, y in points.tolist())
 
 
 def certificate_residuals(result: SolveResult, config: Configuration) -> list[float]:

@@ -1,11 +1,14 @@
 """Solver tests: classification, the floating certificate, absorbed returns."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
+import ftcircles.solver as solver_module
 from ftcircles import (
     CalledOnAbsorbed,
     Circle,
@@ -18,10 +21,17 @@ from ftcircles import (
     SolutionInsideDisk,
     certificate_residuals,
     classify_case,
+    distance_to_circle,
+    evolve_type_a,
+    evolve_type_b,
     finite_difference_gradient,
     objective,
+    project_onto_circle,
+    random_dominated_config,
     random_floating_config,
+    regular_polygon_config,
     solve,
+    verify_geometric_plasticity,
 )
 
 from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, triangle_config
@@ -331,3 +341,137 @@ class TestCertificate:
         assert render_svg(config, result).count("<path") == 4
         with pytest.raises(InvalidConfiguration):
             SectorAngles.from_result(result)
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    """Records every run of the solver loop."""
+    calls = []
+    real = solver_module._minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_minimize", counting)
+    return calls
+
+
+def _swallowing_config(big):
+    """Equilateral scene of side 4 whose circle ``big`` has radius 2.5 and
+    contains the minimizer, about 2.31 from each center."""
+    circumradius = 4.0 / math.sqrt(3.0)
+    circles = []
+    for k in range(3):
+        ang = math.pi / 2 + 2 * math.pi * k / 3
+        circles.append(
+            Circle(
+                Point2(circumradius * math.cos(ang), circumradius * math.sin(ang)),
+                2.5 if k == big else 0.1,
+            )
+        )
+    return Configuration(tuple(circles), (1.0, 1.0, 1.0))
+
+
+class TestStoredResult:
+    def test_repeat_default_solve_returns_stored_result(self, minimize_calls):
+        config = triangle_config(weights=(0.9, 1.2, 1.0))
+        first = solve(config)
+        assert solve(config) is first
+        assert solve(config, max_iters=solver_module.DEFAULT_MAX_ITERS) is first
+        assert len(minimize_calls) == 1
+
+    def test_other_arguments_recompute_and_leave_it_alone(self, minimize_calls):
+        config = triangle_config(weights=(0.7, 1.1, 1.4))
+        limited = solve(config, max_iters=50)
+        started = solve(config, initial=Point2(1.0, 1.0))
+        assert len(minimize_calls) == 2
+        first = solve(config)
+        assert first is not limited and first is not started
+        assert len(minimize_calls) == 3
+        assert solve(config, max_iters=50) is not first
+        assert solve(config, initial=Point2(1.0, 1.0)) is not first
+        assert solve(config) is first
+        assert len(minimize_calls) == 5
+
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            (_swallowing_config(0), SolutionInsideDisk),
+            # a tolerance no residual reaches: the loop stops at an exact
+            # fixed point and raises NonConvergence
+            (
+                Configuration(triangle_config().circles, (1.0, 1.0, 1.0), tolerance=1e-300),
+                NonConvergence,
+            ),
+        ],
+        ids=["inside-disk", "non-convergence"],
+    )
+    def test_errors_are_raised_again(self, minimize_calls, config, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                solve(config)
+        assert len(minimize_calls) == 2
+
+    def test_copies_start_without_stored_result(self, minimize_calls):
+        config = triangle_config()
+        first = solve(config)
+        for duplicate in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            again = solve(duplicate)
+            assert again is not first and again == first
+        assert len(minimize_calls) == 3
+
+    def test_analysis_chain_solves_each_configuration_once(self, minimize_calls):
+        # the base configuration once, its radially shifted copy once
+        config = regular_polygon_config(5, circumradius=2.0, radius=0.2)
+        evolve_type_a(config)
+        evolve_type_b(config)
+        assert verify_geometric_plasticity(config, [0.1, 0.0, 0.2, 0.05, 0.15])
+        assert len(minimize_calls) == 2
+
+
+def _assembly_scenes():
+    for n in (3, 4, 5, 6):
+        for seed in range(50):
+            config = random_floating_config(n, seed=seed)
+            yield config
+            if seed < 10:
+                yield Configuration(
+                    config.circles, config.weights, config.tolerance, DistanceMode.TO_SET
+                )
+    for n in (3, 4, 5, 6):
+        for seed in range(10):
+            for mode in DistanceMode:
+                yield random_dominated_config(n, seed=seed, dominant=seed % n, distance_mode=mode)
+
+
+class TestAssembly:
+    def test_matches_per_circle_geometry(self):
+        # the one-pass assembly reports what the per-circle functions give
+        for config in _assembly_scenes():
+            result = solve(config)
+            point = result.point
+            own = None if result.case.is_floating else result.case.index
+            for i, c in enumerate(config.circles):
+                if i != own:
+                    assert result.projections[i] == project_onto_circle(point, c)
+                assert result.distances[i] == distance_to_circle(point, c, config.distance_mode)
+            f = objective(config, point.as_array())
+            assert abs(result.objective - f) <= 1e-15 * f
+            if own is None:
+                continue
+            # the absorbing center projects along the pull of the others
+            centers = config.centers_array()
+            others = np.arange(config.n) != own
+            u = centers[others] - centers[own]
+            pull = (config.weights_array()[others, None] * u
+                    / np.hypot(u[:, 0], u[:, 1])[:, None]).sum(axis=0)
+            expected = centers[own] + config.circles[own].radius * pull / np.hypot(*pull)
+            got = result.projections[own].as_array()
+            assert np.hypot(*(got - expected)) <= 1e-15 * np.abs(centers).max()
+
+    @pytest.mark.parametrize("big", [0, 1, 2])
+    def test_inside_disk_names_the_disk(self, big):
+        with pytest.raises(SolutionInsideDisk) as err:
+            solve(_swallowing_config(big))
+        assert err.value.index == big
