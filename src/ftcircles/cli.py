@@ -36,7 +36,7 @@ from .plasticity import (
     verify_geometric_plasticity,
 )
 from .scene import dump_json, load_scene, result_dict
-from .solver import certificate_residuals, classify_case, solve
+from .solver import certificate_residuals, solve
 from .svg import render_svg
 
 CSV_HEADER = "step,w1,w2,w3,w4,w5,r1,r2,r3,r4,r5,pattern"
@@ -207,9 +207,8 @@ def _parse_free(expr: str, n: int) -> list[float]:
 
 def _cmd_check(args) -> int:
     config, _ = _load(args)
-    case = classify_case(config)
-    print(f"case={case}")
     result = solve(config)
+    print(f"case={result.case}")
     if not result.case.is_floating:
         print(f"point=({result.point.x:.12g}, {result.point.y:.12g})")
         print(f"objective={result.objective:.12g}")

@@ -224,15 +224,19 @@ def wrap_angle(x) -> np.ndarray:
 def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Cyclic order of rays with the given azimuths and their sector angles.
 
-    Returns (order, sectors): ``order`` lists the ray indices sorted by
-    ascending azimuth wrapped to (-pi, pi], and ``sectors[k]`` is the
-    counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
-    the end). The sectors sum to 2*pi.
+    The azimuths lie in [-pi, pi], as ``azimuths_at`` returns them; wrap
+    others with ``wrap_angle`` first. Returns (order, sectors): ``order``
+    lists the ray indices sorted by ascending azimuth, with -pi counted as
+    pi, and ``sectors[k]`` is the counterclockwise angle from ray order[k]
+    to ray order[k+1] (wrapping at the end). The sectors sum to 2*pi.
     """
-    az = wrap_angle(azimuths)
+    az = np.array(azimuths, dtype=float)
+    az[az == -math.pi] = math.pi
     order = np.argsort(az, kind="stable")
     sorted_az = az[order]
-    sectors = np.append(np.diff(sorted_az), 2.0 * math.pi - (sorted_az[-1] - sorted_az[0]))
+    sectors = np.empty(len(az))
+    np.subtract(sorted_az[1:], sorted_az[:-1], out=sectors[:-1])
+    sectors[-1] = 2.0 * math.pi - (sorted_az[-1] - sorted_az[0])
     return tuple(order.tolist()), tuple(sectors.tolist())
 
 

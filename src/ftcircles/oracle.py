@@ -25,7 +25,7 @@ from .geometry import (
     distances_to_circles,
     pair_distances,
 )
-from .solver import classify_case, solve
+from .solver import solve
 
 GRID_CELLS_DEFAULT = 64
 REFINE_ITERS_DEFAULT = 40
@@ -174,11 +174,11 @@ def random_floating_config(
             tolerance,
             distance_mode,
         )
-        if not classify_case(probe).is_floating:
-            continue
         try:
             result = solve(probe)
         except FTCirclesError:
+            continue
+        if not result.case.is_floating:
             continue
         p = result.point.as_array()
         dist_to_p = np.linalg.norm(centers - p, axis=1)

@@ -48,7 +48,7 @@ from .geometry import (
     sine_matrix,
     wrap_angle,
 )
-from .solver import SolveResult, classify_case, solve
+from .solver import SolveResult, solve
 
 _MIN_SINE = 1e-12
 
@@ -71,7 +71,7 @@ class SectorAngles:
             raise InvalidConfiguration("need at least 3 ray azimuths")
         self.n = int(az.size)
         self.azimuths = az
-        order, sectors = sectors_of(az)
+        order, sectors = self._sectors()
         k = int(np.argmin(sectors))
         if sectors[k] < 1e-9:
             i, j = sorted((order[k], order[(k + 1) % self.n]))
@@ -127,11 +127,16 @@ class SectorAngles:
         return math.sin(self.azimuths[j] - self.azimuths[i])
 
     def cyclic_order(self) -> tuple[int, ...]:
-        return sectors_of(self.azimuths)[0]
+        return self._sectors()[0]
 
     def sectors(self) -> tuple[float, ...]:
         """Consecutive sector angles aligned with :meth:`cyclic_order`."""
-        return sectors_of(self.azimuths)[1]
+        return self._sectors()[1]
+
+    def _sectors(self):
+        # sectors_of takes azimuths in [-pi, pi]; those given here may lie outside
+        az = self.azimuths
+        return sectors_of(az if np.abs(az).max() <= math.pi else wrap_angle(az))
 
 
 @dataclass(frozen=True)
@@ -356,7 +361,9 @@ def shifted_configuration(
 
     Positive shifts move centers away from the point. Raises
     ShiftedConfigInvalid when the result overlaps, loses the floating
-    condition, or swallows the base point into a disk.
+    condition, or swallows the base point into a disk. The floating check
+    solves the shifted configuration, so errors of ``solve`` pass through
+    and a later ``solve(shifted)`` returns the stored result.
     """
     shifts = np.asarray(radial_shifts, dtype=float)
     if shifts.shape != (config.n,):
@@ -385,7 +392,7 @@ def shifted_configuration(
         )
     except InvalidConfiguration as exc:
         raise ShiftedConfigInvalid(f"shifted circles overlap: {exc}") from exc
-    if not classify_case(shifted).is_floating:
+    if not solve(shifted).case.is_floating:
         raise ShiftedConfigInvalid("shifted configuration loses the floating condition")
     return shifted
 

@@ -3,9 +3,10 @@
 The minimizer of ``sum_i w_i * d(P, circle_i)`` over the region outside all
 disks coincides with the classic weighted Fermat-Torricelli point of the
 centers, because subtracting the radii is a constant shift there. The solver
-classifies the floating/absorbed case first, runs one damped Newton loop on
-the centers (see ``_minimize``), and assembles a full geometric certificate
-(projections, sector angles, equilibrium residual) afterwards.
+runs one damped Newton loop on the centers (see ``_minimize``), takes the
+floating/absorbed case from where the loop stops (see ``classify_case``), and
+assembles a full geometric certificate (projections, sector angles,
+equilibrium residual) afterwards.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .geometry import (
     azimuths_at,
     cosine_matrix,
     distances_to_circles,
-    pair_distances,
     sectors_of,
 )
 
@@ -85,32 +85,43 @@ class SolveResult:
     ray_azimuths: tuple[float, ...] = ()
 
 
-def resultant_norms(config: Configuration) -> np.ndarray:
-    """Norm of the pull ``sum_{j!=i} w_j u(A_i, A_j)`` at every center."""
-    centers = config.centers_array()
-    weights = config.weights_array()
-    diff = centers[None, :, :] - centers[:, None, :]
-    pull = (weights[None, :, None] * diff / pair_distances(centers)[:, :, None]).sum(axis=1)
-    return np.hypot(pull[:, 0], pull[:, 1])
+def classify_case(config: Configuration, point: Point2 | None = None) -> CaseTag:
+    """Floating, or absorbed at the center where the minimizer lies.
 
-def classify_case(config: Configuration) -> CaseTag:
-    """Floating when every center's pull exceeds its own weight.
+    ``point`` is the minimizer of the center problem as ``solve``'s loop
+    returns it. A center ``A_m`` is the minimizer exactly when its pull
+    satisfies ``||sum_{j!=m} w_j u(A_m, A_j)|| <= w_m`` (ties absorb). The
+    loop stops on a center only after that center passed this test, so a
+    point on a center is absorbed there. Otherwise the center nearest to the
+    point gets the test, which catches a loop that converged next to an
+    absorbing center without landing on it. Unless the centers are
+    collinear the minimizer is unique, so at most one center can pass. With
+    collinear centers the minimizers can fill a segment between two
+    centers; both ends then pass with equality, and the case names the end
+    nearest to ``point`` (the first on a tie). The work is O(n).
 
-    Returns the absorbed tag for the first index where
-    ``||sum_{j!=i} w_j u(A_i, A_j)|| <= w_i``.
+    Without ``point`` this is ``solve(config).case``.
     """
-    norms = resultant_norms(config)
-    for i, w in enumerate(config.weights):
-        if norms[i] <= w:
-            return CaseTag.absorbed(i)
+    if point is None:
+        return solve(config).case
+    centers = config.centers_array()
+    _, d = _offsets(centers, point.as_array())
+    m = int(d.argmin())
+    if d[m] < COINCIDENT_EPS:
+        return CaseTag.absorbed(m)
+    if _pull_at_center(centers, config.weights_array(), m)[1] <= config.weights[m]:
+        return CaseTag.absorbed(m)
     return CaseTag.floating()
 
 
-def _equilibrium_gradient(p: np.ndarray, centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Resultant ``sum w_i u(P, A_i)``; zero exactly at the floating point."""
-    diff = centers - p
-    d = np.linalg.norm(diff, axis=1)
-    return (weights[:, None] * diff / d[:, None]).sum(axis=0)
+def _pull_at_center(centers: np.ndarray, weights: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
+    diff = centers - centers[m]
+    sq = diff * diff
+    d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
+    d[m] = np.inf  # center m's own term becomes 0
+    pull = (weights[:, None] * diff / d[:, None]).sum(axis=0)
+    return pull, float(np.linalg.norm(pull))
 
 
 def _minimize(
@@ -119,15 +130,18 @@ def _minimize(
     tol: float,
     max_iters: int,
     initial: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, float, tuple[np.ndarray, float] | None]:
     """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
 
-    Returns (point, steps taken, residual). Each step is the damped Newton
-    step, or the Weiszfeld map when backtracking accepts no Newton point. An
-    iterate on a center gets the single-point optimality test; if the center
-    is not optimal, the Vardi-Zhang step moves it off along the pull of the
-    other centers. The iteration stops when both the last step and the
-    equilibrium residual are small.
+    Returns (point, steps taken, residual, pull). Each step is the damped
+    Newton step, or the Weiszfeld map when backtracking accepts no Newton
+    point. An iterate on a center gets the single-point optimality test: an
+    optimal center is returned at once, with residual 0 and its pull and
+    pull norm from ``_pull_at_center``; otherwise the Vardi-Zhang step moves
+    it off along the pull of the other centers. Elsewhere the iteration
+    stops when both the last step and the equilibrium residual are small,
+    and ``pull`` is None. Both stop tests run on the start point and after
+    each of at most ``max_iters`` steps.
 
     The next point depends only on the current one, so an iterate equal to
     the previous point or the one before it repeats forever: that raises
@@ -143,12 +157,17 @@ def _minimize(
     for it in range(max_iters + 1):
         hit = int(d.argmin())
         on_center = d[hit] < COINCIDENT_EPS
-        if not on_center:
+        if on_center:
+            pull, pull_norm = at_center = _pull_at_center(centers, weights, hit)
+            if pull_norm <= weights[hit]:
+                # the center itself is the minimizer: absorbed there
+                return centers[hit].copy(), it, 0.0, at_center
+        else:
             e = diff / d[:, None]
             grad = (-(weights @ e)).tolist()
             residual = math.hypot(*grad)
             if step < tol and residual < 10.0 * tol:
-                return p, it, residual
+                return p, it, residual, None
         if _same(p, prev) or _same(p, prev2):
             raise NonConvergence(
                 f"iteration revisits a point after {it} steps without reaching "
@@ -159,11 +178,6 @@ def _minimize(
         accepted = None
         if on_center:
             rest = np.delete(np.arange(len(centers)), hit)
-            pull = _equilibrium_gradient(centers[hit], centers[rest], weights[rest])
-            pull_norm = float(np.linalg.norm(pull))
-            if pull_norm <= weights[hit]:
-                # center itself optimal: absorbed, caller classifies
-                return centers[hit].copy(), it, 0.0
             inv = weights[rest] / d[rest]
             new_p = centers[hit] + (1.0 - weights[hit] / pull_norm) * pull / inv.sum()
         else:
@@ -245,16 +259,22 @@ def solve(
 ) -> SolveResult:
     """Solve the weighted minimum-distance-sum problem for the configuration.
 
-    Floating case: the solver loop on the centers, started from the weighted
-    centroid or from ``initial``, then projections, consecutive sector
-    angles, objective with radii subtracted, and the equilibrium residual.
-    ``iterations`` counts the steps of the loop. Raises NonConvergence when
-    ``max_iters`` steps do not meet the convergence test, and
-    SolutionInsideDisk if the center-problem minimizer falls strictly inside
-    some disk, where the curve-distance theory does not apply.
+    Every solve runs the solver loop on the centers, started from the
+    weighted centroid or from ``initial``, and takes the case from the
+    point where it stops (``classify_case``). Raises NonConvergence when
+    ``max_iters`` steps neither meet the convergence test nor reach an
+    absorbing center; this limit holds for absorbed scenes too, and
+    ``max_iters=0`` only tests the start point.
+
+    Floating case: projections, consecutive sector angles, objective with
+    radii subtracted, and the equilibrium residual. ``iterations`` counts
+    the steps of the loop. Raises SolutionInsideDisk if the center-problem
+    minimizer falls strictly inside some disk, where the curve-distance
+    theory does not apply.
 
     Absorbed case: the point is the absorbing center; distances and
-    projections are computed from it and no angle certificate is produced.
+    projections are computed from it, ``iterations`` is 0 and no angle
+    certificate is produced.
 
     Each configuration is solved once: a call with the default ``max_iters``
     and no ``initial`` stores its result on the (immutable) configuration,
@@ -273,21 +293,20 @@ def solve(
 
 
 def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> SolveResult:
-    case = classify_case(config)
-    if not case.is_floating:
-        return _absorbed_result(config, case.index)
-
     weights = config.weights_array()
     start = initial.as_array() if initial is not None else None
-    p, iters, residual = _minimize(
+    p, iters, residual, at_center = _minimize(
         config.centers_array(), weights, config.tolerance, max_iters, start
     )
+    point = Point2.from_array(p)
+    case = classify_case(config, point)
+    if not case.is_floating:
+        return _absorbed_result(config, case.index, at_center)
 
     offsets, d = _point_offsets(config, p)
     inside = np.flatnonzero(d < config.radii_array())
     if inside.size:
         raise SolutionInsideDisk(int(inside[0]))
-    point = Point2.from_array(p)
     projections = _projections(config, offsets, d)
     distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
     azimuths = azimuths_at(point, projections)
@@ -306,13 +325,14 @@ def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> Sol
     )
 
 
-def _absorbed_result(config: Configuration, m: int) -> SolveResult:
+def _absorbed_result(
+    config: Configuration, m: int, at_center: tuple[np.ndarray, float] | None
+) -> SolveResult:
+    """Result at center m; ``at_center`` is ``_pull_at_center`` there when already known."""
     point = config.circles[m].center
     centers = config.centers_array()
     weights = config.weights_array()
-    rest = np.delete(np.arange(config.n), m)
-    pull = _equilibrium_gradient(centers[m], centers[rest], weights[rest])
-    pull_norm = float(np.linalg.norm(pull))
+    pull, pull_norm = at_center or _pull_at_center(centers, weights, m)
 
     offsets, d = _point_offsets(config, centers[m])
     distances = distances_to_circles(d, config.radii_array(), config.distance_mode)

@@ -17,12 +17,13 @@ from ftcircles import (
     DistanceMode,
     InvalidConfiguration,
     Point2,
+    SectorAngles,
     angle_at,
     distance_to_circle,
     project_onto_circle,
     sector_decomposition,
 )
-from ftcircles.geometry import wrap_angle
+from ftcircles.geometry import sectors_of, wrap_angle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
 
@@ -149,6 +150,30 @@ class TestSectorDecomposition:
         x = np.concatenate([np.random.default_rng(4).uniform(-20, 20, 2000), edges])
         expected = np.array([reference(float(v)) for v in x])
         assert wrap_angle(x).tobytes() == expected.tobytes()
+
+    def test_sectors_of_matches_wrapping_form(self):
+        # sectors_of maps only -pi to pi; wrapping every azimuth first, then
+        # np.diff/np.append, gives the same bits on atan2 azimuths
+        def wrapping_form(azimuths):
+            az = wrap_angle(azimuths)
+            order = np.argsort(az, kind="stable")
+            s = az[order]
+            sectors = np.append(np.diff(s), 2.0 * math.pi - (s[-1] - s[0]))
+            return tuple(order.tolist()), tuple(sectors.tolist())
+
+        rng = np.random.default_rng(11)
+        for k in range(5000):
+            n = 3 + k % 8
+            xy = rng.standard_normal((n, 2))
+            xy[rng.integers(n)] = (-1.0, 0.0) if k % 3 == 0 else xy[0]  # -pi, or a repeat
+            if k % 5 == 0:
+                xy[rng.integers(n)] = (-1.0, 0.0) if k % 2 else (-1.0, -0.0)  # pi and -pi
+            az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
+            assert sectors_of(az) == wrapping_form(az), az
+            # SectorAngles takes any azimuths and wraps them itself
+            wide = az + 2.0 * math.pi * rng.integers(-2, 3, n)
+            if min(wrapping_form(wide)[1]) >= 1e-9:
+                assert SectorAngles(wide).sectors() == wrapping_form(wide)[1]
 
 
 def _dirs(rng, n):

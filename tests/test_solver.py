@@ -4,6 +4,8 @@ import copy
 import math
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import ftcircles.solver as solver_module
 from ftcircles import (
     CalledOnAbsorbed,
+    CaseTag,
     Circle,
     Configuration,
     DistanceMode,
@@ -34,7 +37,12 @@ from ftcircles import (
     verify_geometric_plasticity,
 )
 
+from ftcircles.geometry import pair_distances
+
 from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, triangle_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
 
 
 class TestClassify:
@@ -66,6 +74,145 @@ class TestClassify:
             (1.0, 1.0, 1.0),
         )
         assert classify_case(config).is_floating
+
+
+def resultant_norms(config):
+    """Norm of the pull ``sum_{j!=i} w_j u(A_i, A_j)`` at every center, in O(n^2)."""
+    centers = config.centers_array()
+    weights = config.weights_array()
+    diff = centers[None, :, :] - centers[:, None, :]
+    pull = (weights[None, :, None] * diff / pair_distances(centers)[:, :, None]).sum(axis=1)
+    return np.hypot(pull[:, 0], pull[:, 1])
+
+
+def reference_case(config):
+    """The case from testing every center: absorbed at the first one that passes."""
+    for i, (norm, w) in enumerate(zip(resultant_norms(config), config.weights)):
+        if norm <= w:
+            return CaseTag.absorbed(i)
+    return CaseTag.floating()
+
+
+def _line(xs, weights):
+    return Configuration(
+        tuple(Circle(Point2(float(x), 0.0), 0.2) for x in xs), tuple(weights)
+    )
+
+
+class TestClassifyFromMinimizer:
+    """``solve`` takes the case from where its loop stops (one O(n) test)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("pool", ["small-n", "large-n", "oracle-sweep", "near-boundary"])
+    def test_matches_reference_on_benchmark_pools(self, pool, seed):
+        failed = 0
+        for scene in WORKLOADS[pool].make(seed):
+            config = scene.configuration()
+            expected = reference_case(config)
+            try:
+                case = solve(config).case
+            except NonConvergence:
+                # near-boundary scenes with eps < 1e-6; all floating
+                assert pool == "near-boundary" and expected.is_floating
+                failed += 1
+                continue
+            assert case == expected
+            assert classify_case(config) == expected
+        assert failed < 16
+
+    def test_matches_reference_on_dominated_configs(self):
+        for n in (3, 4, 5, 6):
+            for seed in range(50):
+                dominant = seed % n
+                config = random_dominated_config(n, seed=seed, dominant=dominant)
+                assert solve(config).case == reference_case(config) == CaseTag.absorbed(dominant)
+
+    def test_one_pull_evaluation_per_solve(self, monkeypatch):
+        # an absorbed solve reuses the test the loop ran on the center; a
+        # floating one tests only the center nearest to its point
+        absorbed = random_dominated_config(5, seed=3, dominant=2)
+        floating = random_floating_config(5, seed=3)
+        calls = []
+        real = solver_module._pull_at_center
+        monkeypatch.setattr(
+            solver_module, "_pull_at_center", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        assert solve(absorbed).case == CaseTag.absorbed(2)
+        assert calls == [2]
+        calls.clear()
+        assert solve(floating).case.is_floating
+        assert len(calls) == 1
+
+    def test_point_on_a_center_is_absorbed_there(self):
+        config = triangle_config(weights=(10.0, 1.0, 1.0))
+        assert classify_case(config, config.circles[0].center) == CaseTag.absorbed(0)
+        assert classify_case(config, Point2(1.0, 1.0)) == CaseTag.absorbed(0)
+        assert classify_case(triangle_config(), Point2(1.4, 0.9)).is_floating
+
+    @pytest.mark.parametrize("xs", [(0, 1, 2), (0, 1.5, 2)])
+    def test_collinear_unique_minimizer(self, xs):
+        # on a line the minimizer is the weighted median, here the middle center
+        config = _line(xs, (1.0, 1.0, 1.0))
+        assert solve(config).case == reference_case(config) == CaseTag.absorbed(1)
+
+    @pytest.mark.parametrize(
+        "weights, loop_x, index",
+        [((1.0, 1.0, 1.0, 1.0), 1.5, 1), ((1.0, 1.5, 1.0, 1.5), 1.6, 2)],
+    )
+    def test_collinear_segment_of_minimizers(self, weights, loop_x, index):
+        # centers 0, 1, 2, 3 with half the weight on each side of [A_1, A_2]:
+        # every point of that segment is a minimizer and both ends pass the
+        # test with equality. The case is absorbed at the end nearest to
+        # where the loop stops (the first on a tie); the O(n^2) reference
+        # names the first passing center instead.
+        config = _line((0, 1, 2, 3), weights)
+        norms = resultant_norms(config)
+        assert norms[1] == weights[1] and norms[2] == weights[2]
+        p, _, _, pull = solver_module._minimize(
+            config.centers_array(), config.weights_array(), config.tolerance, 100
+        )
+        assert pull is None and p[0] == pytest.approx(loop_x, abs=1e-12) and p[1] == 0.0
+        result = solve(config)
+        assert result.case == CaseTag.absorbed(index)
+        assert reference_case(config) == CaseTag.absorbed(1)
+        centers, w = config.centers_array(), config.weights_array()
+
+        def center_sum(x):
+            return float(w @ np.abs(centers[:, 0] - x))
+
+        assert center_sum(1.0) == pytest.approx(center_sum(p[0]), abs=1e-12)
+        assert center_sum(2.0) == pytest.approx(center_sum(p[0]), abs=1e-12)
+
+    def test_exact_tie_absorbs(self):
+        # pull at center 0 is (1,0) + (0,1) + (-1,0) = (0,1): norm 1 == w_0
+        config = Configuration(
+            tuple(Circle(Point2(*c), 0.2) for c in ((0, 0), (1, 0), (0, 1), (-1, 0))),
+            (1.0, 1.0, 1.0, 1.0),
+        )
+        pull, norm = solver_module._pull_at_center(config.centers_array(), config.weights_array(), 0)
+        assert pull.tolist() == [0.0, 1.0] and norm == 1.0
+        assert resultant_norms(config)[0] == 1.0
+        result = solve(config)
+        assert result.case == reference_case(config) == CaseTag.absorbed(0)
+        assert result.equilibrium_residual == 0.0
+        assert result.projections[0] == Point2(0.0, 0.2)
+
+    def test_max_iters_limits_absorbed_scenes(self):
+        config = random_dominated_config(4, seed=0, dominant=1)
+        steps = solver_module._minimize(
+            config.centers_array(), config.weights_array(), config.tolerance, 100
+        )[1]
+        assert steps >= 1
+        with pytest.raises(NonConvergence):
+            solve(config, max_iters=steps - 1)
+        result = solve(config, max_iters=steps)
+        assert result.case == CaseTag.absorbed(1)
+        assert result.iterations == 0
+
+    def test_start_on_the_absorbing_center_needs_no_step(self):
+        config = random_dominated_config(4, seed=0, dominant=1)
+        result = solve(config, max_iters=0, initial=config.circles[1].center)
+        assert result.case == CaseTag.absorbed(1)
 
 
 class TestFloatingSolve:
