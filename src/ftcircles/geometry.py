@@ -224,14 +224,16 @@ def wrap_angle(x) -> np.ndarray:
 def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Cyclic order of rays with the given azimuths and their sector angles.
 
-    The azimuths lie in [-pi, pi], as ``azimuths_at`` returns them; wrap
-    others with ``wrap_angle`` first. Returns (order, sectors): ``order``
-    lists the ray indices sorted by ascending azimuth, with -pi counted as
-    pi, and ``sectors[k]`` is the counterclockwise angle from ray order[k]
-    to ray order[k+1] (wrapping at the end). The sectors sum to 2*pi.
+    Returns (order, sectors): ``order`` lists the ray indices sorted by
+    ascending azimuth wrapped to (-pi, pi], and ``sectors[k]`` is the
+    counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
+    the end). The sectors sum to 2*pi.
     """
     az = np.array(azimuths, dtype=float)
-    az[az == -math.pi] = math.pi
+    if np.abs(az).max() > math.pi:
+        az = wrap_angle(az)
+    else:
+        az[az == -math.pi] = math.pi  # the one value in [-pi, pi] that wrap_angle moves
     order = np.argsort(az, kind="stable")
     sorted_az = az[order]
     sectors = np.empty(len(az))

@@ -71,7 +71,7 @@ class SectorAngles:
             raise InvalidConfiguration("need at least 3 ray azimuths")
         self.n = int(az.size)
         self.azimuths = az
-        order, sectors = self._sectors()
+        order, sectors = sectors_of(az)
         k = int(np.argmin(sectors))
         if sectors[k] < 1e-9:
             i, j = sorted((order[k], order[(k + 1) % self.n]))
@@ -127,16 +127,11 @@ class SectorAngles:
         return math.sin(self.azimuths[j] - self.azimuths[i])
 
     def cyclic_order(self) -> tuple[int, ...]:
-        return self._sectors()[0]
+        return sectors_of(self.azimuths)[0]
 
     def sectors(self) -> tuple[float, ...]:
         """Consecutive sector angles aligned with :meth:`cyclic_order`."""
-        return self._sectors()[1]
-
-    def _sectors(self):
-        # sectors_of takes azimuths in [-pi, pi]; those given here may lie outside
-        az = self.azimuths
-        return sectors_of(az if np.abs(az).max() <= math.pi else wrap_angle(az))
+        return sectors_of(self.azimuths)[1]
 
 
 @dataclass(frozen=True)

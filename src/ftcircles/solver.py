@@ -85,29 +85,33 @@ class SolveResult:
     ray_azimuths: tuple[float, ...] = ()
 
 
-def classify_case(config: Configuration, point: Point2 | None = None) -> CaseTag:
+def classify_case(
+    config: Configuration, point: Point2 | None = None, nearest: int | None = None
+) -> CaseTag:
     """Floating, or absorbed at the center where the minimizer lies.
 
     ``point`` is the minimizer of the center problem as ``solve``'s loop
-    returns it. A center ``A_m`` is the minimizer exactly when its pull
-    satisfies ``||sum_{j!=m} w_j u(A_m, A_j)|| <= w_m`` (ties absorb). The
-    loop stops on a center only after that center passed this test, so a
-    point on a center is absorbed there. Otherwise the center nearest to the
-    point gets the test, which catches a loop that converged next to an
-    absorbing center without landing on it. Unless the centers are
-    collinear the minimizer is unique, so at most one center can pass. With
-    collinear centers the minimizers can fill a segment between two
-    centers; both ends then pass with equality, and the case names the end
-    nearest to ``point`` (the first on a tie). The work is O(n).
+    returns it, and ``nearest`` the index of the center nearest to it when
+    the caller knows it. A center ``A_m`` is the minimizer exactly when its
+    pull satisfies ``||sum_{j!=m} w_j u(A_m, A_j)|| <= w_m`` (ties absorb).
+    The loop stops on a center only after that center passed this test, so
+    a point on a center is absorbed there. Otherwise the nearest center gets
+    the test, which catches a loop that converged next to an absorbing
+    center without landing on it. Unless the centers are collinear the
+    minimizer is unique, so at most one center can pass. With collinear
+    centers the minimizers can fill a segment between two centers; both
+    ends then pass with equality, and the case names the end nearest to
+    ``point`` (the first on a tie). The work is O(n), and O(1) for a point
+    on its given nearest center.
 
     Without ``point`` this is ``solve(config).case``.
     """
     if point is None:
         return solve(config).case
     centers = config.centers_array()
-    _, d = _offsets(centers, point.as_array())
-    m = int(d.argmin())
-    if d[m] < COINCIDENT_EPS:
+    p = point.as_array()
+    m = nearest if nearest is not None else int(_offsets(centers, p)[1].argmin())
+    if np.hypot(*(centers[m] - p)) < COINCIDENT_EPS:
         return CaseTag.absorbed(m)
     if _pull_at_center(centers, config.weights_array(), m)[1] <= config.weights[m]:
         return CaseTag.absorbed(m)
@@ -130,18 +134,24 @@ def _minimize(
     tol: float,
     max_iters: int,
     initial: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, tuple[np.ndarray, float] | None]:
+) -> tuple[np.ndarray, int, float, int, tuple[np.ndarray, float] | None]:
     """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
 
-    Returns (point, steps taken, residual, pull). Each step is the damped
-    Newton step, or the Weiszfeld map when backtracking accepts no Newton
-    point. An iterate on a center gets the single-point optimality test: an
-    optimal center is returned at once, with residual 0 and its pull and
-    pull norm from ``_pull_at_center``; otherwise the Vardi-Zhang step moves
-    it off along the pull of the other centers. Elsewhere the iteration
-    stops when both the last step and the equilibrium residual are small,
-    and ``pull`` is None. Both stop tests run on the start point and after
-    each of at most ``max_iters`` steps.
+    Returns (point, steps taken, residual, nearest center, pull). Each step
+    is the damped Newton step, or the Weiszfeld map when backtracking
+    accepts no Newton point. An iterate on a center gets the single-point
+    optimality test: an optimal center is returned at once, with residual 0
+    and its pull and pull norm from ``_pull_at_center``; otherwise the
+    Vardi-Zhang step moves it off along the pull of the other centers.
+    Elsewhere the iteration stops when both the last step and the
+    equilibrium residual are small, and ``pull`` is None. Both stop tests
+    run on the start point and after each of at most ``max_iters`` steps.
+
+    The Weiszfeld map approaches an absorbing center only linearly, and it
+    is every step when the centers are collinear (the Hessian is singular).
+    So before a Weiszfeld step the nearest center gets the optimality test
+    too, once per center since its pull does not depend on the iterate; a
+    center that passes is returned as the result of that step.
 
     The next point depends only on the current one, so an iterate equal to
     the previous point or the one before it repeats forever: that raises
@@ -154,6 +164,7 @@ def _minimize(
     diff, d = _offsets(centers, p)
     step = residual = math.inf
     prev = prev2 = None
+    not_optimal = set()
     for it in range(max_iters + 1):
         hit = int(d.argmin())
         on_center = d[hit] < COINCIDENT_EPS
@@ -161,13 +172,13 @@ def _minimize(
             pull, pull_norm = at_center = _pull_at_center(centers, weights, hit)
             if pull_norm <= weights[hit]:
                 # the center itself is the minimizer: absorbed there
-                return centers[hit].copy(), it, 0.0, at_center
+                return centers[hit].copy(), it, 0.0, hit, at_center
         else:
             e = diff / d[:, None]
             grad = (-(weights @ e)).tolist()
             residual = math.hypot(*grad)
             if step < tol and residual < 10.0 * tol:
-                return p, it, residual, None
+                return p, it, residual, hit, None
         if _same(p, prev) or _same(p, prev2):
             raise NonConvergence(
                 f"iteration revisits a point after {it} steps without reaching "
@@ -183,6 +194,11 @@ def _minimize(
         else:
             accepted = _newton_step(p, d, e, grad, residual, hit, centers, weights)
             if accepted is None:
+                if hit not in not_optimal:
+                    at_center = _pull_at_center(centers, weights, hit)
+                    if at_center[1] <= weights[hit]:
+                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
+                    not_optimal.add(hit)
                 inv = weights / d
                 new_p = (inv @ centers) / inv.sum()
             else:
@@ -295,11 +311,11 @@ def solve(
 def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> SolveResult:
     weights = config.weights_array()
     start = initial.as_array() if initial is not None else None
-    p, iters, residual, at_center = _minimize(
+    p, iters, residual, nearest, at_center = _minimize(
         config.centers_array(), weights, config.tolerance, max_iters, start
     )
     point = Point2.from_array(p)
-    case = classify_case(config, point)
+    case = classify_case(config, point, nearest)
     if not case.is_floating:
         return _absorbed_result(config, case.index, at_center)
 

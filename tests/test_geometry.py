@@ -152,8 +152,9 @@ class TestSectorDecomposition:
         assert wrap_angle(x).tobytes() == expected.tobytes()
 
     def test_sectors_of_matches_wrapping_form(self):
-        # sectors_of maps only -pi to pi; wrapping every azimuth first, then
-        # np.diff/np.append, gives the same bits on atan2 azimuths
+        # sectors_of maps only -pi to pi when every azimuth lies in [-pi, pi];
+        # wrapping every azimuth first, then np.diff/np.append, gives the same
+        # bits on atan2 azimuths
         def wrapping_form(azimuths):
             az = wrap_angle(azimuths)
             order = np.argsort(az, kind="stable")
@@ -170,8 +171,9 @@ class TestSectorDecomposition:
                 xy[rng.integers(n)] = (-1.0, 0.0) if k % 2 else (-1.0, -0.0)  # pi and -pi
             az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
             assert sectors_of(az) == wrapping_form(az), az
-            # SectorAngles takes any azimuths and wraps them itself
+            # azimuths outside [-pi, pi] are wrapped first
             wide = az + 2.0 * math.pi * rng.integers(-2, 3, n)
+            assert sectors_of(wide) == wrapping_form(wide), wide
             if min(wrapping_form(wide)[1]) >= 1e-9:
                 assert SectorAngles(wide).sectors() == wrapping_form(wide)[1]
 
