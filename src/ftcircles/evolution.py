@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionViolated
-from .geometry import Configuration, Point2, pair_distances
+from .geometry import Configuration, Point2, first_touching_pair, pair_distances
 from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
 from .solver import solve
 
@@ -134,11 +134,6 @@ def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
     return base.point, layout, rays
 
 
-def _overlaps(center_gaps: np.ndarray, radii: np.ndarray) -> bool:
-    """Whether any two circles overlap or touch, given their center distances."""
-    return bool(np.any(center_gaps <= radii[:, None] + radii))
-
-
 def evolve_type_a(
     config: Configuration,
     increments: Sequence[tuple[float, float]] | None = None,
@@ -164,8 +159,6 @@ def evolve_type_a(
     total = float(w.sum())
     coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=total)
     violations: list[str] = []
-    # the centers never move, so their distances serve every step
-    center_gaps = pair_distances(config.centers_array())
     radii = scale * w
     steps_out = [
         EvolutionStep(
@@ -185,7 +178,7 @@ def evolve_type_a(
             termination = TerminationReason.NONPOSITIVE_WEIGHT
             break
         new_radii = scale * new_w
-        if _overlaps(center_gaps, new_radii):
+        if first_touching_pair(config.centers_array(), new_radii) is not None:
             termination = TerminationReason.OVERLAP
             break
         pattern = _pattern(w, new_w, total)
@@ -275,8 +268,6 @@ def evolve_type_b(
     )
 
     violations: list[str] = []
-    # the centers never move, so their distances serve every step
-    center_gaps = pair_distances(config.centers_array())
     radii = scale * w
     steps_out = [
         EvolutionStep(
@@ -306,7 +297,7 @@ def evolve_type_b(
             termination = TerminationReason.NONPOSITIVE_WEIGHT
             break
         new_radii = scale * new_w
-        if _overlaps(center_gaps, new_radii):
+        if first_touching_pair(config.centers_array(), new_radii) is not None:
             termination = TerminationReason.OVERLAP
             break
         pattern = _pattern(w, new_w, reduced_total)

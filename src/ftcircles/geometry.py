@@ -21,6 +21,12 @@ if TYPE_CHECKING:
 #: Two points closer than this are treated as coincident.
 COINCIDENT_EPS = 1e-12
 
+# math.hypot and np.hypot agree to within a few ulps; a pair whose
+# math.hypot exceeds its radius sum by this factor (plus an absolute floor
+# for subnormal values) is apart under np.hypot too
+_HYPOT_MARGIN = 1.0 + 1e-9
+_HYPOT_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -89,7 +95,7 @@ class Configuration:
 
     def __post_init__(self):
         object.__setattr__(self, "circles", tuple(self.circles))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         n = len(self.circles)
         if n < 3:
             raise InvalidConfiguration(f"need at least 3 circles, got {n}")
@@ -104,19 +110,18 @@ class Configuration:
             raise InvalidConfiguration(f"tolerance must be positive, got {self.tolerance}")
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
-        for name, values in (
-            ("_centers", [[c.center.x, c.center.y] for c in self.circles]),
-            ("_radii", [c.radius for c in self.circles]),
-            ("_weights", self.weights),
+        # numpy converts a row of x and a row of y much faster than n pairs
+        xy = [[c.center.x for c in self.circles], [c.center.y for c in self.circles]]
+        for name, array in (
+            ("_centers", np.array(xy, dtype=float).T.copy()),
+            ("_radii", np.array([c.radius for c in self.circles], dtype=float)),
+            ("_weights", np.array(self.weights, dtype=float)),
         ):
-            array = np.array(values, dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        radii = self._radii
-        touching = pair_distances(self._centers) <= radii[:, None] + radii
-        if touching.any():
-            i, j = np.argwhere(touching)[0]
-            raise InvalidConfiguration(f"circles {i} and {j} overlap or touch")
+        pair = first_touching_pair(self._centers, self._radii)
+        if pair is not None:
+            raise InvalidConfiguration(f"circles {pair[0]} and {pair[1]} overlap or touch")
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so a copy is
@@ -149,6 +154,45 @@ def pair_distances(points) -> np.ndarray:
     d = np.hypot(p[:, None, 0] - p[:, 0], p[:, None, 1] - p[:, 1])
     d.flat[:: len(p) + 1] = np.inf
     return d
+
+
+def first_touching_pair(centers, radii) -> tuple[int, int] | None:
+    """First pair ``(i, j)``, ``i < j``, of circles that overlap or touch, or None.
+
+    Circles i and j touch when ``np.hypot(x_i - x_j, y_i - y_j) <= r_i + r_j``;
+    of all touching pairs the lexicographically first is returned. A
+    sort-and-sweep on x (Shamos & Hoey 1976) tests only the pairs whose
+    computed ``x_j - x_i`` is at most ``r_i + max(r)``: the others cannot
+    touch, because the hypot is at least ``|x_j - x_i|``; the same bound on
+    ``|y_j - y_i|`` and a ``math.hypot`` test with a margin skip pairs that
+    are clearly apart. ``math.hypot`` can differ from ``np.hypot`` in the
+    last bit, so the remaining pairs are decided by ``np.hypot``.
+    """
+    xs, ys = np.asarray(centers, dtype=float).T.tolist()
+    rs = np.asarray(radii, dtype=float).tolist()
+    n = len(xs)
+    order = sorted(range(n), key=xs.__getitem__)
+    r_max = max(rs)
+    first = None
+    for a, i in enumerate(order):
+        xi, yi, ri = xs[i], ys[i], rs[i]
+        reach = ri + r_max
+        for b in range(a + 1, n):
+            j = order[b]
+            dx = xs[j] - xi
+            if dx > reach:
+                break
+            dy = ys[j] - yi
+            s = ri + rs[j]
+            if (
+                -s <= dy <= s
+                and math.hypot(dx, dy) <= s * _HYPOT_MARGIN + _HYPOT_FLOOR
+                and np.hypot(dx, dy) <= s
+            ):
+                pair = (i, j) if i < j else (j, i)
+                if first is None or pair < first:
+                    first = pair
+    return first
 
 
 def project_onto_circle(p: Point2, c: Circle) -> Point2:
@@ -246,10 +290,25 @@ def cosine_matrix(azimuths: Sequence[float]) -> np.ndarray:
     """Matrix ``cos(az_j - az_i)`` of the cosines between every pair of rays.
 
     The diagonal is exactly 1, so ``cosine_matrix(az) @ w`` is the cosine
-    equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``.
+    equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``;
+    :func:`resultant_projections` computes that product in O(n).
     """
     az = np.asarray(azimuths, dtype=float)
     return np.cos(az[None, :] - az[:, None])
+
+
+def resultant_projections(azimuths: Sequence[float], weights: Sequence[float]) -> np.ndarray:
+    """Projections ``u_i . sum_j w_j u_j`` of the weighted resultant onto each ray.
+
+    ``u_j`` is the unit vector at azimuth ``az_j``. This is the cosine
+    equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``, the same
+    quantity as ``cosine_matrix(az) @ w``, computed in O(n) instead of
+    O(n^2); the two round differently, by at most about ``n * eps * sum(w)``.
+    """
+    az = np.asarray(azimuths, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    c, s = np.cos(az), np.sin(az)
+    return c * np.dot(w, c) + s * np.dot(w, s)
 
 
 def sine_matrix(azimuths: Sequence[float]) -> np.ndarray:

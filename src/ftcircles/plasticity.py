@@ -44,6 +44,7 @@ from .geometry import (
     Point2,
     azimuths_at,
     cosine_matrix,
+    resultant_projections,
     sectors_of,
     sine_matrix,
     wrap_angle,
@@ -63,25 +64,35 @@ class SectorAngles:
     reflection; every ratio used downstream is invariant to both.
     """
 
-    __slots__ = ("n", "azimuths")
+    __slots__ = ("n", "azimuths", "_order", "_sectors")
 
     def __init__(self, azimuths: Sequence[float]):
         az = np.asarray(azimuths, dtype=float)
         if az.ndim != 1 or az.size < 3:
             raise InvalidConfiguration("need at least 3 ray azimuths")
-        self.n = int(az.size)
-        self.azimuths = az
-        order, sectors = sectors_of(az)
+        self._set(az, *sectors_of(az))
+
+    def _set(self, az: np.ndarray, order: tuple[int, ...], sectors: tuple[float, ...]) -> None:
+        """Hold the rays ``az`` with their cyclic order and sectors from ``sectors_of``."""
         k = int(np.argmin(sectors))
         if sectors[k] < 1e-9:
-            i, j = sorted((order[k], order[(k + 1) % self.n]))
+            i, j = sorted((order[k], order[(k + 1) % len(order)]))
             raise InvalidConfiguration(f"rays {i} and {j} coincide")
+        self.n = int(az.size)
+        self.azimuths = az
+        self._order = order
+        self._sectors = sectors
 
     @classmethod
     def from_result(cls, result: SolveResult) -> "SectorAngles":
+        """The solver's ray layout, with the order and sectors it already computed."""
         if not result.case.is_floating:
             raise PreconditionViolated("sector angles require a floating solution")
-        return cls(result.ray_azimuths)
+        layout = cls.__new__(cls)
+        layout._set(
+            np.asarray(result.ray_azimuths, dtype=float), result.sector_order, result.sector_angles
+        )
+        return layout
 
     @classmethod
     def from_points(cls, apex: Point2, points: Sequence[Point2]) -> "SectorAngles":
@@ -127,11 +138,11 @@ class SectorAngles:
         return math.sin(self.azimuths[j] - self.azimuths[i])
 
     def cyclic_order(self) -> tuple[int, ...]:
-        return sectors_of(self.azimuths)[0]
+        return self._order
 
     def sectors(self) -> tuple[float, ...]:
         """Consecutive sector angles aligned with :meth:`cyclic_order`."""
-        return sectors_of(self.azimuths)[1]
+        return self._sectors
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,7 @@ def transfer_residuals(coeffs: PlasticityCoefficients, weights: Sequence[float])
 
 def cosine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
     """Residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)`` of the cosine system."""
-    return cosine_matrix(angles.azimuths) @ np.asarray(weights, dtype=float)
+    return resultant_projections(angles.azimuths, weights)
 
 
 def sine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:

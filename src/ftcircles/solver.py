@@ -27,8 +27,8 @@ from .geometry import (
     Configuration,
     Point2,
     azimuths_at,
-    cosine_matrix,
     distances_to_circles,
+    resultant_projections,
     sectors_of,
 )
 
@@ -395,10 +395,11 @@ def _projections(config: Configuration, offsets: np.ndarray, d: np.ndarray) -> t
 def certificate_residuals(result: SolveResult, config: Configuration) -> list[float]:
     """Cosine equilibrium residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)``.
 
-    The cosines come from the result's ray azimuths. All residuals vanish at
-    the true floating minimizer. Raises CalledOnAbsorbed for absorbed
-    results, which have no angle certificate.
+    Each is the projection of the weighted resultant of the result's unit
+    rays onto ray i (see ``resultant_projections``), an O(n) computation.
+    All residuals vanish at the true floating minimizer. Raises
+    CalledOnAbsorbed for absorbed results, which have no angle certificate.
     """
     if not result.case.is_floating:
         raise CalledOnAbsorbed("cosine residuals require a floating solution")
-    return (cosine_matrix(result.ray_azimuths) @ config.weights_array()).tolist()
+    return resultant_projections(result.ray_azimuths, config.weights_array()).tolist()

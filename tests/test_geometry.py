@@ -23,7 +23,7 @@ from ftcircles import (
     project_onto_circle,
     sector_decomposition,
 )
-from ftcircles.geometry import sectors_of, wrap_angle
+from ftcircles.geometry import first_touching_pair, pair_distances, sectors_of, wrap_angle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
 
@@ -261,3 +261,88 @@ class TestConfigurationValidation:
     def test_bad_radius(self):
         with pytest.raises(InvalidConfiguration):
             Circle(Point2(0, 0), -1.0)
+
+    def test_error_names_first_touching_pair(self):
+        # pairs (1, 3) and (2, 4) touch; the sweep meets (2, 4) first in x,
+        # but the error names the lexicographically first pair
+        circles = (
+            Circle(Point2(9.0, 9.0), 0.5),
+            Circle(Point2(4.0, 0.0), 1.0),
+            Circle(Point2(0.0, 0.0), 1.0),
+            Circle(Point2(5.5, 0.0), 0.5),
+            Circle(Point2(1.5, 0.0), 0.5),
+        )
+        with pytest.raises(InvalidConfiguration, match="^circles 1 and 3 overlap or touch$"):
+            Configuration(circles, (1.0,) * 5)
+
+
+def reference_first_touching_pair(centers, radii):
+    """The O(n^2) check the sweep replaced: the first touching entry of the full matrix."""
+    touching = pair_distances(centers) <= radii[:, None] + radii
+    if not touching.any():
+        return None
+    i, j = np.argwhere(touching)[0]
+    return int(i), int(j)
+
+
+def fuzz_circles(rng):
+    """Centers and radii for the overlap check: sparse, gridded, equal and exactly touching.
+
+    Half the scenes are scaled by 1e-12..1e12 and translated by up to 1e8
+    scene widths, which leaves few bits in the center differences.
+    """
+    n = int(rng.integers(3, 41))
+    side = 2.0 * math.sqrt(n)
+    kind = int(rng.integers(4))
+    centers = rng.uniform(0.0, side, (n, 2))
+    radii = rng.uniform(0.05, 0.3, n)
+    if kind == 1:  # centers on a 0.1 grid, radii multiples of 0.05: near ties
+        centers = np.round(centers, 1)
+        radii = np.round(radii, 1) / 2.0 + 0.05
+    elif kind == 2:
+        radii[:] = radii[0]
+    if rng.random() < 0.5:
+        scale = 10.0 ** rng.uniform(-12.0, 12.0)
+        shift = rng.uniform(-1.0, 1.0, 2) * side * 10.0 ** rng.uniform(0.0, 8.0)
+        centers, radii = (centers + shift) * scale, radii * scale
+    if kind == 3:  # one pair touches exactly: r_i = r_j = d / 2, the rest shrink
+        i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+        d = float(np.hypot(*(centers[i] - centers[j])))
+        radii = radii * 0.1
+        radii[i] = radii[j] = d / 2.0
+    return centers, radii
+
+
+class TestTouchingPairs:
+    def test_sweep_names_the_matrix_pair(self):
+        rng = np.random.default_rng(20240607)
+        outcomes = {"none": 0, "pair": 0}
+        for _ in range(20000):
+            centers, radii = fuzz_circles(rng)
+            expected = reference_first_touching_pair(centers, radii)
+            assert first_touching_pair(centers, radii) == expected, (centers.tolist(), radii.tolist())
+            outcomes["none" if expected is None else "pair"] += 1
+        # both outcomes are well represented
+        assert min(outcomes.values()) > 5000, outcomes
+
+    def test_exact_touch_at_every_scale(self):
+        # r = d / 2 on both circles makes r_i + r_j == d exactly
+        for exponent in range(-12, 13):
+            s = 10.0**exponent
+            centers = np.array([[0.1, 0.7], [0.4, 0.3], [5.0, 5.0]]) * s + 1e3 * s
+            d = float(np.hypot(*(centers[0] - centers[1])))
+            radii = np.array([d / 2.0, d / 2.0, s])
+            assert first_touching_pair(centers, radii) == (0, 1)
+            radii[1] = np.nextafter(d / 2.0, 0.0)
+            assert first_touching_pair(centers, radii) == reference_first_touching_pair(centers, radii)
+
+
+    def test_break_uses_the_computed_difference(self):
+        # x_1 - x_0 = 2 + 2**-52 rounds to 2.0 == r_0 + r_1, so the circles
+        # touch; x_0 + (r_0 + r_1) rounds to 1 - 2**-52 < x_1, so a sweep that
+        # compared x_j with x_i + reach would stop before this pair
+        centers = np.array([[-1.0 - 2.0**-52, 0.0], [1.0, 0.0], [0.0, 10.0]])
+        radii = np.array([1.0, 1.0, 1.0])
+        assert centers[0, 0] + 2.0 < centers[1, 0]
+        assert reference_first_touching_pair(centers, radii) == (0, 1)
+        assert first_touching_pair(centers, radii) == (0, 1)

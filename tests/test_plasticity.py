@@ -98,6 +98,23 @@ class TestSectorAngles:
                 pairwise = [[angles.angle(i, j) for j in range(n)] for i in range(n)]
                 assert angles.matrix().tolist() == pairwise
 
+    def test_from_result_reuses_the_solver_sectors(self, monkeypatch):
+        # the result already carries the cyclic order and sectors, so
+        # building its layout sorts no rays; a direct build does
+        import ftcircles.plasticity as plasticity_module
+
+        result = solve(random_floating_config(5, seed=2))
+
+        def no_sort(azimuths):
+            raise AssertionError("sectors_of called")
+
+        monkeypatch.setattr(plasticity_module, "sectors_of", no_sort)
+        angles = SectorAngles.from_result(result)
+        assert angles.azimuths.tolist() == list(result.ray_azimuths)
+        assert angles.sectors() == result.sector_angles
+        with pytest.raises(AssertionError, match="sectors_of called"):
+            SectorAngles(result.ray_azimuths)
+
 
 class TestCosineSystem:
     def test_square_symmetric(self):

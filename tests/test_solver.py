@@ -24,6 +24,7 @@ from ftcircles import (
     SolutionInsideDisk,
     certificate_residuals,
     classify_case,
+    cosine_residuals,
     distance_to_circle,
     evolve_type_a,
     evolve_type_b,
@@ -37,7 +38,7 @@ from ftcircles import (
     verify_geometric_plasticity,
 )
 
-from ftcircles.geometry import pair_distances
+from ftcircles.geometry import cosine_matrix, pair_distances
 
 from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, triangle_config
 
@@ -535,6 +536,28 @@ class TestCertificate:
         assert render_svg(config, result).count("<path") == 4
         with pytest.raises(InvalidConfiguration):
             SectorAngles.from_result(result)
+
+    def test_matches_the_cosine_matrix_form(self):
+        # the O(n) projection of the resultant rounds differently from the
+        # cosine matrix product it replaced, by at most n * eps * sum(w);
+        # the plasticity residuals are the same computation
+        configs = [
+            scene.configuration() for seed in (1, 2, 3) for scene in WORKLOADS["large-n"].make(seed)
+        ]
+        configs += [random_floating_config(n, seed=seed) for n in (3, 4, 5, 6) for seed in range(300)]
+        floating = 0
+        for config in configs:
+            result = solve(config)
+            if not result.case.is_floating:
+                continue
+            floating += 1
+            w = config.weights_array()
+            residuals = certificate_residuals(result, config)
+            matrix_form = cosine_matrix(result.ray_azimuths) @ w
+            gap = float(np.max(np.abs(np.array(residuals) - matrix_form)))
+            assert gap <= config.n * np.finfo(float).eps * w.sum(), (config.n, gap)
+            assert cosine_residuals(SectorAngles.from_result(result), w).tolist() == residuals
+        assert floating == 1221
 
 
 @pytest.fixture
