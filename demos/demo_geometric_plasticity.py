@@ -29,7 +29,7 @@ print("=" * 72)
 rng = np.random.default_rng(1)
 for trial in range(4):
     shifts = rng.uniform(-0.05, 0.2, size=4)
-    shifted = shifted_configuration(config, shifts, base_point=base.point)
+    shifted = shifted_configuration(config, shifts)
     moved = solve(shifted)
     gap = moved.point.distance_to(base.point)
     print(f"  shifts {np.round(shifts, 3)} -> |P' - P| = {gap:.2e}")

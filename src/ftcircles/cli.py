@@ -17,14 +17,7 @@ import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
-from .geometry import (
-    Configuration,
-    DistanceMode,
-    Point2,
-    project_onto_circle,
-    sector_decomposition,
-    sine_matrix,
-)
+from .geometry import Configuration, DistanceMode, project_onto_circle, sine_matrix
 from .inverse import AngleTriple, weights_from_angles
 from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
 from .plasticity import (
@@ -109,12 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[Configuration, Point2 | None]:
-    return load_scene(args.scene)
-
-
 def _cmd_solve(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     if args.mode is not None:
         config = Configuration(
             config.circles, config.weights, config.tolerance, DistanceMode(args.mode)
@@ -141,15 +130,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    config, point = _load(args)
+    config, point = load_scene(args.scene)
     if point is None:
         point = solve(config).point
     projections = [project_onto_circle(point, c) for c in config.circles]
+    angles = SectorAngles.from_points(point, projections)
     if config.n == 3:
-        triple = AngleTriple.from_sectors(*sector_decomposition(point, projections))
+        triple = AngleTriple.from_sectors(angles.cyclic_order(), angles.sectors())
         weights = weights_from_angles(triple)
     else:
-        angles = SectorAngles.from_points(point, projections)
         weights = cosine_system_weights(angles)
         print(f"note: n={config.n} leaves {config.n - 3} free parameters; "
               f"printing the minimum-norm member")
@@ -158,7 +147,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_plasticity(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     result = solve(config)
     angles = SectorAngles.from_result(result)
     n = config.n
@@ -206,7 +195,7 @@ def _parse_free(expr: str, n: int) -> list[float]:
 
 
 def _cmd_check(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     result = solve(config)
     print(f"case={result.case}")
     if not result.case.is_floating:
@@ -222,7 +211,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     if args.evo_type == "A":
         trace = evolve_type_a(config, scale=args.scale, steps=args.steps)
     else:
@@ -266,7 +255,7 @@ def _write_frames(trace: EvolutionTrace, directory: Path) -> None:
 
 
 def _cmd_oracle(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     result = solve(config)
     brute = oracle_minimize(config, grid_cells=args.grid, refine_iters=args.refine)
     gap = result.point.distance_to(brute)
@@ -277,7 +266,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_geometric(args) -> int:
-    config, _ = _load(args)
+    config, _ = load_scene(args.scene)
     try:
         shifts = [float(s) for s in args.shifts.split(",")]
     except ValueError as exc:

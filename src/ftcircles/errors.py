@@ -30,7 +30,7 @@ class DegenerateProjection(FTCirclesError):
 
 
 class DegenerateAngle(FTCirclesError):
-    """An angle endpoint coincides with the apex."""
+    """An angle endpoint coincides with the apex, or an angle is too near 0 or pi."""
 
     code = "degenerate_angle"
 
@@ -51,22 +51,10 @@ class NonConvergence(FTCirclesError):
     code = "non_convergence"
 
 
-class CalledOnAbsorbed(FTCirclesError):
-    """Operation requires a floating solution but got an absorbed one."""
-
-    code = "called_on_absorbed"
-
-
 class AbsorbedWeights(FTCirclesError):
     """Weight triple violates the floating triangle condition."""
 
     code = "absorbed_weights"
-
-
-class DegenerateAngles(FTCirclesError):
-    """An angle sine is too small for stable weight recovery."""
-
-    code = "degenerate_angles"
 
 
 class SingularSystem(FTCirclesError):
@@ -81,12 +69,6 @@ class GeometryPreconditionViolated(FTCirclesError):
     code = "geometry_precondition"
 
 
-class MissingRatio(FTCirclesError):
-    """A required sub-triangle weight ratio was not supplied."""
-
-    code = "missing_ratio"
-
-
 class ShiftedConfigInvalid(FTCirclesError):
     """A radially shifted configuration violates validity conditions."""
 
@@ -94,18 +76,13 @@ class ShiftedConfigInvalid(FTCirclesError):
 
 
 class PreconditionViolated(FTCirclesError):
-    """An operation precondition on the input configuration fails."""
+    """An operation precondition fails, such as needing a floating solution."""
 
     code = "precondition_violated"
 
 
-class StepTooSmall(FTCirclesError):
-    """Finite-difference step below the supported range."""
+class StepOutOfRange(FTCirclesError):
+    """Finite-difference step outside the supported range [1e-8, 1e-4]."""
 
-    code = "step_too_small"
+    code = "step_out_of_range"
 
-
-class StepTooLarge(FTCirclesError):
-    """Finite-difference step above the supported range."""
-
-    code = "step_too_large"

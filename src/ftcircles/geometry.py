@@ -1,4 +1,4 @@
-"""2D primitives: points, circles, projections, angles, sector decompositions.
+"""2D primitives: points, circles, projections, ray azimuths and sectors.
 
 All operations are pure functions of immutable values and are safe to call
 concurrently.
@@ -210,16 +210,8 @@ def project_onto_circle(p: Point2, c: Circle) -> Point2:
     return Point2(c.center.x + k * dx, c.center.y + k * dy)
 
 
-def distance_to_circle(p: Point2, c: Circle, mode: DistanceMode = DistanceMode.TO_CURVE) -> float:
-    """Distance from p to the circle (TO_CURVE) or to its closed disk (TO_SET)."""
-    d = p.distance_to(c.center)
-    if mode is DistanceMode.TO_CURVE:
-        return abs(d - c.radius)
-    return max(d - c.radius, 0.0)
-
-
 def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndarray:
-    """``distance_to_circle`` elementwise, from the distances to the centers.
+    """Distances to the circles (TO_CURVE) or their disks (TO_SET), from the center distances.
 
     ``radii`` broadcasts against ``center_distances`` along the last axis.
     """
@@ -227,18 +219,6 @@ def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndar
     if mode is DistanceMode.TO_CURVE:
         return np.abs(gap)
     return np.maximum(gap, 0.0)
-
-
-def angle_at(apex: Point2, a: Point2, b: Point2) -> float:
-    """Unsigned angle in [0, pi] between rays apex->a and apex->b."""
-    rays = []
-    for p in (a, b):
-        v = p.as_array() - apex.as_array()
-        norm = float(np.hypot(v[0], v[1]))
-        if norm < COINCIDENT_EPS:
-            raise DegenerateAngle(f"ray endpoint coincides with apex {apex}")
-        rays.append(v / norm)
-    return math.acos(float(np.clip(np.dot(rays[0], rays[1]), -1.0, 1.0)))
 
 
 def azimuths_at(apex: Point2, points: Sequence[Point2]) -> np.ndarray:
@@ -315,11 +295,3 @@ def sine_matrix(azimuths: Sequence[float]) -> np.ndarray:
     """Matrix ``sin(az_j - az_i)`` of the signed sines between every pair of rays."""
     az = np.asarray(azimuths, dtype=float)
     return np.sin(az[None, :] - az[:, None])
-
-
-def sector_decomposition(apex: Point2, points: Sequence[Point2]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Cyclic order of the rays from apex to the points and their sector angles.
-
-    See :func:`sectors_of`; the sectors sum to 2*pi.
-    """
-    return sectors_of(azimuths_at(apex, points))

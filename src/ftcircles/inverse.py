@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AbsorbedWeights, CalledOnAbsorbed, DegenerateAngles, InvalidConfiguration
+from .errors import AbsorbedWeights, DegenerateAngle, InvalidConfiguration, PreconditionViolated
 from .solver import SolveResult
 
 _SUM_TOL = 1e-10
@@ -49,8 +49,8 @@ class AngleTriple:
         """Angles of three rays from their cyclic order and sector angles.
 
         ``order`` and ``sectors`` are as returned by
-        :func:`~ftcircles.geometry.sector_decomposition`: the sector between
-        two consecutive rays is the angle opposite the third one.
+        :func:`~ftcircles.geometry.sectors_of`: the sector between two
+        consecutive rays is the angle opposite the third one.
         """
         if len(order) != 3 or len(sectors) != 3:
             raise InvalidConfiguration("angle triple is defined for exactly 3 rays")
@@ -90,7 +90,7 @@ def weights_from_angles(angles: AngleTriple) -> tuple[float, float, float]:
     """
     sines = [math.sin(phi) for phi in angles.angles]
     if any(s <= 1e-12 for s in sines):
-        raise DegenerateAngles(f"angle sines too small: {sines}")
+        raise DegenerateAngle(f"angle sines too small: {sines}")
     total = sines[0] + sines[1] + sines[2]
     w1, w2 = sines[0] / total, sines[1] / total
     w3 = 1.0 - w1 - w2
@@ -110,7 +110,7 @@ def opposite_angles(result: SolveResult) -> AngleTriple:
     projections other than Q.
     """
     if not result.case.is_floating:
-        raise CalledOnAbsorbed("angle triple requires a floating solution")
+        raise PreconditionViolated("angle triple requires a floating solution")
     if len(result.projections) != 3:
         raise InvalidConfiguration("angle triple is defined for exactly 3 circles")
     return AngleTriple.from_sectors(result.sector_order, result.sector_angles)

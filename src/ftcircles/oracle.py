@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, StepTooLarge, StepTooSmall
+from .errors import FTCirclesError, StepOutOfRange
 from .geometry import (
     Circle,
     Configuration,
@@ -114,10 +114,9 @@ def oracle_minimize(
 
 
 def _check_step(h: float) -> None:
-    if h < 1e-8:
-        raise StepTooSmall(f"step {h} below 1e-8")
-    if h > 1e-4:
-        raise StepTooLarge(f"step {h} above 1e-4")
+    # written so that nan fails it too
+    if not 1e-8 <= h <= 1e-4:
+        raise StepOutOfRange(f"step {h} outside [1e-8, 1e-4]")
 
 
 def finite_difference_gradient(config: Configuration, p: Point2, h: float = 1e-6) -> np.ndarray:

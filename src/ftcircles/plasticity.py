@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     GeometryPreconditionViolated,
-    MissingRatio,
     PreconditionViolated,
     ShiftedConfigInvalid,
     SingularSystem,
@@ -193,9 +192,6 @@ class PlasticityCoefficients:
     a: np.ndarray
     const: np.ndarray
 
-    def free_labels(self) -> range:
-        return range(3, self.n)
-
     def apply(self, free_weights: Sequence[float]) -> np.ndarray:
         """Full weight vector for the given free weights."""
         free = np.asarray(free_weights, dtype=float)
@@ -217,8 +213,8 @@ def transfer_coefficients(
     a[2, j] = r3 * (a[0, j] - q2[j])
     const   = total / (1 + r2 + r3) * (1, r2, r3)
 
-    Raises MissingRatio if a required sub-triangle ratio is absent and
-    SingularSystem when the three-ray solution itself degenerates.
+    Raises InvalidConfiguration if a required sub-triangle ratio is absent
+    and SingularSystem when the three-ray solution itself degenerates.
     """
     if n < 4:
         raise InvalidConfiguration("transfer coefficients need n >= 4")
@@ -228,7 +224,7 @@ def transfer_coefficients(
     a = np.zeros((3, n - 3))
     for k, j in enumerate(range(3, n)):
         if j not in ratios.q3 or j not in ratios.q2:
-            raise MissingRatio(f"missing sub-triangle ratios for ray {j}")
+            raise InvalidConfiguration(f"missing sub-triangle ratios for ray {j}")
         a1 = (ratios.q3[j] * ratios.r2 + ratios.q2[j] * ratios.r3 - 1.0) / den
         a[0, k] = a1
         a[1, k] = ratios.r2 * (a1 - ratios.q3[j])
@@ -296,7 +292,6 @@ def plasticity_n(
     angles: SectorAngles,
     free_ratios: Sequence[float],
     total: float = 1.0,
-    strict: bool = False,
 ) -> np.ndarray:
     """General-n dynamic plasticity driven by the free ratios ``w_j/w_1``.
 
@@ -304,18 +299,14 @@ def plasticity_n(
     (w3/w1) = (w3/w1)_123 * [1 - sum_j (wj/w1) * (w1/wj)_12j]
 
     The free ratios run over rays 4..n (0-based labels 3..n-1). The weight
-    scale is fixed by the constant total. With four rays, ``strict=True``
-    additionally enforces the interior/exterior triangle hypotheses of the
-    four-ray statement via :func:`plasticity4_preconditions`.
+    scale is fixed by the constant total. The four-ray statement also needs
+    the interior/exterior triangle hypotheses; callers check them with
+    :func:`plasticity4_preconditions`.
     """
     n = angles.n
     free = np.asarray(free_ratios, dtype=float)
     if free.shape != (n - 3,):
         raise InvalidConfiguration(f"expected {n - 3} free ratios, got {free.shape}")
-    if strict and n == 4 and not plasticity4_preconditions(angles):
-        raise GeometryPreconditionViolated(
-            "ray layout violates the interior/exterior triangle hypotheses"
-        )
     ratios = TriangleRatios.from_angles(angles)
     w2r = ratios.r2 * (1.0 - sum(free[k] * ratios.q3[3 + k] for k in range(n - 3)))
     w3r = ratios.r3 * (1.0 - sum(free[k] * ratios.q2[3 + k] for k in range(n - 3)))
@@ -361,11 +352,12 @@ def shifted_configuration(
     config: Configuration,
     radial_shifts: Sequence[float],
     new_radii: Sequence[float] | None = None,
-    base_point: Point2 | None = None,
 ) -> Configuration:
     """Translate every center along its ray from the solution point.
 
-    Positive shifts move centers away from the point. Raises
+    The point is that of ``solve(config)``, the stored result once the
+    configuration has been solved; PreconditionViolated is raised when it
+    is absorbed. Positive shifts move centers away from the point. Raises
     ShiftedConfigInvalid when the result overlaps, loses the floating
     condition, or swallows the base point into a disk. The floating check
     solves the shifted configuration, so errors of ``solve`` pass through
@@ -374,12 +366,10 @@ def shifted_configuration(
     shifts = np.asarray(radial_shifts, dtype=float)
     if shifts.shape != (config.n,):
         raise ShiftedConfigInvalid(f"expected {config.n} shifts, got {shifts.shape}")
-    if base_point is None:
-        base = solve(config)
-        if not base.case.is_floating:
-            raise PreconditionViolated("geometric plasticity requires a floating instance")
-        base_point = base.point
-    p = base_point.as_array()
+    base = solve(config)
+    if not base.case.is_floating:
+        raise PreconditionViolated("geometric plasticity requires a floating instance")
+    p = base.point.as_array()
     radii = config.radii_array() if new_radii is None else np.asarray(new_radii, float)
     circles = []
     for i, c in enumerate(config.circles):
@@ -418,6 +408,6 @@ def verify_geometric_plasticity(
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("geometric plasticity requires a floating instance")
-    shifted = shifted_configuration(config, radial_shifts, new_radii, base.point)
+    shifted = shifted_configuration(config, radial_shifts, new_radii)
     moved = solve(shifted)
     return moved.point.distance_to(base.point) < point_tol

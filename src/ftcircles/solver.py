@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CalledOnAbsorbed,
     DegenerateProjection,
     NonConvergence,
+    PreconditionViolated,
     SolutionInsideDisk,
 )
 from .geometry import (
@@ -398,8 +398,8 @@ def certificate_residuals(result: SolveResult, config: Configuration) -> list[fl
     Each is the projection of the weighted resultant of the result's unit
     rays onto ray i (see ``resultant_projections``), an O(n) computation.
     All residuals vanish at the true floating minimizer. Raises
-    CalledOnAbsorbed for absorbed results, which have no angle certificate.
+    PreconditionViolated for absorbed results, which have no angle certificate.
     """
     if not result.case.is_floating:
-        raise CalledOnAbsorbed("cosine residuals require a floating solution")
+        raise PreconditionViolated("cosine residuals require a floating solution")
     return resultant_projections(result.ray_azimuths, config.weights_array()).tolist()

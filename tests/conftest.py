@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ftcircles import Circle, Configuration, Point2
+from ftcircles import Circle, Configuration, DegenerateAngle, DistanceMode, Point2
+from ftcircles import project_onto_circle  # noqa: F401 (imported from here with angle_at)
+from ftcircles.geometry import COINCIDENT_EPS
 
 
 EQUILATERAL_CIRCUMRADIUS = 1.0 / math.sqrt(3.0)  # unit side length
@@ -41,3 +43,26 @@ def assert_close(a, b, tol, label=""):
     b = np.asarray(b, dtype=float)
     gap = float(np.max(np.abs(a - b)))
     assert gap <= tol, f"{label} differs by {gap:.3e} > {tol:.1e}: {a} vs {b}"
+
+
+# Independent per-point references the vectorized library code is compared against.
+
+
+def distance_to_circle(p: Point2, c: Circle, mode: DistanceMode = DistanceMode.TO_CURVE) -> float:
+    """Distance from p to the circle (TO_CURVE) or to its closed disk (TO_SET)."""
+    d = p.distance_to(c.center)
+    if mode is DistanceMode.TO_CURVE:
+        return abs(d - c.radius)
+    return max(d - c.radius, 0.0)
+
+
+def angle_at(apex: Point2, a: Point2, b: Point2) -> float:
+    """Unsigned angle in [0, pi] between rays apex->a and apex->b."""
+    rays = []
+    for p in (a, b):
+        v = p.as_array() - apex.as_array()
+        norm = float(np.hypot(v[0], v[1]))
+        if norm < COINCIDENT_EPS:
+            raise DegenerateAngle(f"ray endpoint coincides with apex {apex}")
+        rays.append(v / norm)
+    return math.acos(float(np.clip(np.dot(rays[0], rays[1]), -1.0, 1.0)))

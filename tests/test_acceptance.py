@@ -391,7 +391,7 @@ def test_criterion_12_first_variation():
     rng = np.random.default_rng(5150)
     worst = 0.0
     checked = 0
-    from ftcircles import angle_at, project_onto_circle
+    from conftest import angle_at, project_onto_circle
 
     while checked < 1000:
         center = Point2(*rng.uniform(-2, 2, 2))

@@ -18,12 +18,11 @@ from ftcircles import (
     InvalidConfiguration,
     Point2,
     SectorAngles,
-    angle_at,
-    distance_to_circle,
     project_onto_circle,
-    sector_decomposition,
 )
-from ftcircles.geometry import first_touching_pair, pair_distances, sectors_of, wrap_angle
+from ftcircles.geometry import azimuths_at, first_touching_pair, pair_distances, sectors_of, wrap_angle
+
+from conftest import angle_at, distance_to_circle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
 
@@ -121,7 +120,7 @@ class TestSectorDecomposition:
         for _ in range(50):
             apex = Point2(*rng.uniform(-1, 1, 2))
             pts = [Point2(*q) for q in apex.as_array() + rng.uniform(0.5, 2, (5, 1)) * _dirs(rng, 5)]
-            order, sectors = sector_decomposition(apex, pts)
+            order, sectors = sectors_of(azimuths_at(apex, pts))
             assert sorted(order) == list(range(5))
             assert sum(sectors) == pytest.approx(2.0 * math.pi, abs=1e-10)
             assert all(s >= 0.0 for s in sectors)
@@ -129,7 +128,7 @@ class TestSectorDecomposition:
     def test_three_point_sectors_match_pairwise_angles(self):
         apex = Point2(0.0, 0.0)
         pts = [Point2(1.0, 0.2), Point2(-0.5, 1.0), Point2(-0.3, -1.2)]
-        order, sectors = sector_decomposition(apex, pts)
+        order, sectors = sectors_of(azimuths_at(apex, pts))
         # each sector below pi equals the unsigned angle between its rays
         for k in range(3):
             i, j = order[k], order[(k + 1) % 3]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ftcircles import (
     AbsorbedWeights,
     AngleTriple,
-    DegenerateAngles,
+    DegenerateAngle,
     InvalidConfiguration,
     angles_from_weights,
     opposite_angles,
@@ -79,7 +79,7 @@ class TestWeightsFromAngles:
         assert (w[0] + w[1] + w[2]) == 1.0
 
     def test_degenerate_angles(self):
-        with pytest.raises((DegenerateAngles, InvalidConfiguration)):
+        with pytest.raises((DegenerateAngle, InvalidConfiguration)):
             weights_from_angles(AngleTriple(math.pi - 1e-15, math.pi - 1e-15, 2e-15))
 
     @given(

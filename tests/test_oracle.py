@@ -15,8 +15,7 @@ import ftcircles.solver
 from ftcircles import (
     Circle,
     Point2,
-    StepTooLarge,
-    StepTooSmall,
+    StepOutOfRange,
     classify_case,
     directional_derivative_to_circle,
     finite_difference_gradient,
@@ -97,10 +96,16 @@ class TestFiniteDifferences:
     def test_step_bounds(self):
         config = random_floating_config(3, seed=6)
         p = solve(config).point
-        with pytest.raises(StepTooSmall):
+        with pytest.raises(StepOutOfRange):
             finite_difference_gradient(config, p, h=1e-9)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepOutOfRange):
             finite_difference_gradient(config, p, h=1e-3)
+        # nan fails every comparison, so a range test written as two
+        # rejections would let it through
+        with pytest.raises(StepOutOfRange):
+            finite_difference_gradient(config, p, h=float("nan"))
+        with pytest.raises(StepOutOfRange):
+            directional_derivative_to_circle(config.circles[0], p, [1.0, 0.0], h=float("nan"))
 
 
 class TestFirstVariation:
@@ -117,7 +122,7 @@ class TestFirstVariation:
     def test_cosine_identity_random(self):
         # derivative of the segment length along v equals the cosine of the
         # angle between -v and the segment toward the projection
-        from ftcircles import angle_at, project_onto_circle
+        from conftest import angle_at, project_onto_circle
 
         rng = np.random.default_rng(12)
         c = Circle(Point2(0.5, -0.25), 0.8)

@@ -8,8 +8,7 @@ import pytest
 from ftcircles import (
     Circle,
     Configuration,
-    GeometryPreconditionViolated,
-    MissingRatio,
+    InvalidConfiguration,
     Point2,
     PreconditionViolated,
     SectorAngles,
@@ -78,7 +77,7 @@ class TestSectorAngles:
     def test_from_result_matches_pairwise(self):
         config, angles = solved_angles(4, seed=3)
         result = solve(config)
-        from ftcircles import angle_at
+        from conftest import angle_at
 
         for i in range(4):
             for j in range(i + 1, 4):
@@ -175,8 +174,6 @@ class TestPlasticity4:
         # regular cross layout: rays 1 and 3 collinear, hypotheses fail
         angles = SectorAngles(np.deg2rad([0.0, 70.0, 140.0, 210.0]))
         assert not plasticity4_preconditions(angles)
-        with pytest.raises(GeometryPreconditionViolated):
-            plasticity_n(angles, [0.3], strict=True)
 
     def test_preconditions_hold_on_canonical(self):
         assert plasticity4_preconditions(SectorAngles(CANONICAL_AZIMUTHS))
@@ -227,7 +224,7 @@ class TestTransferCoefficients:
         _, angles = solved_angles(5, seed=10)
         full = TriangleRatios.from_angles(angles)
         truncated = TriangleRatios(n=5, r2=full.r2, r3=full.r3, q3={3: full.q3[3]}, q2=full.q2)
-        with pytest.raises(MissingRatio):
+        with pytest.raises(InvalidConfiguration):
             transfer_coefficients(truncated, n=5)
 
 

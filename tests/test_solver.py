@@ -12,7 +12,6 @@ import pytest
 
 import ftcircles.solver as solver_module
 from ftcircles import (
-    CalledOnAbsorbed,
     CaseTag,
     Circle,
     Configuration,
@@ -20,12 +19,12 @@ from ftcircles import (
     InvalidConfiguration,
     NonConvergence,
     Point2,
+    PreconditionViolated,
     SectorAngles,
     SolutionInsideDisk,
     certificate_residuals,
     classify_case,
     cosine_residuals,
-    distance_to_circle,
     evolve_type_a,
     evolve_type_b,
     finite_difference_gradient,
@@ -40,7 +39,7 @@ from ftcircles import (
 
 from ftcircles.geometry import cosine_matrix, pair_distances
 
-from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, triangle_config
+from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, distance_to_circle, triangle_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
@@ -495,7 +494,7 @@ class TestAbsorbedSolve:
     def test_certificate_requires_floating(self):
         config = triangle_config(weights=(10.0, 1.0, 1.0))
         result = solve(config)
-        with pytest.raises(CalledOnAbsorbed):
+        with pytest.raises(PreconditionViolated):
             certificate_residuals(result, config)
 
 
