@@ -132,9 +132,10 @@ def _cmd_solve(args) -> int:
 def _cmd_inverse(args) -> int:
     config, point = load_scene(args.scene)
     if point is None:
-        point = solve(config).point
-    projections = [project_onto_circle(point, c) for c in config.circles]
-    angles = SectorAngles.from_points(point, projections)
+        angles = SectorAngles.from_result(solve(config))
+    else:
+        projections = [project_onto_circle(point, c) for c in config.circles]
+        angles = SectorAngles.from_points(point, projections)
     if config.n == 3:
         triple = AngleTriple.from_sectors(angles.cyclic_order(), angles.sectors())
         weights = weights_from_angles(triple)
@@ -146,7 +147,14 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
+def _positive(value: float, option: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise SceneError(f"{option} must be finite and > 0, got {value}")
+
+
 def _cmd_plasticity(args) -> int:
+    if args.total is not None:
+        _positive(args.total, "--total")
     config, _ = load_scene(args.scene)
     result = solve(config)
     angles = SectorAngles.from_result(result)
@@ -186,6 +194,8 @@ def _parse_free(expr: str, n: int) -> list[float]:
             values[label] = float(val)
         except ValueError as exc:
             raise SceneError(f"bad --free entry {part!r}: {exc}") from exc
+        if not math.isfinite(values[label]):
+            raise SceneError(f"bad --free entry {part!r}: not finite")
     free = []
     for label in range(4, n + 1):
         if label not in values:
@@ -255,6 +265,8 @@ def _write_frames(trace: EvolutionTrace, directory: Path) -> None:
 
 
 def _cmd_oracle(args) -> int:
+    if args.grid < 1 or args.refine < 0:
+        raise SceneError(f"need --grid >= 1 and --refine >= 0, got {args.grid}, {args.refine}")
     config, _ = load_scene(args.scene)
     result = solve(config)
     brute = oracle_minimize(config, grid_cells=args.grid, refine_iters=args.refine)
@@ -266,6 +278,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_geometric(args) -> int:
+    _positive(args.tol, "--tol")
     config, _ = load_scene(args.scene)
     try:
         shifts = [float(s) for s in args.shifts.split(",")]

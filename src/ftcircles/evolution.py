@@ -6,10 +6,22 @@ coefficients are computed once. Radii follow the weights through a single
 global scale, and a trace terminates when circles would touch, when a weight
 would drop to zero, or when the schedule runs out.
 
+Both types run one loop over a reduced weight vector ``r`` whose entries sum
+to a conserved total; the circle weights are ``r[source] * factor``. Each
+step is a move on a ray layout: it adds its increments to the free entries
+``r[layout[3:]]`` and then sets the triangle entries ``r[layout[:3]]``
+through the transfer coefficients of that layout. When a move grows
+something, the three entries it sets must respond ``(-, +, -)``; a deviation
+is recorded as a diagnostic on the trace, not raised.
+
 Type A grows the two branches in the sector between rays 3 and 1 (0-based
-labels 3 and 4) simultaneously. Type B alternates between growing the
-composite of rays 3 and 4 (their weighted vector sum, a single ray of the
-reduced quadrilateral) and growing ray 1, never both in one step.
+labels 3 and 4) simultaneously: ``r`` is the five weights and the layout is
+``0..4``. Type B alternates between growing the composite of rays 3 and 4
+(their weighted vector sum, a single ray of the reduced quadrilateral) and
+growing ray 1, never both in one step: ``r`` is ``w0, w1, w2`` and the
+composite magnitude ``m``, which splits onto rays 3 and 4 along fixed
+directions, and the layouts alternate between ``(0, 1, 2, 3)`` and
+``(0, 3, 2, 1)``.
 """
 
 from __future__ import annotations
@@ -17,11 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import InvalidConfiguration, PreconditionViolated
 from .geometry import Configuration, Point2, first_touching_pair, pair_distances
 from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
 from .solver import solve
@@ -39,6 +53,10 @@ class WeightChange(Enum):
     INCREASED = "+"
     DECREASED = "-"
     UNCHANGED = "="
+
+
+#: The response of the three weights that a growing move sets.
+_RESPONSE = (WeightChange.DECREASED, WeightChange.INCREASED, WeightChange.DECREASED)
 
 
 class TerminationReason(Enum):
@@ -101,16 +119,14 @@ def compose_rays(
     return m, v / m
 
 
-def _pattern(prev: np.ndarray, new: np.ndarray, total: float) -> tuple[WeightChange, ...]:
-    out = []
-    for a, b in zip(prev, new):
-        if b - a > _CHANGE_EPS * total:
-            out.append(WeightChange.INCREASED)
-        elif a - b > _CHANGE_EPS * total:
-            out.append(WeightChange.DECREASED)
-        else:
-            out.append(WeightChange.UNCHANGED)
-    return tuple(out)
+def _pattern(prev: list[float], new: list[float], total: float) -> tuple[WeightChange, ...]:
+    eps = _CHANGE_EPS * total
+    return tuple(
+        WeightChange.INCREASED if b - a > eps
+        else WeightChange.DECREASED if a - b > eps
+        else WeightChange.UNCHANGED
+        for a, b in zip(prev, new)
+    )
 
 
 def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
@@ -134,6 +150,75 @@ def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
     return base.point, layout, rays
 
 
+def _evolve(
+    type_tag: EvolutionType,
+    config: Configuration,
+    point: Point2,
+    scale: float | None,
+    r: list[float],
+    source: list[int],
+    factor: list[float],
+    moves: Iterable[tuple],
+) -> EvolutionTrace:
+    """Step the reduced weights ``r`` through ``moves``; see the module docstring.
+
+    A move is ``(increments, coefficients, layout, label)``, and the circle
+    weights are ``r[source] * factor``.
+    """
+    if scale is None:
+        scale = default_scale(config)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidConfiguration(f"radius scale must be finite and > 0, got {scale}")
+    composite = type_tag is EvolutionType.TYPE_B
+    expected = "the expected quadrilateral response" if composite else "-+-++"
+    total = reduce(add, r)
+    centers = config.centers_array()
+    weights = config.weights_array().tolist()
+    unchanged = (WeightChange.UNCHANGED,) * 5
+    radii = [scale * x for x in weights]
+    c = r[3] if composite else None
+    steps = [EvolutionStep(0, tuple(weights), tuple(radii), "initial", unchanged, total, c)]
+    termination = TerminationReason.SCHEDULE_EXHAUSTED
+    violations: list[str] = []
+    for k, (increments, coeffs, layout, label) in enumerate(moves, start=1):
+        head, free = layout[:3], layout[3:]
+        new_r = r[:]
+        for i, d in zip(free, increments):
+            new_r[i] += d
+        for i, x in zip(head, coeffs.apply([new_r[i] for i in free]).tolist()):
+            new_r[i] = x
+        new_w = [new_r[i] * f for i, f in zip(source, factor)]
+        if any(x <= 0.0 for x in new_w):
+            termination = TerminationReason.NONPOSITIVE_WEIGHT
+            break
+        radii = [scale * x for x in new_w]
+        if first_touching_pair(centers, radii) is not None:
+            termination = TerminationReason.OVERLAP
+            break
+        pattern = _pattern(weights, new_w, total)
+        if any(d > 0.0 for d in increments):
+            response = _pattern([r[i] for i in head], [new_r[i] for i in head], total)
+            if response != _RESPONSE:
+                violations.append(
+                    f"step {k}: pattern {''.join(p.value for p in pattern)} "
+                    f"deviates from {expected}"
+                )
+        r, weights = new_r, new_w
+        c = r[3] if composite else None
+        steps.append(
+            EvolutionStep(k, tuple(weights), tuple(radii), label, pattern, reduce(add, r), c)
+        )
+    return EvolutionTrace(
+        type_tag=type_tag,
+        steps=tuple(steps),
+        config=config,
+        scale=float(scale),
+        point=point,
+        termination=termination,
+        pattern_violations=tuple(violations),
+    )
+
+
 def evolve_type_a(
     config: Configuration,
     increments: Sequence[tuple[float, float]] | None = None,
@@ -144,76 +229,20 @@ def evolve_type_a(
 
     Each step adds the scheduled increments to weights 3 and 4 and maps the
     first three weights through the constant-sum transfer coefficients, so
-    the five-weight total is conserved exactly. The expected response
-    (weight 1 up, weights 0 and 2 down) is recorded; violations become
-    diagnostics on the trace, not failures.
+    the five-weight total is conserved exactly. Expected response: weight 1
+    up, weights 0 and 2 down.
     """
     point, layout, _ = _prepare(config)
     if increments is None:
-        deltas = default_schedule(config, steps)
-        increments = [(d, d) for d in deltas]
-    if scale is None:
-        scale = default_scale(config)
-
-    w = config.weights_array()
-    total = float(w.sum())
-    coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=total)
-    violations: list[str] = []
-    radii = scale * w
-    steps_out = [
-        EvolutionStep(
-            step=0,
-            weights=tuple(w),
-            radii=tuple(radii),
-            active_branches="initial",
-            pattern=tuple([WeightChange.UNCHANGED] * 5),
-            conserved_sum=total,
-        )
-    ]
-    termination = TerminationReason.SCHEDULE_EXHAUSTED
-    for k, (d4, d5) in enumerate(increments, start=1):
-        free = np.array([w[3] + d4, w[4] + d5])
-        new_w = coeffs.apply(free)
-        if np.any(new_w <= 0.0):
-            termination = TerminationReason.NONPOSITIVE_WEIGHT
-            break
-        new_radii = scale * new_w
-        if first_touching_pair(config.centers_array(), new_radii) is not None:
-            termination = TerminationReason.OVERLAP
-            break
-        pattern = _pattern(w, new_w, total)
-        if d4 > 0.0 or d5 > 0.0:
-            expected = (
-                WeightChange.DECREASED,
-                WeightChange.INCREASED,
-                WeightChange.DECREASED,
-            )
-            if pattern[:3] != expected:
-                violations.append(
-                    f"step {k}: pattern {''.join(p.value for p in pattern)} "
-                    f"deviates from -+-++"
-                )
-        w = new_w
-        radii = new_radii
-        steps_out.append(
-            EvolutionStep(
-                step=k,
-                weights=tuple(w),
-                radii=tuple(radii),
-                active_branches=f"branches 3,4 +({d4:.6g},{d5:.6g})",
-                pattern=pattern,
-                conserved_sum=float(w.sum()),
-            )
-        )
-    return EvolutionTrace(
-        type_tag=EvolutionType.TYPE_A,
-        steps=tuple(steps_out),
-        config=config,
-        scale=float(scale),
-        point=point,
-        termination=termination,
-        pattern_violations=tuple(violations),
+        increments = [(d, d) for d in default_schedule(config, steps)]
+    r = config.weights_array().tolist()
+    coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
+    labels = [0, 1, 2, 3, 4]
+    moves = (
+        ((d3, d4), coeffs, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
+        for d3, d4 in increments
     )
+    return _evolve(EvolutionType.TYPE_A, config, point, scale, r, labels, [1.0] * 5, moves)
 
 
 def evolve_type_b(
@@ -225,114 +254,42 @@ def evolve_type_b(
     """Alternate growth of the composite ray (3+4) and of ray 1.
 
     Rays 3 and 4 are merged into their weighted vector sum, giving the
-    reduced quadrilateral on rays (0, 1, 2, composite). Even steps grow the
-    composite magnitude, odd steps grow weight 1; the other three reduced
+    reduced quadrilateral on rays (0, 1, 2, composite). Odd steps grow the
+    composite magnitude m, even steps grow weight 1; the other three reduced
     weights rebalance through the four-ray transfer coefficients, so the
-    reduced sum w0 + w1 + w2 + m is conserved exactly. The composite is then
-    split back onto rays 3 and 4 along their fixed directions. Expected
-    response: weights 0 and 2 decrease while weight 1 and the composite
-    increase; deviations are recorded as diagnostics.
+    reduced sum w0 + w1 + w2 + m is conserved exactly. Expected response:
+    weights 0 and 2 down, weight 1 and the composite up.
     """
     point, layout, rays = _prepare(config)
-    azimuths = layout.azimuths
     if schedule is None:
         schedule = default_schedule(config, steps)
-    if scale is None:
-        scale = default_scale(config)
-
     w = config.weights_array()
     m, u_c = compose_rays(w[3], rays[3], w[4], rays[4])
     if m <= 0.0:
         raise PreconditionViolated("rays 3 and 4 cancel exactly; composite undefined")
-    theta_c = math.atan2(u_c[1], u_c[0])
     # fixed split of the composite magnitude back onto rays 3 and 4
     split = np.linalg.solve(np.column_stack([rays[3], rays[4]]), u_c)
     if np.any(split <= 0.0):
         raise PreconditionViolated("composite direction leaves the cone of rays 3 and 4")
 
-    reduced_total = float(w[0] + w[1] + w[2] + m)
-    # label layouts for the two alternating moves; triangle labels first
-    coeffs_grow_c = transfer_coefficients(
-        TriangleRatios.from_angles(
-            SectorAngles([azimuths[0], azimuths[1], azimuths[2], theta_c])
-        ),
-        n=4,
-        total=reduced_total,
-    )
-    coeffs_grow_1 = transfer_coefficients(
-        TriangleRatios.from_angles(
-            SectorAngles([azimuths[0], theta_c, azimuths[2], azimuths[1]])
-        ),
-        n=4,
-        total=reduced_total,
-    )
-
-    violations: list[str] = []
-    radii = scale * w
-    steps_out = [
-        EvolutionStep(
-            step=0,
-            weights=tuple(w),
-            radii=tuple(radii),
-            active_branches="initial",
-            pattern=tuple([WeightChange.UNCHANGED] * 5),
-            conserved_sum=reduced_total,
-            composite_weight=m,
+    r = [float(w[0]), float(w[1]), float(w[2]), m]
+    total = reduce(add, r)
+    # reduced rays: 0, 1, 2 and the composite as 3; triangle labels first
+    azimuths = np.append(layout.azimuths[:3], math.atan2(u_c[1], u_c[0]))
+    grow_c, grow_1 = [0, 1, 2, 3], [0, 3, 2, 1]
+    coeffs_c, coeffs_1 = (
+        transfer_coefficients(
+            TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
         )
-    ]
-    termination = TerminationReason.SCHEDULE_EXHAUSTED
-    for k, delta in enumerate(schedule, start=1):
-        if (k - 1) % 2 == 0:
-            new_m = m + delta
-            w0, w1, w2 = coeffs_grow_c.apply([new_m])[:3]
-            active = f"composite(3,4) +{delta:.6g}"
-        else:
-            new_w1 = w[1] + delta
-            w0, new_m, w2 = coeffs_grow_1.apply([new_w1])[:3]
-            w1 = new_w1
-            active = f"branch 1 +{delta:.6g}"
-        w3, w4 = split * new_m
-        new_w = np.array([w0, w1, w2, w3, w4])
-        if np.any(new_w <= 0.0) or new_m <= 0.0:
-            termination = TerminationReason.NONPOSITIVE_WEIGHT
-            break
-        new_radii = scale * new_w
-        if first_touching_pair(config.centers_array(), new_radii) is not None:
-            termination = TerminationReason.OVERLAP
-            break
-        pattern = _pattern(w, new_w, reduced_total)
-        if delta > 0.0:
-            bad = (
-                pattern[0] != WeightChange.DECREASED
-                or pattern[2] != WeightChange.DECREASED
-                or pattern[1] == WeightChange.DECREASED
-                or new_m < m
-            )
-            if bad:
-                violations.append(
-                    f"step {k}: pattern {''.join(p.value for p in pattern)} "
-                    f"deviates from the expected quadrilateral response"
-                )
-        w = new_w
-        m = new_m
-        radii = new_radii
-        steps_out.append(
-            EvolutionStep(
-                step=k,
-                weights=tuple(w),
-                radii=tuple(radii),
-                active_branches=active,
-                pattern=pattern,
-                conserved_sum=float(w[0] + w[1] + w[2] + m),
-                composite_weight=float(m),
-            )
-        )
-    return EvolutionTrace(
-        type_tag=EvolutionType.TYPE_B,
-        steps=tuple(steps_out),
-        config=config,
-        scale=float(scale),
-        point=point,
-        termination=termination,
-        pattern_violations=tuple(violations),
+        for labels in (grow_c, grow_1)
+    )
+    moves = (
+        ((d,), coeffs_c, grow_c, f"composite(3,4) +{d:.6g}")
+        if k % 2 == 0
+        else ((d,), coeffs_1, grow_1, f"branch 1 +{d:.6g}")
+        for k, d in enumerate(schedule)
+    )
+    factor = [1.0, 1.0, 1.0, *split.tolist()]
+    return _evolve(
+        EvolutionType.TYPE_B, config, point, scale, r, [0, 1, 2, 3, 3], factor, moves
     )

@@ -1,12 +1,16 @@
 """Evolution trace tests on the regular pentagon family."""
 
+import json
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ftcircles import (
     Configuration,
+    InvalidConfiguration,
     PreconditionViolated,
     SectorAngles,
     TerminationReason,
@@ -18,8 +22,12 @@ from ftcircles import (
     regular_polygon_config,
     solve,
 )
+from ftcircles.scene import load_scene
 
 from conftest import assert_close
+
+PINNED = Path(__file__).with_name("evolution_traces.json")
+DEMO_PENTAGON = Path(__file__).resolve().parents[1] / "demos" / "scenes" / "pentagon.json"
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +194,98 @@ class TestTypeB:
         composites = [s.composite_weight for s in trace.steps]
         assert all(b >= a for a, b in zip(composites, composites[1:]))
 
+    def test_composite_change_below_threshold_is_a_deviation(self, pentagon):
+        # step 2 grows ray 1 by 7e-12: weights 0 and 2 drop by more than
+        # 1e-12 * total, but the composite rises by less, so it reads "="
+        trace = evolve_type_b(pentagon, schedule=[0.0, 7e-12])
+        m0, m2 = trace.steps[0].composite_weight, trace.steps[2].composite_weight
+        assert 0.0 < m2 - m0 < 1e-12 * trace.steps[0].conserved_sum
+        assert trace.steps[2].pattern_string() == "-+-=="
+        assert trace.pattern_violations == (
+            "step 2: pattern -+-== deviates from the expected quadrilateral response",
+        )
+
     def test_steps_remain_equilibria(self, pentagon):
         trace = evolve_type_b(pentagon, steps=6)
         for s in trace.steps[1::2]:
             frame = Configuration(pentagon.circles, s.weights)
             result = solve(frame)
             assert result.point.distance_to(trace.point) < 1e-8
+
+
+def trace_record(trace):
+    """Every field of a trace as JSON data; JSON floats round-trip exactly."""
+    return {
+        "type": trace.type_tag.value,
+        "termination": trace.termination.value,
+        "scale": trace.scale,
+        "point": [trace.point.x, trace.point.y],
+        "pattern_violations": list(trace.pattern_violations),
+        "steps": [
+            {
+                "step": s.step,
+                "weights": [float(w) for w in s.weights],
+                "radii": [float(r) for r in s.radii],
+                "active_branches": s.active_branches,
+                "pattern": s.pattern_string(),
+                "conserved_sum": s.conserved_sum,
+                "composite_weight": s.composite_weight,
+            }
+            for s in trace.steps
+        ],
+    }
+
+
+def pinned_runs():
+    """Name -> run of every trace pinned in evolution_traces.json."""
+    regular = regular_polygon_config(5, circumradius=2.0, radius=0.2)
+    demo, _ = load_scene(DEMO_PENTAGON)
+    runs = {}
+    for name, config in (("regular", regular), ("demo", demo)):
+        for steps in (10, 60):
+            runs[f"{name} A steps={steps}"] = partial(evolve_type_a, config, steps=steps)
+            runs[f"{name} B steps={steps}"] = partial(evolve_type_b, config, steps=steps)
+    runs["A overlap"] = partial(
+        evolve_type_a, regular, increments=[(0.02, 0.02)] * 100, scale=1.0
+    )
+    runs["A nonpositive"] = partial(evolve_type_a, regular, increments=[(0.2, 0.2)] * 12)
+    # changes below 1e-12 * total read as "=" and so as deviations
+    runs["A tiny"] = partial(evolve_type_a, regular, increments=[(1e-13, 1e-13)] * 3)
+    runs["B tiny"] = partial(evolve_type_b, regular, schedule=[1e-13] * 3)
+    return runs
+
+
+class TestPinnedTraces:
+    """Traces equal, field by field with ==, those of the two-loop implementation."""
+
+    @pytest.mark.parametrize("name", sorted(json.loads(PINNED.read_text())))
+    def test_trace_matches_pinned(self, name):
+        pinned = json.loads(PINNED.read_text())[name]
+        assert trace_record(pinned_runs()[name]()) == pinned
+
+    def test_pinned_cases(self):
+        pinned = json.loads(PINNED.read_text())
+        assert sorted(pinned) == sorted(pinned_runs())
+        assert pinned["A overlap"]["termination"] == "overlap"
+        assert pinned["A nonpositive"]["termination"] == "nonpositive_weight"
+        assert pinned["A tiny"]["pattern_violations"][0] == (
+            "step 1: pattern ===== deviates from -+-++"
+        )
+        assert pinned["B tiny"]["pattern_violations"][0] == (
+            "step 1: pattern ===== deviates from the expected quadrilateral response"
+        )
+
+
+@pytest.mark.parametrize("evolve", [evolve_type_a, evolve_type_b])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_scale_rejected(pentagon, evolve, scale):
+    with pytest.raises(InvalidConfiguration, match="scale"):
+        evolve(pentagon, scale=scale, steps=2)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_evolution.py rewrites the pinned
+    # traces from the current code
+    records = {name: trace_record(run()) for name, run in sorted(pinned_runs().items())}
+    lines = [f"{json.dumps(name)}: {json.dumps(r)}" for name, r in records.items()]
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

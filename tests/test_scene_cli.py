@@ -227,6 +227,41 @@ class TestCli:
         assert main(["verify-geometric", eq_scene_path, "--shifts", "0.05,-0.02,0.1"]) == 0
         assert "invariant=holds" in capsys.readouterr().out
 
+    def test_evolve_bad_scale(self, pentagon_path, capsys):
+        assert main(["evolve", pentagon_path, "--type", "A", "--scale", "-1"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_configuration:")
+
+    def test_inverse_absorbed_scene(self, tmp_path, capsys):
+        # the solution is the first center; no angle layout exists there
+        pentagon = regular_polygon_config(5, circumradius=2.0, radius=0.2)
+        config = Configuration(pentagon.circles, (10.0, 1.0, 1.0, 1.0, 1.0))
+        path = tmp_path / "absorbed.json"
+        path.write_text(dump_json(scene_dict(config)))
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:precondition_violated:")
+
+    @pytest.mark.parametrize("total", ["nan", "0", "-2"])
+    def test_plasticity_bad_total(self, pentagon_path, total, capsys):
+        assert main(["plasticity", pentagon_path, "--total", total]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_plasticity_nonfinite_free(self, pentagon_path, capsys):
+        assert main(["plasticity", pentagon_path, "--free", "w4=1.0,w5=nan"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_verify_geometric_bad_tol(self, eq_scene_path, capsys):
+        argv = ["verify-geometric", eq_scene_path, "--shifts", "0,0,0", "--tol", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_oracle_bad_grid(self, eq_scene_path, capsys):
+        assert main(["oracle", eq_scene_path, "--grid", "0"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_oracle_bad_refine(self, eq_scene_path, capsys):
+        assert main(["oracle", eq_scene_path, "--refine", "-5"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
     def test_invalid_scene_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"circles": []}')
