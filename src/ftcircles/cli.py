@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FTCirclesError, NonConvergence, SceneError
+from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
 from .geometry import Configuration, DistanceMode, project_onto_circle, sine_matrix
 from .inverse import AngleTriple, weights_from_angles
@@ -221,6 +221,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if args.steps < 0:
+        raise SceneError(f"--steps must be >= 0, got {args.steps}")
     config, _ = load_scene(args.scene)
     if args.evo_type == "A":
         trace = evolve_type_a(config, scale=args.scale, steps=args.steps)
@@ -269,6 +271,11 @@ def _cmd_oracle(args) -> int:
         raise SceneError(f"need --grid >= 1 and --refine >= 0, got {args.grid}, {args.refine}")
     config, _ = load_scene(args.scene)
     result = solve(config)
+    if not result.case.is_floating and config.distance_mode is DistanceMode.TO_CURVE:
+        raise PreconditionViolated(
+            f"the solution is absorbed at the center of circle {result.case.index}, inside its "
+            "disk, and the curve-mode oracle excludes disk interiors"
+        )
     brute = oracle_minimize(config, grid_cells=args.grid, refine_iters=args.refine)
     gap = result.point.distance_to(brute)
     print(f"solver point=({result.point.x:.12g}, {result.point.y:.12g})")

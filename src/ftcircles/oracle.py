@@ -41,41 +41,15 @@ _ZOOM_SHRINK = 4.0
 _ZOOM_STOP = 1e-10
 
 
-def _center_distances(config: Configuration, pts: np.ndarray) -> np.ndarray:
-    """Distances from each of the (m, 2) points to each center, as (m, n)."""
-    centers = config.centers_array()
-    return np.hypot(
-        pts[:, 0:1] - centers[None, :, 0], pts[:, 1:2] - centers[None, :, 1]
-    )
-
-
-def _objective_from_distances(config: Configuration, d: np.ndarray) -> np.ndarray:
-    dist = distances_to_circles(d, config.radii_array(), config.distance_mode)
-    return dist @ config.weights_array()
-
-
 def objective(config: Configuration, points) -> np.ndarray | float:
     """Exact objective ``sum_i w_i d(p, circle_i)`` at one or many points."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    vals = _objective_from_distances(config, _center_distances(config, np.atleast_2d(pts)))
-    return float(vals[0]) if single else vals
-
-
-def _best_on_grid(config: Configuration, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best grid point of ``xs`` x ``ys`` and its objective value.
-
-    In curve mode points strictly inside a disk are excluded; the value is
-    +inf when every point is.
-    """
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    d = _center_distances(config, pts)
-    vals = _objective_from_distances(config, d)
-    if config.distance_mode is DistanceMode.TO_CURVE:
-        vals[(d < config.radii_array()[None, :]).any(axis=1)] = np.inf
-    k = int(np.argmin(vals))
-    return pts[k], float(vals[k])
+    many = np.atleast_2d(pts)
+    centers = config.centers_array()
+    d = np.hypot(many[:, 0:1] - centers[:, 0], many[:, 1:2] - centers[:, 1])
+    dist = distances_to_circles(d, config.radii_array(), config.distance_mode)
+    vals = dist @ config.weights_array()
+    return float(vals[0]) if pts.ndim == 1 else vals
 
 
 def oracle_minimize(
@@ -94,11 +68,26 @@ def oracle_minimize(
     returns the best point seen.
     """
     centers = config.centers_array()
-    pad = float(config.radii_array().max()) + 1e-6
+    cx, cy = centers[:, 0], centers[:, 1]
+    radii, weights, mode = config.radii_array(), config.weights_array(), config.distance_mode
+    curve = mode is DistanceMode.TO_CURVE
+
+    def best_on_grid(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+        # One hypot over the outer product of the axes; row k of d is the
+        # point (xs[k % nx], ys[k // nx]). Excluded points read +inf.
+        d = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
+        vals = distances_to_circles(d, radii, mode) @ weights
+        if curve:
+            for j, r in enumerate(radii):
+                vals[d[:, j] < r] = np.inf
+        k = int(np.argmin(vals))
+        return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
+
+    pad = float(radii.max()) + 1e-6
     lo = centers.min(axis=0) - pad
     hi = centers.max(axis=0) + pad
-    best, best_val = _best_on_grid(
-        config, np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells)
+    bx, by, best_val = best_on_grid(
+        np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells)
     )
     size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     half = _ZOOM_CELLS * size / max(grid_cells - 1, 1)
@@ -106,11 +95,11 @@ def oracle_minimize(
     for _ in range(refine_iters):
         if half < _ZOOM_STOP * size:
             break
-        p, val = _best_on_grid(config, best[0] + half * offsets, best[1] + half * offsets)
+        x, y, val = best_on_grid(bx + half * offsets, by + half * offsets)
         if val < best_val:
-            best, best_val = p, val
+            bx, by, best_val = x, y, val
         half /= _ZOOM_SHRINK
-    return Point2(float(best[0]), float(best[1]))
+    return Point2(float(bx), float(by))
 
 
 def _check_step(h: float) -> None:

@@ -1,5 +1,6 @@
 """Oracle tests: brute-force minimizer, finite differences, generators."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import ftcircles.oracle
 import ftcircles.solver
 from ftcircles import (
     Circle,
+    DistanceMode,
     Point2,
     StepOutOfRange,
     classify_case,
@@ -23,8 +25,11 @@ from ftcircles import (
     oracle_minimize,
     random_dominated_config,
     random_floating_config,
+    regular_polygon_config,
     solve,
 )
+
+PINNED = Path(__file__).with_name("oracle_points.json")
 
 
 class TestOracleMinimize:
@@ -75,6 +80,50 @@ class TestOracleMinimize:
         assert tag.index == 0
         brute = oracle_minimize(config, grid_cells=300, refine_iters=300)
         assert brute.distance_to(config.circles[0].center) < 1e-3
+
+
+def pinned_scenes():
+    """Name -> (configuration, grid_cells, refine_iters) of every point in oracle_points.json."""
+    scenes = {}
+    for mode in DistanceMode:
+        for n in range(3, 8):
+            for seed in range(16):
+                scenes[f"floating {mode.value} n={n} seed={seed}"] = (
+                    random_floating_config(n, seed, distance_mode=mode), 64, 40
+                )
+        for n in range(3, 7):
+            for seed in range(6):
+                scenes[f"dominated {mode.value} n={n} seed={seed}"] = (
+                    random_dominated_config(n, seed, dominant=seed % n, distance_mode=mode), 64, 40
+                )
+        for n in range(3, 9):
+            scenes[f"polygon {mode.value} n={n}"] = (
+                regular_polygon_config(n, distance_mode=mode), 64, 40
+            )
+        for cells, iters in ((1, 40), (2, 0), (7, 3), (200, 40)):
+            for n in (3, 5):
+                scenes[f"grid {cells}x{iters} {mode.value} n={n}"] = (
+                    random_floating_config(n, 100 + cells, distance_mode=mode), cells, iters
+                )
+    return scenes
+
+
+def _xy(p):
+    return [p.x, p.y]
+
+
+class TestPinnedPoints:
+    """Oracle points equal, with ==, those of the point-list grid code."""
+
+    def test_points_match_pinned(self):
+        pinned = json.loads(PINNED.read_text())
+        assert sorted(pinned) == sorted(pinned_scenes())
+        wrong = [
+            name
+            for name, (config, cells, iters) in pinned_scenes().items()
+            if _xy(oracle_minimize(config, cells, iters)) != pinned[name]
+        ]
+        assert wrong == []
 
 
 class TestFiniteDifferences:
@@ -184,3 +233,14 @@ def _segment_clear(p, q, centers, radii, margin=0.02):
         if np.any(np.hypot(*(centers - x).T) < radii + margin):
             return False
     return True
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_oracle.py rewrites the pinned points
+    # from the current code
+    points = {
+        name: _xy(oracle_minimize(config, cells, iters))
+        for name, (config, cells, iters) in sorted(pinned_scenes().items())
+    }
+    lines = [f"{json.dumps(name)}: {json.dumps(p)}" for name, p in points.items()]
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -31,6 +31,15 @@ def eq_scene_path(tmp_path):
     return str(path)
 
 
+def _absorbed_pentagon(tmp_path, mode=DistanceMode.TO_CURVE):
+    """Scene file of a regular pentagon whose first weight absorbs the solution."""
+    pentagon = regular_polygon_config(5, circumradius=2.0, radius=0.2)
+    config = Configuration(pentagon.circles, (10.0, 1.0, 1.0, 1.0, 1.0), distance_mode=mode)
+    path = tmp_path / f"absorbed_{mode.value}.json"
+    path.write_text(dump_json(scene_dict(config)))
+    return str(path)
+
+
 @pytest.fixture
 def pentagon_path(tmp_path):
     config = regular_polygon_config(5, circumradius=2.0, radius=0.2)
@@ -233,12 +242,22 @@ class TestCli:
 
     def test_inverse_absorbed_scene(self, tmp_path, capsys):
         # the solution is the first center; no angle layout exists there
-        pentagon = regular_polygon_config(5, circumradius=2.0, radius=0.2)
-        config = Configuration(pentagon.circles, (10.0, 1.0, 1.0, 1.0, 1.0))
-        path = tmp_path / "absorbed.json"
-        path.write_text(dump_json(scene_dict(config)))
-        assert main(["inverse", str(path)]) == 1
+        assert main(["inverse", _absorbed_pentagon(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("ERROR:precondition_violated:")
+
+    def test_oracle_absorbed_curve_scene(self, tmp_path, capsys):
+        # the solver's point is the first center, which the curve-mode grid
+        # never visits, so the two could not agree
+        assert main(["oracle", _absorbed_pentagon(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR:precondition_violated:")
+        assert "circle 0" in out and "curve-mode oracle excludes disk interiors" in out
+        assert "oracle point" not in out
+
+    def test_oracle_absorbed_set_scene(self, tmp_path, capsys):
+        # set mode keeps disk interiors on the grid, so the oracle still runs
+        assert main(["oracle", _absorbed_pentagon(tmp_path, DistanceMode.TO_SET)]) == 0
+        assert "disagreement=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("total", ["nan", "0", "-2"])
     def test_plasticity_bad_total(self, pentagon_path, total, capsys):
@@ -261,6 +280,14 @@ class TestCli:
     def test_oracle_bad_refine(self, eq_scene_path, capsys):
         assert main(["oracle", eq_scene_path, "--refine", "-5"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_evolve_negative_steps(self, pentagon_path, capsys):
+        assert main(["evolve", pentagon_path, "--type", "A", "--steps", "-5"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    def test_evolve_zero_steps(self, pentagon_path, capsys):
+        assert main(["evolve", pentagon_path, "--type", "B", "--steps", "0"]) == 0
+        assert "steps=1 termination=schedule_exhausted" in capsys.readouterr().out
 
     def test_invalid_scene_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
