@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
-from .geometry import Configuration, DistanceMode, project_onto_circle, sine_matrix
+from .geometry import Configuration, DistanceMode, azimuths_at, sine_matrix
 from .inverse import AngleTriple, weights_from_angles
 from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
 from .plasticity import (
@@ -29,7 +29,7 @@ from .plasticity import (
     verify_geometric_plasticity,
 )
 from .scene import dump_json, load_scene, result_dict
-from .solver import certificate_residuals, solve
+from .solver import _point_offsets, _projections, certificate_residuals, solve
 from .svg import render_svg
 
 CSV_HEADER = "step,w1,w2,w3,w4,w5,r1,r2,r3,r4,r5,pattern"
@@ -118,8 +118,8 @@ def _cmd_solve(args) -> int:
     print(f"point=({result.point.x:.12g}, {result.point.y:.12g})")
     print(f"objective={result.objective:.12g}")
     print(f"equilibrium_residual={result.equilibrium_residual:.3e}")
-    for i, (proj, dist) in enumerate(zip(result.projections, result.distances)):
-        print(f"circle[{i}]: projection=({proj.x:.12g}, {proj.y:.12g}) distance={dist:.12g}")
+    for i, ((x, y), dist) in enumerate(zip(result.projection_xy, result.distances)):
+        print(f"circle[{i}]: projection=({x:.12g}, {y:.12g}) distance={dist:.12g}")
     if result.sector_angles:
         degs = " ".join(f"{math.degrees(a):.6f}" for a in result.sector_angles)
         print(f"sector order: {' '.join(str(i) for i in result.sector_order)}")
@@ -134,8 +134,8 @@ def _cmd_inverse(args) -> int:
     if point is None:
         angles = SectorAngles.from_result(solve(config))
     else:
-        projections = [project_onto_circle(point, c) for c in config.circles]
-        angles = SectorAngles.from_points(point, projections)
+        offsets, d = _point_offsets(config, point.as_array())
+        angles = SectorAngles(azimuths_at(point, _projections(config, offsets, d)))
     if config.n == 3:
         triple = AngleTriple.from_sectors(angles.cyclic_order(), angles.sectors())
         weights = weights_from_angles(triple)

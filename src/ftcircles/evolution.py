@@ -98,7 +98,7 @@ def default_schedule(config: Configuration, steps: int) -> list[float]:
     return [0.01 * total * 0.9**k for k in range(steps)]
 
 
-def default_scale(config: Configuration) -> float:
+def _default_scale(config: Configuration) -> float:
     """Scale making the largest initial radius 10% of the closest center pair."""
     dmin = float(pair_distances(config.centers_array()).min())
     return 0.1 * dmin / max(config.weights)
@@ -166,7 +166,7 @@ def _evolve(
     weights are ``r[source] * factor``.
     """
     if scale is None:
-        scale = default_scale(config)
+        scale = _default_scale(config)
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidConfiguration(f"radius scale must be finite and > 0, got {scale}")
     composite = type_tag is EvolutionType.TYPE_B

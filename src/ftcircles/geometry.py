@@ -221,20 +221,21 @@ def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndar
     return np.maximum(gap, 0.0)
 
 
-def azimuths_at(apex: Point2, points: Sequence[Point2]) -> np.ndarray:
-    """Polar angles (atan2, in [-pi, pi]) of each point as seen from apex.
+def azimuths_at(apex: Point2, points) -> np.ndarray:
+    """Polar angles (atan2, in [-pi, pi]) of the rows of an (n, 2) point array seen from apex.
 
     These are the ray azimuths every angle certificate derives from. They
     use ``math.atan2``: numpy's SIMD ``arctan2`` can differ from it in the
     last bit, which would move the reported sector angles.
     """
-    out = np.empty(len(points))
-    for k, p in enumerate(points):
-        dx, dy = p.x - apex.x, p.y - apex.y
+    ax, ay = apex.x, apex.y
+    out = []
+    for k, (x, y) in enumerate(np.asarray(points, dtype=float).tolist()):
+        dx, dy = x - ax, y - ay
         if math.hypot(dx, dy) < COINCIDENT_EPS:
             raise DegenerateAngle(f"point {k} coincides with apex")
-        out[k] = math.atan2(dy, dx)
-    return out
+        out.append(math.atan2(dy, dx))
+    return np.array(out, dtype=float)
 
 
 def wrap_angle(x) -> np.ndarray:

@@ -95,7 +95,7 @@ class SectorAngles:
 
     @classmethod
     def from_points(cls, apex: Point2, points: Sequence[Point2]) -> "SectorAngles":
-        return cls(azimuths_at(apex, points))
+        return cls(azimuths_at(apex, [(p.x, p.y) for p in points]))
 
     @classmethod
     def from_matrix(cls, matrix) -> "SectorAngles":

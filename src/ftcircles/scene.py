@@ -114,7 +114,7 @@ def result_dict(config: Configuration, result: SolveResult) -> dict:
         "scene": scene_dict(config),
         "case": case,
         "point": [result.point.x, result.point.y],
-        "projections": [[p.x, p.y] for p in result.projections],
+        "projections": [list(xy) for xy in result.projection_xy],
         "distances": list(result.distances),
         "sector_order": list(result.sector_order),
         "sector_angles_rad": list(result.sector_angles),

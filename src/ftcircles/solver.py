@@ -65,16 +65,19 @@ class CaseTag:
 class SolveResult:
     """Solution point with its geometric certificate.
 
-    ``ray_azimuths`` are the polar angles of the rays from the point to the
-    projection points, in input order; every angle of the certificate is
-    derived from them. ``sector_angles`` are the consecutive counterclockwise
-    angles between those rays, aligned with ``sector_order`` (input indices
-    sorted by azimuth). All three are empty for an absorbed solution, which
+    ``projection_xy`` holds the projection of the point onto each circle as
+    an ``(x, y)`` pair of floats, in input order; ``projections`` builds
+    the same points as ``Point2`` objects on each access. ``ray_azimuths``
+    are the polar angles of the rays from the point to the projection
+    points, in input order; every angle of the certificate is derived from
+    them. ``sector_angles`` are the consecutive counterclockwise angles
+    between those rays, aligned with ``sector_order`` (input indices sorted
+    by azimuth). All three are empty for an absorbed solution, which
     carries no angle certificate.
     """
 
     point: Point2
-    projections: tuple[Point2, ...]
+    projection_xy: tuple[tuple[float, float], ...]
     distances: tuple[float, ...]
     sector_angles: tuple[float, ...]
     sector_order: tuple[int, ...]
@@ -83,6 +86,10 @@ class SolveResult:
     equilibrium_residual: float
     iterations: int = 0
     ray_azimuths: tuple[float, ...] = ()
+
+    @property
+    def projections(self) -> tuple[Point2, ...]:
+        return tuple(Point2(x, y) for x, y in self.projection_xy)
 
 
 def classify_case(
@@ -329,7 +336,7 @@ def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> Sol
     order, sectors = sectors_of(azimuths)
     return SolveResult(
         point=point,
-        projections=projections,
+        projection_xy=_pairs(projections),
         distances=tuple(distances.tolist()),
         sector_angles=sectors,
         sector_order=order,
@@ -358,7 +365,7 @@ def _absorbed_result(
     d[m] = 1.0
     return SolveResult(
         point=point,
-        projections=_projections(config, offsets, d),
+        projection_xy=_pairs(_projections(config, offsets, d)),
         distances=tuple(distances.tolist()),
         sector_angles=(),
         sector_order=(),
@@ -380,16 +387,21 @@ def _point_offsets(config: Configuration, p: np.ndarray) -> tuple[np.ndarray, np
     return offsets, np.array([math.hypot(x, y) for x, y in offsets.tolist()])
 
 
-def _projections(config: Configuration, offsets: np.ndarray, d: np.ndarray) -> tuple[Point2, ...]:
-    """Each circle's point at its radius along ``offsets`` (of lengths ``d``).
+def _projections(config: Configuration, offsets: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each circle's point at its radius along ``offsets`` (of lengths ``d``), as an (n, 2) array.
 
     For the offsets of a point these are its projections onto the circles,
     computed as ``project_onto_circle`` does.
     """
     if d.min() < COINCIDENT_EPS:
         raise DegenerateProjection("projection of the center onto its circle is not unique")
-    points = config.centers_array() + (config.radii_array() / d)[:, None] * offsets
-    return tuple(Point2(x, y) for x, y in points.tolist())
+    return config.centers_array() + (config.radii_array() / d)[:, None] * offsets
+
+
+def _pairs(points: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Rows of an (n, 2) array as ``(x, y)`` float pairs."""
+    xs, ys = points.T.tolist()
+    return tuple(zip(xs, ys))
 
 
 def certificate_residuals(result: SolveResult, config: Configuration) -> list[float]:

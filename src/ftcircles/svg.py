@@ -30,9 +30,9 @@ def render_svg(config: Configuration, result: SolveResult | None = None, size: i
     if result is not None:
         xs.append(result.point.x)
         ys.append(result.point.y)
-        for p in result.projections:
-            xs.append(p.x)
-            ys.append(p.y)
+        for x, y in result.projection_xy:
+            xs.append(x)
+            ys.append(y)
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
@@ -64,14 +64,14 @@ def render_svg(config: Configuration, result: SolveResult | None = None, size: i
         )
     if result is not None:
         p = result.point
-        for proj in result.projections:
+        for x, y in result.projection_xy:
             lines.append(
                 f'<line x1="{_fmt(sx(p.x))}" y1="{_fmt(sy(p.y))}" '
-                f'x2="{_fmt(sx(proj.x))}" y2="{_fmt(sy(proj.y))}" '
+                f'x2="{_fmt(sx(x))}" y2="{_fmt(sy(y))}" '
                 f'stroke="#d62728" stroke-width="1.2"/>'
             )
         if result.sector_angles:
-            arc_r = 0.2 * min(p.distance_to(proj) for proj in result.projections)
+            arc_r = 0.2 * min(math.hypot(p.x - x, p.y - y) for x, y in result.projection_xy)
             for i, sector in zip(result.sector_order, result.sector_angles):
                 a0 = result.ray_azimuths[i]
                 a1 = a0 + sector

@@ -20,6 +20,7 @@ REMOVED_NAMES = (
     "StepTooSmall",
     "StepTooLarge",
     "angle_at",
+    "default_scale",
     "distance_to_circle",
     "sector_decomposition",
 )

@@ -119,7 +119,7 @@ class TestSectorDecomposition:
         rng = np.random.default_rng(3)
         for _ in range(50):
             apex = Point2(*rng.uniform(-1, 1, 2))
-            pts = [Point2(*q) for q in apex.as_array() + rng.uniform(0.5, 2, (5, 1)) * _dirs(rng, 5)]
+            pts = apex.as_array() + rng.uniform(0.5, 2, (5, 1)) * _dirs(rng, 5)
             order, sectors = sectors_of(azimuths_at(apex, pts))
             assert sorted(order) == list(range(5))
             assert sum(sectors) == pytest.approx(2.0 * math.pi, abs=1e-10)
@@ -128,12 +128,23 @@ class TestSectorDecomposition:
     def test_three_point_sectors_match_pairwise_angles(self):
         apex = Point2(0.0, 0.0)
         pts = [Point2(1.0, 0.2), Point2(-0.5, 1.0), Point2(-0.3, -1.2)]
-        order, sectors = sectors_of(azimuths_at(apex, pts))
+        order, sectors = sectors_of(azimuths_at(apex, [(p.x, p.y) for p in pts]))
         # each sector below pi equals the unsigned angle between its rays
         for k in range(3):
             i, j = order[k], order[(k + 1) % 3]
             if sectors[k] < math.pi:
                 assert sectors[k] == pytest.approx(angle_at(apex, pts[i], pts[j]), abs=1e-12)
+
+    def test_azimuths_of_rows_match_from_points(self):
+        apex = Point2(0.3, -0.1)
+        pts = [Point2(1.0, 0.2), Point2(-0.5, 1.0), Point2(-0.3, -1.2)]
+        az = azimuths_at(apex, np.array([[p.x, p.y] for p in pts]))
+        assert az.tolist() == [math.atan2(p.y - apex.y, p.x - apex.x) for p in pts]
+        assert SectorAngles.from_points(apex, pts).azimuths.tolist() == az.tolist()
+
+    def test_row_at_apex_is_named(self):
+        with pytest.raises(DegenerateAngle, match="point 1 coincides with apex"):
+            azimuths_at(Point2(1.0, 2.0), np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 0.0]]))
 
 
     def test_wrap_angle_matches_scalar_reference(self):

@@ -5,7 +5,20 @@ import math
 
 import pytest
 
-from ftcircles import Circle, Configuration, DistanceMode, Point2, SceneError, solve
+from ftcircles import (
+    AngleTriple,
+    Circle,
+    Configuration,
+    DistanceMode,
+    Point2,
+    SceneError,
+    SectorAngles,
+    cosine_system_weights,
+    project_onto_circle,
+    random_floating_config,
+    solve,
+    weights_from_angles,
+)
 from ftcircles.cli import CSV_HEADER, main, trace_csv
 from ftcircles.evolution import evolve_type_a
 from ftcircles.oracle import regular_polygon_config
@@ -145,8 +158,6 @@ class TestCli:
         assert "weights: 0.333333 0.333333 0.333333" in out
 
     def test_json_round_trip_recovers_weights(self, tmp_path, capsys):
-        from ftcircles.oracle import random_floating_config
-
         config = random_floating_config(3, seed=23)
         path = tmp_path / "scene.json"
         path.write_text(dump_json(scene_dict(config)))
@@ -244,6 +255,33 @@ class TestCli:
         # the solution is the first center; no angle layout exists there
         assert main(["inverse", _absorbed_pentagon(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("ERROR:precondition_violated:")
+
+    def test_inverse_point_on_a_center(self, tmp_path, capsys):
+        path = tmp_path / "on_center.json"
+        path.write_text(json.dumps(dict(EQ_SCENE, point=[0.5, -0.2886751345948129])))
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "ERROR:degenerate_projection:projection of the center onto its circle is not unique\n"
+        )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_inverse_with_point_uses_its_projections(self, tmp_path, capsys, n):
+        config = random_floating_config(n, seed=5)
+        solved = solve(config).point
+        point = Point2(solved.x + 0.05, solved.y - 0.03)
+        path = tmp_path / "scene.json"
+        path.write_text(dump_json(dict(scene_dict(config), point=[point.x, point.y])))
+        angles = SectorAngles.from_points(
+            point, [project_onto_circle(point, c) for c in config.circles]
+        )
+        if n == 3:
+            triple = AngleTriple.from_sectors(angles.cyclic_order(), angles.sectors())
+            weights = weights_from_angles(triple)
+        else:
+            weights = cosine_system_weights(angles)
+        assert main(["inverse", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "weights: " + " ".join(f"{w:.6f}" for w in weights)
 
     def test_oracle_absorbed_curve_scene(self, tmp_path, capsys):
         # the solver's point is the first center, which the curve-mode grid

@@ -1,6 +1,7 @@
 """Solver tests: classification, the floating certificate, absorbed returns."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -691,3 +692,46 @@ class TestAssembly:
         with pytest.raises(SolutionInsideDisk) as err:
             solve(_swallowing_config(big))
         assert err.value.index == big
+
+
+class TestSolveResultValue:
+    """``SolveResult`` is a value: equality, hashing and copies see every projection."""
+
+    SCENES = {
+        "floating": random_floating_config(5, seed=3),
+        "absorbed": random_dominated_config(4, seed=1, dominant=2),
+    }
+
+    @pytest.fixture(params=sorted(SCENES))
+    def solved(self, request):
+        config = self.SCENES[request.param]
+        return config, solve(config)
+
+    def test_one_changed_projection_compares_unequal(self, solved):
+        _, result = solved
+        xy = list(result.projection_xy)
+        x, y = xy[1]
+        xy[1] = (math.nextafter(x, math.inf), y)
+        changed = dataclasses.replace(result, projection_xy=tuple(xy))
+        assert changed != result
+        assert changed.projections != result.projections
+        assert hash(dataclasses.replace(result)) == hash(result)
+        assert isinstance(hash(changed), int)
+
+    def test_copies_compare_equal(self, solved):
+        _, result = solved
+        for duplicate in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert duplicate == result
+            assert hash(duplicate) == hash(result)
+            assert duplicate.projections == result.projections
+
+    def test_projections_are_the_point2_projections(self, solved):
+        config, result = solved
+        projections = result.projections
+        assert type(projections) is tuple
+        assert all(type(p) is Point2 for p in projections)
+        assert [(p.x, p.y) for p in projections] == list(result.projection_xy)
+        own = None if result.case.is_floating else result.case.index
+        for i, c in enumerate(config.circles):
+            if i != own:
+                assert projections[i] == project_onto_circle(result.point, c)
