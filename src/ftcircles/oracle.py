@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, StepOutOfRange
+from .errors import FTCirclesError, PreconditionViolated, StepOutOfRange
 from .geometry import (
     Circle,
     Configuration,
@@ -65,22 +65,35 @@ def oracle_minimize(
     of a few cells around the best point seen and shrinks the window, until
     its half-width falls below ``1e-10`` times the box size or
     ``refine_iters`` rounds have run. Uses objective values only and
-    returns the best point seen.
+    returns the best point seen. Raises ``PreconditionViolated`` unless
+    ``grid_cells >= 1`` and ``refine_iters >= 0``.
     """
+    if grid_cells < 1 or refine_iters < 0:
+        raise PreconditionViolated(
+            f"need grid_cells >= 1 and refine_iters >= 0, got {grid_cells}, {refine_iters}"
+        )
     centers = config.centers_array()
     cx, cy = centers[:, 0], centers[:, 1]
-    radii, weights, mode = config.radii_array(), config.weights_array(), config.distance_mode
-    curve = mode is DistanceMode.TO_CURVE
+    radii, weights = config.radii_array(), config.weights_array()
+    curve = config.distance_mode is DistanceMode.TO_CURVE
 
     def best_on_grid(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-        # One hypot over the outer product of the axes; row k of d is the
-        # point (xs[k % nx], ys[k // nx]). Excluded points read +inf.
-        d = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
-        vals = distances_to_circles(d, radii, mode) @ weights
-        if curve:
-            for j, r in enumerate(radii):
-                vals[d[:, j] < r] = np.inf
-        k = int(np.argmin(vals))
+        # One hypot over the outer product of the axes; row k of gap is the
+        # point (xs[k % nx], ys[k // nx]). Excluded points read +inf. In
+        # curve mode gap stands in for |gap|: the two differ only on rows
+        # with a point inside a disk (d - r < 0 exactly when d < r), which
+        # the mask then excludes, and each row of the product depends only
+        # on that row, so every other value is the one |gap| would give.
+        gap = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
+        gap -= radii
+        if not curve:
+            vals = np.maximum(gap, 0.0) @ weights
+        else:
+            vals = gap @ weights
+            if gap.min() < 0.0:
+                for j in range(len(cx)):
+                    vals[gap[:, j] < 0.0] = np.inf
+        k = int(vals.argmin())
         return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
 
     pad = float(radii.max()) + 1e-6

@@ -97,34 +97,6 @@ class SectorAngles:
     def from_points(cls, apex: Point2, points: Sequence[Point2]) -> "SectorAngles":
         return cls(azimuths_at(apex, [(p.x, p.y) for p in points]))
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "SectorAngles":
-        """Reconstruct a ray layout realizing the unsigned angle matrix.
-
-        Raises SingularSystem when no planar layout reproduces the matrix.
-        """
-        m = np.asarray(matrix, dtype=float)
-        n = m.shape[0]
-        if m.shape != (n, n) or n < 3:
-            raise InvalidConfiguration(f"angle matrix must be square with n >= 3, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > 1e-9:
-            raise SingularSystem("angle matrix is not symmetric")
-        az = np.zeros(n)
-        az[1] = m[0, 1]
-        for j in range(2, n):
-            best = None
-            for sign in (1.0, -1.0):
-                cand = sign * m[0, j]
-                err = float(np.max(np.abs(np.abs(wrap_angle(cand - az[1:j])) - m[1:j, j])))
-                if best is None or err < best[0]:
-                    best = (err, cand)
-            if best[0] > 1e-6:
-                raise SingularSystem(
-                    f"angle matrix cannot be realized by plane rays (ray {j}, err {best[0]:.2e})"
-                )
-            az[j] = best[1]
-        return cls(az)
-
     def angle(self, i: int, j: int) -> float:
         """Unsigned angle in [0, pi] between rays i and j."""
         return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))

@@ -108,6 +108,7 @@ class TestExports:
         for module in modules:
             for name in REMOVED_NAMES:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert not hasattr(ftcircles.SectorAngles, "from_matrix")
 
     def test_removed_keywords_are_gone(self):
         assert "base_point" not in inspect.signature(ftcircles.shifted_configuration).parameters

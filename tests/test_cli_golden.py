@@ -1,8 +1,10 @@
-"""`ftcircles solve` output on the demo scenes, pinned byte for byte.
+"""`ftcircles solve` and `ftcircles oracle` output on the demo scenes, pinned
+byte for byte.
 
-Each scene in ``demos/scenes`` has three golden files in ``tests/cli_golden``:
+Each scene in ``demos/scenes`` has four golden files in ``tests/cli_golden``:
 the plain listing (``<scene>.solve.out``), the ``--json`` output
-(``<scene>.solve-json.out``) and the ``--svg`` file (``<scene>.solve.svg``).
+(``<scene>.solve-json.out``), the ``--svg`` file (``<scene>.solve.svg``) and
+the ``oracle`` listing (``<scene>.oracle.out``).
 ``PYTHONPATH=src python3 tests/test_cli_golden.py`` rewrites them from the
 current code.
 """
@@ -38,8 +40,13 @@ def solve_outputs(scene: Path, tmp: Path) -> dict[str, bytes]:
     }
 
 
+def oracle_outputs(scene: Path) -> dict[str, bytes]:
+    """Golden file name -> bytes that ``ftcircles oracle`` writes for the scene."""
+    return {f"{scene.stem}.oracle.out": _run(["oracle", str(scene)])}
+
+
 def test_golden_files_are_those_of_the_scenes():
-    suffixes = (".solve.out", ".solve-json.out", ".solve.svg")
+    suffixes = (".solve.out", ".solve-json.out", ".solve.svg", ".oracle.out")
     expected = {scene.stem + suffix for scene in SCENES for suffix in suffixes}
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
@@ -50,9 +57,16 @@ def test_solve_output_matches_golden(scene, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("scene", SCENES, ids=[scene.stem for scene in SCENES])
+def test_oracle_output_matches_golden(scene):
+    for name, data in oracle_outputs(scene).items():
+        assert data == (GOLDEN / name).read_bytes(), name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for scene in SCENES:
-            for name, data in solve_outputs(scene, Path(tmp)).items():
+            outputs = {**solve_outputs(scene, Path(tmp)), **oracle_outputs(scene)}
+            for name, data in outputs.items():
                 (GOLDEN / name).write_bytes(data)

@@ -17,6 +17,7 @@ from ftcircles import (
     Circle,
     DistanceMode,
     Point2,
+    PreconditionViolated,
     StepOutOfRange,
     classify_case,
     directional_derivative_to_circle,
@@ -73,6 +74,12 @@ class TestOracleMinimize:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("cells, iters", [(0, 40), (-3, 40), (64, -1)])
+    def test_rejects_empty_grid_and_negative_rounds(self, cells, iters):
+        config = random_floating_config(3, seed=0)
+        with pytest.raises(PreconditionViolated, match="grid_cells >= 1 and refine_iters >= 0"):
+            oracle_minimize(config, grid_cells=cells, refine_iters=iters)
 
     def test_absorbed_instance(self):
         config = random_dominated_config(3, seed=4, radius=1e-4)

@@ -43,33 +43,6 @@ def solved_angles(n, seed):
 
 
 class TestSectorAngles:
-    def test_matrix_roundtrip(self):
-        base = SectorAngles(CANONICAL_AZIMUTHS)
-        rebuilt = SectorAngles.from_matrix(base.matrix())
-        assert np.max(np.abs(rebuilt.matrix() - base.matrix())) < 1e-9
-
-    def test_matrix_roundtrip_random(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            az = np.sort(rng.uniform(0, 2 * math.pi, 5))
-            if np.min(np.diff(az)) < 0.05:
-                continue
-            base = SectorAngles(az)
-            rebuilt = SectorAngles.from_matrix(base.matrix())
-            assert np.max(np.abs(rebuilt.matrix() - base.matrix())) < 1e-8
-
-    def test_unrealizable_matrix_rejected(self):
-        m = np.array(
-            [
-                [0.0, 1.0, 2.0, 3.0],
-                [1.0, 0.0, 0.3, 0.9],
-                [2.0, 0.3, 0.0, 2.8],
-                [3.0, 0.9, 2.8, 0.0],
-            ]
-        )
-        with pytest.raises(SingularSystem):
-            SectorAngles.from_matrix(m)
-
     def test_sectors_sum(self):
         angles = SectorAngles(CANONICAL_AZIMUTHS)
         assert sum(angles.sectors()) == pytest.approx(2 * math.pi, abs=1e-12)
@@ -160,6 +133,14 @@ class TestPlasticity4:
         ratios = TriangleRatios.from_angles(angles)
         scale = 2.0 / (1.0 + ratios.r2 + ratios.r3)
         assert_close(out[:3], scale * np.array([1.0, ratios.r2, ratios.r3]), 1e-12, "triangle")
+
+    def test_zero_weight_sum_rejected(self):
+        # the free ratio at which 1 + w2/w1 + w3/w1 + w4/w1 vanishes
+        angles = SectorAngles(CANONICAL_AZIMUTHS)
+        r = TriangleRatios.from_angles(angles)
+        free = (1.0 + r.r2 + r.r3) / (r.r2 * r.q3[3] + r.r3 * r.q2[3] - 1.0)
+        with pytest.raises(SingularSystem, match="sum to zero"):
+            plasticity_n(angles, [free])
 
     def test_sweep_monotonicity(self):
         # increasing the free weight raises w2 and lowers w1, w3
