@@ -291,6 +291,8 @@ def _cmd_verify_geometric(args) -> int:
         shifts = [float(s) for s in args.shifts.split(",")]
     except ValueError as exc:
         raise SceneError(f"bad --shifts value: {exc}") from exc
+    if not all(math.isfinite(s) for s in shifts):
+        raise SceneError(f"bad --shifts value {args.shifts!r}: not finite")
     ok = verify_geometric_plasticity(config, shifts, point_tol=args.tol)
     print(f"invariant={'holds' if ok else 'violated'}")
     return 0

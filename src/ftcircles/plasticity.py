@@ -330,14 +330,17 @@ def shifted_configuration(
     The point is that of ``solve(config)``, the stored result once the
     configuration has been solved; PreconditionViolated is raised when it
     is absorbed. Positive shifts move centers away from the point. Raises
-    ShiftedConfigInvalid when the result overlaps, loses the floating
-    condition, or swallows the base point into a disk. The floating check
-    solves the shifted configuration, so errors of ``solve`` pass through
-    and a later ``solve(shifted)`` returns the stored result.
+    ShiftedConfigInvalid when a shift is not finite, or when the result
+    overlaps, loses the floating condition, or swallows the base point into
+    a disk. The floating check solves the shifted configuration, so errors
+    of ``solve`` pass through and a later ``solve(shifted)`` returns the
+    stored result.
     """
     shifts = np.asarray(radial_shifts, dtype=float)
     if shifts.shape != (config.n,):
         raise ShiftedConfigInvalid(f"expected {config.n} shifts, got {shifts.shape}")
+    if not np.isfinite(shifts).all():
+        raise ShiftedConfigInvalid(f"shifts must be finite, got {shifts.tolist()}")
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("geometric plasticity requires a floating instance")

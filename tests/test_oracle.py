@@ -6,15 +6,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ftcircles
 import ftcircles.oracle
 import ftcircles.solver
 from ftcircles import (
     Circle,
+    Configuration,
     DistanceMode,
     Point2,
     PreconditionViolated,
@@ -112,15 +116,141 @@ def pinned_scenes():
                 scenes[f"grid {cells}x{iters} {mode.value} n={n}"] = (
                     random_floating_config(n, 100 + cells, distance_mode=mode), cells, iters
                 )
+        # squares of grid offsets overflow from 1e155 up; below 1e-6 the
+        # box is set by the 1e-6 pad, so the grid is far from the centers
+        for scale in ("1e155", "1e200", "1e300", "1e-160", "1e-300"):
+            scenes[f"scaled {scale} {mode.value} n=4"] = (
+                _scaled(random_floating_config(4, 11, distance_mode=mode), float(scale)), 64, 40
+            )
+        # the middle point of an odd grid is the origin, 1e-160 or 1e-300
+        # from every center, so the squares of its offsets underflow
+        for scale in ("1e-160", "1e-300"):
+            scenes[f"cross {scale} {mode.value}"] = (_scaled(_cross(mode), float(scale)), 65, 40)
+        scenes[f"on-circle {mode.value}"] = (_on_circle(mode), 64, 40)
     return scenes
+
+
+def _scaled(config, s):
+    circles = tuple(
+        Circle(Point2(c.center.x * s, c.center.y * s), c.radius * s) for c in config.circles
+    )
+    return Configuration(circles, config.weights, config.tolerance, config.distance_mode)
+
+
+def _cross(mode):
+    """Four circles at (+-1, 0) and (0, +-1); the origin is the minimizer."""
+    centers = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    circles = tuple(Circle(Point2(*c), 0.3) for c in centers)
+    return Configuration(circles, (1.0,) * 4, 1e-10, mode)
+
+
+def _on_circle(mode, ulps=0):
+    """A scene whose coarse 64 x 64 argmin lies exactly on circle 0.
+
+    Circle 0 is dominant, so the best coarse point hugs it. Its radius is
+    the distance from its center to grid point (29, 15), grown by ``ulps``
+    ulps to put that point just inside; circle 1 keeps the largest radius,
+    so the grid does not depend on circle 0.
+    """
+    pad = 0.6 + 1e-6
+    x = np.linspace(-2.5 - pad, 3.0 + pad, 64)[29]
+    y = np.linspace(0.0 - pad, 3.0 + pad, 64)[15]
+    r = float(np.hypot(x, y))
+    for _ in range(ulps):
+        r = math.nextafter(r, math.inf)
+    circles = (
+        Circle(Point2(0.0, 0.0), r),
+        Circle(Point2(3.0, 0.5), 0.6),
+        Circle(Point2(0.5, 3.0), 0.3),
+        Circle(Point2(-2.5, 1.0), 0.3),
+    )
+    return Configuration(circles, (10.0, 1.0, 1.0, 1.0), 1e-10, mode)
 
 
 def _xy(p):
     return [p.x, p.y]
 
 
+def _reference_best_on_grid(xs, ys, disks):
+    """Full-grid evaluation: hypot on every point, as before the screen."""
+    cx, cy, radii, weights, curve = disks
+    gap = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
+    gap -= radii
+    if not curve:
+        vals = np.maximum(gap, 0.0) @ weights
+    else:
+        vals = gap @ weights
+        if gap.min() < 0.0:
+            for j in range(len(cx)):
+                vals[gap[:, j] < 0.0] = np.inf
+    k = int(vals.argmin())
+    return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
+
+
+_BASES = {
+    "floating": lambda n, seed, mode: random_floating_config(n, seed, distance_mode=mode),
+    "dominated": lambda n, seed, mode: random_dominated_config(
+        n, seed, dominant=seed % n, distance_mode=mode
+    ),
+    "polygon": lambda n, seed, mode: regular_polygon_config(n, distance_mode=mode),
+    "cross": lambda n, seed, mode: _cross(mode),
+    "on-circle": lambda n, seed, mode: _on_circle(mode),
+    "just-inside": lambda n, seed, mode: _on_circle(mode, ulps=1 + seed % 4),
+}
+
+
+class TestScreenedGrid:
+    """The screened coarse grid returns what hypot on every point returns."""
+
+    @given(
+        kind=st.sampled_from(sorted(_BASES)),
+        n=st.integers(3, 6),
+        seed=st.integers(0, 20),
+        mode=st.sampled_from(list(DistanceMode)),
+        cells=st.integers(1, 80),
+        iters=st.integers(0, 40),
+        scale=st.integers(-300, 300).map(lambda e: 10.0**e),
+    )
+    @example(kind="floating", n=4, seed=3, mode=DistanceMode.TO_CURVE, cells=80, iters=40, scale=1e300)
+    @example(kind="floating", n=5, seed=1, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1e155)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=65, iters=40, scale=1e-160)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_SET, cells=65, iters=0, scale=1e-300)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1.0)
+    @example(kind="just-inside", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0)
+    @example(kind="dominated", n=3, seed=2, mode=DistanceMode.TO_CURVE, cells=1, iters=40, scale=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_grid_search(self, kind, n, seed, mode, cells, iters, scale):
+        config = _scaled(_BASES[kind](n, seed, mode), scale)
+        # the coarse grid's value too, bit for bit, not only its point
+        assert _coarse(config, cells, ftcircles.oracle._best_on_screened_grid) == _coarse(
+            config, cells, _reference_best_on_grid
+        )
+        got = oracle_minimize(config, cells, iters)
+        with mock.patch.object(ftcircles.oracle, "_best_on_screened_grid", _reference_best_on_grid):
+            want = oracle_minimize(config, cells, iters)
+        assert _xy(got) == _xy(want)
+
+
+def _coarse(config, cells, best_on_grid):
+    """(x, y, value) of the best coarse grid point, as oracle_minimize lays the grid out."""
+    centers, radii = config.centers_array(), config.radii_array()
+    curve = config.distance_mode is DistanceMode.TO_CURVE
+    disks = (centers[:, 0], centers[:, 1], radii, config.weights_array(), curve)
+    pad = float(radii.max()) + 1e-6
+    lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
+    return best_on_grid(np.linspace(lo[0], hi[0], cells), np.linspace(lo[1], hi[1], cells), disks)
+
+
 class TestPinnedPoints:
     """Oracle points equal, with ==, those of the point-list grid code."""
+
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    def test_on_circle_scene_puts_the_coarse_argmin_on_the_circle(self, mode):
+        config = _on_circle(mode)
+        p = oracle_minimize(config, 64, 0)
+        c = config.circles[0]
+        assert np.hypot(p.x - c.center.x, p.y - c.center.y) - c.radius == 0.0
 
     def test_points_match_pinned(self):
         pinned = json.loads(PINNED.read_text())
@@ -193,6 +323,16 @@ class TestFirstVariation:
             back = Point2(p.x - v[0], p.y - v[1])
             expected = math.cos(angle_at(p, back, proj))
             assert d == pytest.approx(expected, abs=1e-5)
+
+
+    @pytest.mark.parametrize(
+        "direction",
+        [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0], [1.0, 0.0, 0.0], [1.0], 1.0],
+    )
+    def test_rejects_degenerate_direction(self, direction):
+        c = Circle(Point2(0.0, 0.0), 1.0)
+        with pytest.raises(PreconditionViolated, match="finite nonzero norm"):
+            directional_derivative_to_circle(c, Point2(3.0, 0.0), direction)
 
 
 class TestGenerators:

@@ -311,6 +311,12 @@ class TestGeometricPlasticity:
         with pytest.raises(ShiftedConfigInvalid):
             shifted_configuration(config, [-(gap - 0.5 * config.circles[0].radius), 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_shift_rejected(self, bad):
+        config = random_floating_config(4, seed=14)
+        with pytest.raises(ShiftedConfigInvalid, match="finite"):
+            shifted_configuration(config, [0.0, bad, 0.0, 0.0])
+
     def test_absorbed_instance_rejected(self):
         config = Configuration(
             (

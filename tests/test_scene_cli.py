@@ -311,6 +311,11 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_verify_geometric_nonfinite_shift(self, eq_scene_path, bad, capsys):
+        assert main(["verify-geometric", eq_scene_path, "--shifts", f"0,{bad},0"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
     def test_oracle_bad_grid(self, eq_scene_path, capsys):
         assert main(["oracle", eq_scene_path, "--grid", "0"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
