@@ -41,7 +41,7 @@ print()
 print("=" * 72)
 print("3. Absorbed instance: the oracle lands on the dominating circle")
 print("=" * 72)
-config = random_dominated_config(4, seed=2, dominant=1, radius=1e-4)
+config = random_dominated_config(4, seed=2, dominant=1)
 brute = oracle_minimize(config)
 center = config.circles[1].center
 print(f"dominating center: ({center.x:.6f}, {center.y:.6f})")

@@ -18,7 +18,6 @@ from .errors import (
     ShiftedConfigInvalid,
     SingularSystem,
     SolutionInsideDisk,
-    StepOutOfRange,
 )
 from .geometry import (
     Circle,
@@ -40,7 +39,6 @@ from .plasticity import (
     shifted_configuration,
     sine_residuals,
     transfer_coefficients,
-    transfer_residuals,
     verify_geometric_plasticity,
 )
 from .evolution import (
@@ -50,7 +48,6 @@ from .evolution import (
     TerminationReason,
     WeightChange,
     compose_rays,
-    default_schedule,
     evolve_type_a,
     evolve_type_b,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "SingularSystem",
     "SolutionInsideDisk",
     "SolveResult",
-    "StepOutOfRange",
     "TerminationReason",
     "TriangleRatios",
     "WeightChange",
@@ -101,7 +97,6 @@ __all__ = [
     "compose_rays",
     "cosine_residuals",
     "cosine_system_weights",
-    "default_schedule",
     "directional_derivative_to_circle",
     "evolve_type_a",
     "evolve_type_b",
@@ -119,7 +114,6 @@ __all__ = [
     "sine_residuals",
     "solve",
     "transfer_coefficients",
-    "transfer_residuals",
     "verify_geometric_plasticity",
     "weights_from_angles",
 ]

@@ -161,12 +161,13 @@ def _cmd_plasticity(args) -> int:
     n = config.n
     w = config.weights_array()
     total = args.total if args.total is not None else float(w.sum())
+    # before --free, so that n < 4 stays invalid_configuration
+    coeffs = transfer_coefficients(TriangleRatios.from_angles(angles), n=n, total=total)
     if args.free:
         free = _parse_free(args.free, n)
     else:
         free = [w[j] / w[0] for j in range(3, n)]
     weights = plasticity_n(angles, free, total=total)
-    coeffs = transfer_coefficients(TriangleRatios.from_angles(angles), n=n, total=total)
     print("weights: " + " ".join(f"{x:.12g}" for x in weights))
     for i in range(3):
         row = " ".join(f"{coeffs.a[i, k]:+.12g}" for k in range(n - 3))
@@ -191,11 +192,16 @@ def _parse_free(expr: str, n: int) -> list[float]:
             raise SceneError(f"bad --free key {key!r}")
         try:
             label = int(key[1:])
-            values[label] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise SceneError(f"bad --free entry {part!r}: {exc}") from exc
-        if not math.isfinite(values[label]):
+        if not 4 <= label <= n:
+            raise SceneError(f"bad --free key {key!r}: the free weights are w4..w{n}")
+        if label in values:
+            raise SceneError(f"--free repeats w{label}")
+        if not math.isfinite(value):
             raise SceneError(f"bad --free entry {part!r}: not finite")
+        values[label] = value
     free = []
     for label in range(4, n + 1):
         if label not in values:
@@ -293,6 +299,8 @@ def _cmd_verify_geometric(args) -> int:
         raise SceneError(f"bad --shifts value: {exc}") from exc
     if not all(math.isfinite(s) for s in shifts):
         raise SceneError(f"bad --shifts value {args.shifts!r}: not finite")
+    if len(shifts) != config.n:
+        raise SceneError(f"--shifts needs {config.n} values, one per circle, got {len(shifts)}")
     ok = verify_geometric_plasticity(config, shifts, point_tol=args.tol)
     print(f"invariant={'holds' if ok else 'violated'}")
     return 0

@@ -40,9 +40,9 @@ class SolutionInsideDisk(FTCirclesError):
 
     code = "solution_inside_disk"
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"minimizer lies strictly inside disk {index}")
+        super().__init__(f"minimizer lies strictly inside disk {index}")
 
 
 class NonConvergence(FTCirclesError):
@@ -79,10 +79,4 @@ class PreconditionViolated(FTCirclesError):
     """An operation precondition fails, such as needing a floating solution."""
 
     code = "precondition_violated"
-
-
-class StepOutOfRange(FTCirclesError):
-    """Finite-difference step outside the supported range [1e-8, 1e-4]."""
-
-    code = "step_out_of_range"
 

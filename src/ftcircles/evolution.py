@@ -92,7 +92,7 @@ class EvolutionTrace:
     pattern_violations: tuple[str, ...]
 
 
-def default_schedule(config: Configuration, steps: int) -> list[float]:
+def _default_schedule(config: Configuration, steps: int) -> list[float]:
     """Geometrically decaying increments: 0.01 * total * 0.9**k."""
     total = sum(config.weights)
     return [0.01 * total * 0.9**k for k in range(steps)]
@@ -234,7 +234,7 @@ def evolve_type_a(
     """
     point, layout, _ = _prepare(config)
     if increments is None:
-        increments = [(d, d) for d in default_schedule(config, steps)]
+        increments = [(d, d) for d in _default_schedule(config, steps)]
     r = config.weights_array().tolist()
     coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
     labels = [0, 1, 2, 3, 4]
@@ -262,7 +262,7 @@ def evolve_type_b(
     """
     point, layout, rays = _prepare(config)
     if schedule is None:
-        schedule = default_schedule(config, steps)
+        schedule = _default_schedule(config, steps)
     w = config.weights_array()
     m, u_c = compose_rays(w[3], rays[3], w[4], rays[4])
     if m <= 0.0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, PreconditionViolated, StepOutOfRange
+from .errors import FTCirclesError, PreconditionViolated
 from .geometry import (
     Circle,
     Configuration,
@@ -42,6 +42,9 @@ _ZOOM_STOP = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+# central-difference step of the finite-difference helpers
+_STEP = 1e-6
 
 
 def objective(config: Configuration, points) -> np.ndarray | float:
@@ -193,32 +196,25 @@ def _best_on_screened_grid(xs: np.ndarray, ys: np.ndarray, disks) -> tuple[float
     return xs[k % len(xs)], ys[k // len(xs)], float(vals[i])
 
 
-def _check_step(h: float) -> None:
-    # written so that nan fails it too
-    if not 1e-8 <= h <= 1e-4:
-        raise StepOutOfRange(f"step {h} outside [1e-8, 1e-4]")
-
-
-def finite_difference_gradient(config: Configuration, p: Point2, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the objective at p."""
-    _check_step(h)
+def finite_difference_gradient(config: Configuration, p: Point2) -> np.ndarray:
+    """Central-difference gradient of the objective at p, with step 1e-6."""
     x, y = p.x, p.y
-    gx = (objective(config, [x + h, y]) - objective(config, [x - h, y])) / (2.0 * h)
-    gy = (objective(config, [x, y + h]) - objective(config, [x, y - h])) / (2.0 * h)
+    gx = (objective(config, [x + _STEP, y]) - objective(config, [x - _STEP, y])) / (2.0 * _STEP)
+    gy = (objective(config, [x, y + _STEP]) - objective(config, [x, y - _STEP])) / (2.0 * _STEP)
     return np.array([gx, gy])
 
 
 def directional_derivative_to_circle(
-    circle: Circle, p: Point2, direction: Sequence[float], h: float = 1e-6
+    circle: Circle, p: Point2, direction: Sequence[float]
 ) -> float:
     """Central-difference derivative of the circle distance along a direction.
 
-    For p outside the disk this equals the cosine of the angle between the
-    negated direction and the segment from p to its projection point. Raises
-    ``PreconditionViolated`` unless the direction is two numbers whose
-    computed norm is finite and nonzero; a nan or infinite component fails.
+    The step is 1e-6. For p outside the disk this equals the cosine of the
+    angle between the negated direction and the segment from p to its
+    projection point. Raises ``PreconditionViolated`` unless the direction
+    is two numbers whose computed norm is finite and nonzero; a nan or
+    infinite component fails.
     """
-    _check_step(h)
     v = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(v)) if v.shape == (2,) else 0.0
     if not (math.isfinite(norm) and norm > 0.0):
@@ -232,16 +228,13 @@ def directional_derivative_to_circle(
         q = base + t * v
         return abs(math.hypot(q[0] - circle.center.x, q[1] - circle.center.y) - circle.radius)
 
-    return (dist(h) - dist(-h)) / (2.0 * h)
+    return (dist(_STEP) - dist(-_STEP)) / (2.0 * _STEP)
 
 
 def random_floating_config(
     n: int,
     seed: int,
     distance_mode: DistanceMode = DistanceMode.TO_CURVE,
-    tolerance: float = 1e-10,
-    box: float = 4.0,
-    min_separation: float = 1.2,
 ) -> Configuration:
     """Seeded random floating instance with the point safely outside all disks.
 
@@ -252,12 +245,12 @@ def random_floating_config(
     """
     rng = np.random.default_rng(seed)
     for _ in range(2000):
-        centers = _sample_centers(rng, n, box, min_separation)
+        centers = _sample_centers(rng, n)
         weights = rng.uniform(0.5, 1.5, size=n)
         probe = Configuration(
             tuple(Circle(Point2(*c), 1e-6) for c in centers),
             tuple(weights),
-            tolerance,
+            1e-10,
             distance_mode,
         )
         try:
@@ -277,7 +270,7 @@ def random_floating_config(
         return Configuration(
             tuple(Circle(Point2(*c), float(r)) for c, r in zip(centers, radii)),
             tuple(float(w) for w in weights),
-            tolerance,
+            1e-10,
             distance_mode,
         )
     raise RuntimeError(f"no valid floating instance found for n={n}, seed={seed}")
@@ -287,21 +280,20 @@ def random_dominated_config(
     n: int,
     seed: int,
     dominant: int = 0,
-    radius: float = 1e-4,
     distance_mode: DistanceMode = DistanceMode.TO_CURVE,
 ) -> Configuration:
     """Seeded instance whose dominant weight absorbs the solution.
 
     The dominant weight exceeds the sum of all others, which bounds the pull
-    at its center below its own weight. Radii are small so the whole disk of
-    the absorbing circle stays within oracle tolerance of its center.
+    at its center below its own weight. Every radius is 1e-4, so the whole
+    disk of the absorbing circle stays within oracle tolerance of its center.
     """
     rng = np.random.default_rng(seed)
-    centers = _sample_centers(rng, n, 4.0, 1.2)
+    centers = _sample_centers(rng, n)
     weights = rng.uniform(0.5, 1.5, size=n)
     weights[dominant] = weights.sum() - weights[dominant] + rng.uniform(0.5, 1.5)
     return Configuration(
-        tuple(Circle(Point2(*c), radius) for c in centers),
+        tuple(Circle(Point2(*c), 1e-4) for c in centers),
         tuple(float(w) for w in weights),
         1e-10,
         distance_mode,
@@ -311,11 +303,10 @@ def random_dominated_config(
 def regular_polygon_config(
     n: int,
     circumradius: float = 2.0,
-    weight: float = 1.0,
     radius: float = 0.2,
     distance_mode: DistanceMode = DistanceMode.TO_CURVE,
 ) -> Configuration:
-    """Equal-weight circles centered at the vertices of a regular n-gon."""
+    """Unit-weight circles centered at the vertices of a regular n-gon."""
     circles = []
     for k in range(n):
         ang = math.pi / 2.0 + 2.0 * math.pi * k / n
@@ -325,12 +316,13 @@ def regular_polygon_config(
                 radius,
             )
         )
-    return Configuration(tuple(circles), tuple([weight] * n), 1e-10, distance_mode)
+    return Configuration(tuple(circles), tuple([1.0] * n), 1e-10, distance_mode)
 
 
-def _sample_centers(rng, n: int, box: float, min_separation: float) -> np.ndarray:
+def _sample_centers(rng, n: int) -> np.ndarray:
+    """n centers in the square [0, 4]^2, every pair at least 1.2 apart."""
     for _ in range(5000):
-        pts = rng.uniform(0.0, box, size=(n, 2))
-        if pair_distances(pts).min() >= min_separation:
+        pts = rng.uniform(0.0, 4.0, size=(n, 2))
+        if pair_distances(pts).min() >= 1.2:
             return pts
     raise RuntimeError("center sampling failed; box too tight for the separation")

@@ -56,11 +56,10 @@ _MIN_SINE = 1e-12
 class SectorAngles:
     """Pairwise ray angles at the branching point.
 
-    Holds the ray azimuths and exposes the unsigned angle matrix plus signed
-    sines of azimuth differences. Built from geometry
-    (:meth:`from_result`, :meth:`from_points`) or reconstructed from an
-    unsigned angle matrix, which determines the layout up to rotation and
-    reflection; every ratio used downstream is invariant to both.
+    Holds the ray azimuths and exposes unsigned pairwise angles, signed
+    sines of azimuth differences, and the cyclic order of the rays with
+    their sector angles. Built from azimuths or from geometry
+    (:meth:`from_result`, :meth:`from_points`).
     """
 
     __slots__ = ("n", "azimuths", "_order", "_sectors")
@@ -100,9 +99,6 @@ class SectorAngles:
     def angle(self, i: int, j: int) -> float:
         """Unsigned angle in [0, pi] between rays i and j."""
         return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
-
-    def matrix(self) -> np.ndarray:
-        return np.abs(wrap_angle(self.azimuths[None, :] - self.azimuths[:, None]))
 
     def signed_sin(self, i: int, j: int) -> float:
         """sin of the signed rotation from ray i to ray j."""
@@ -205,18 +201,6 @@ def transfer_coefficients(
     return PlasticityCoefficients(n=n, total=float(total), a=a, const=const)
 
 
-def transfer_residuals(coeffs: PlasticityCoefficients, weights: Sequence[float]) -> np.ndarray:
-    """Discrepancy of a weight vector against the transfer map.
-
-    Zero (to roundoff) exactly when the weights are an equilibrium vector
-    for the ray layout with the coefficients' total. Lets callers check the
-    equal-sum hypothesis on arbitrary weight data instead of assuming it.
-    """
-    w = np.asarray(weights, dtype=float)
-    predicted = coeffs.apply(w[3:])
-    return w[:3] - predicted[:3]
-
-
 def cosine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
     """Residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)`` of the cosine system."""
     return resultant_projections(angles.azimuths, weights)
@@ -232,7 +216,7 @@ def sine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray
     return sine_matrix(angles.azimuths) @ np.asarray(weights, dtype=float)
 
 
-def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarray:
+def cosine_system_weights(angles: SectorAngles) -> np.ndarray:
     """Solve the weighted cosine equations plus the unit-sum constraint.
 
     For n = 3 the solution is unique. For n >= 4 the system is rank
@@ -240,7 +224,8 @@ def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarra
     minimum-norm member of the solution family is returned; any member
     reproduces the full family through :func:`plasticity_n` given its own
     free ratios. Raises SingularSystem when no weight vector satisfies the
-    system, and warns when the returned member leaves the positive cone.
+    system within 1e-8, and warns when the returned member leaves the
+    positive cone.
     """
     n = angles.n
     g = cosine_matrix(angles.azimuths)
@@ -248,7 +233,7 @@ def cosine_system_weights(angles: SectorAngles, atol: float = 1e-8) -> np.ndarra
     b = np.zeros(n + 1)
     b[-1] = 1.0
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(g @ w)) > atol or abs(w.sum() - 1.0) > atol:
+    if np.max(np.abs(g @ w)) > 1e-8 or abs(w.sum() - 1.0) > 1e-8:
         raise SingularSystem("angles admit no unit-sum equilibrium weights")
     if np.any(w <= 0.0):
         warnings.warn(

@@ -75,7 +75,10 @@ def parse_scene(data: dict) -> tuple[Configuration, Point2 | None]:
 def _parse_point(raw) -> Point2:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise SceneError(f"point must be [x, y], got {raw!r}")
-    return Point2(float(raw[0]), float(raw[1]))
+    try:
+        return Point2(float(raw[0]), float(raw[1]))
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"point: {exc}") from exc
 
 
 def load_scene(path: str | Path) -> tuple[Configuration, Point2 | None]:

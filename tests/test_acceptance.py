@@ -318,7 +318,7 @@ def test_criterion_10_absorbed_case():
     for seed in range(25):
         n = 3 + seed % 3
         dominant = seed % n
-        config = random_dominated_config(n, seed=seed, dominant=dominant, radius=1e-4)
+        config = random_dominated_config(n, seed=seed, dominant=dominant)
         tag = classify_case(config)
         if tag.is_floating or tag.index != dominant:
             continue

@@ -8,7 +8,7 @@ import types
 from pathlib import Path
 
 import ftcircles
-from ftcircles import errors
+from ftcircles import errors, svg
 
 PACKAGE_DIR = Path(ftcircles.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,12 +17,29 @@ REMOVED_NAMES = (
     "CalledOnAbsorbed",
     "DegenerateAngles",
     "MissingRatio",
+    "StepOutOfRange",
     "StepTooSmall",
     "StepTooLarge",
     "angle_at",
     "default_scale",
+    "default_schedule",
     "distance_to_circle",
     "sector_decomposition",
+    "transfer_residuals",
+)
+
+# (function, keywords it no longer takes)
+REMOVED_KEYWORDS = (
+    (ftcircles.shifted_configuration, ("base_point",)),
+    (ftcircles.plasticity_n, ("strict",)),
+    (ftcircles.finite_difference_gradient, ("h",)),
+    (ftcircles.directional_derivative_to_circle, ("h",)),
+    (ftcircles.random_floating_config, ("tolerance", "box", "min_separation")),
+    (ftcircles.random_dominated_config, ("radius",)),
+    (ftcircles.regular_polygon_config, ("weight",)),
+    (ftcircles.cosine_system_weights, ("atol",)),
+    (svg.render_svg, ("size",)),
+    (ftcircles.SolutionInsideDisk, ("message",)),
 )
 
 
@@ -109,7 +126,11 @@ class TestExports:
             for name in REMOVED_NAMES:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(ftcircles.SectorAngles, "from_matrix")
+        assert not hasattr(ftcircles.SectorAngles, "matrix")
 
     def test_removed_keywords_are_gone(self):
-        assert "base_point" not in inspect.signature(ftcircles.shifted_configuration).parameters
-        assert "strict" not in inspect.signature(ftcircles.plasticity_n).parameters
+        for func, keywords in REMOVED_KEYWORDS:
+            params = inspect.signature(func).parameters
+            assert not set(keywords) & set(params), func.__name__
+        result = inspect.signature(svg.render_svg).parameters["result"]
+        assert result.default is inspect.Parameter.empty

@@ -91,6 +91,9 @@ class TestSceneParsing:
             {"mode": "banana"},
             {"circles": [{"cx": 0.0, "cy": 0.0}]},
             {"point": [1.0]},
+            {"point": [1.0, "x"]},
+            {"point": [1.0, None]},
+            {"point": [math.inf, 0.0]},
         ],
     )
     def test_malformed_rejected(self, mutation):
@@ -256,6 +259,12 @@ class TestCli:
         assert main(["inverse", _absorbed_pentagon(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("ERROR:precondition_violated:")
 
+    def test_inverse_non_numeric_point(self, tmp_path, capsys):
+        path = tmp_path / "bad_point.json"
+        path.write_text(json.dumps(dict(EQ_SCENE, point=[1.0, "x"])))
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
     def test_inverse_point_on_a_center(self, tmp_path, capsys):
         path = tmp_path / "on_center.json"
         path.write_text(json.dumps(dict(EQ_SCENE, point=[0.5, -0.2886751345948129])))
@@ -306,6 +315,18 @@ class TestCli:
         assert main(["plasticity", pentagon_path, "--free", "w4=1.0,w5=nan"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
 
+    @pytest.mark.parametrize(
+        "free", ["w2=9,w4=0.5,w5=0.7", "w4=0.5,w5=0.7,w9=3", "w4=0.5,w4=0.6,w5=0.7"]
+    )
+    def test_plasticity_free_bad_label(self, pentagon_path, free, capsys):
+        assert main(["plasticity", pentagon_path, "--free", free]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    @pytest.mark.parametrize("extra", [[], ["--free", "w4=1"]])
+    def test_plasticity_three_circles(self, eq_scene_path, extra, capsys):
+        assert main(["plasticity", eq_scene_path, *extra]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_configuration:")
+
     def test_verify_geometric_bad_tol(self, eq_scene_path, capsys):
         argv = ["verify-geometric", eq_scene_path, "--shifts", "0,0,0", "--tol", "-1"]
         assert main(argv) == 1
@@ -314,6 +335,11 @@ class TestCli:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_verify_geometric_nonfinite_shift(self, eq_scene_path, bad, capsys):
         assert main(["verify-geometric", eq_scene_path, "--shifts", f"0,{bad},0"]) == 1
+        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    @pytest.mark.parametrize("shifts", ["0.1,0.2", "0,0,0,0"])
+    def test_verify_geometric_shift_count(self, eq_scene_path, shifts, capsys):
+        assert main(["verify-geometric", eq_scene_path, "--shifts", shifts]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
 
     def test_oracle_bad_grid(self, eq_scene_path, capsys):
