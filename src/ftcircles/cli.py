@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
-from .geometry import Configuration, DistanceMode, azimuths_at, sine_matrix
+from .geometry import Circle, DistanceMode, project_onto_circle, sine_matrix
 from .inverse import AngleTriple, weights_from_angles
 from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
 from .plasticity import (
@@ -29,7 +30,7 @@ from .plasticity import (
     verify_geometric_plasticity,
 )
 from .scene import dump_json, load_scene, result_dict
-from .solver import _point_offsets, _projections, certificate_residuals, solve
+from .solver import certificate_residuals, solve
 from .svg import render_svg
 
 CSV_HEADER = "step,w1,w2,w3,w4,w5,r1,r2,r3,r4,r5,pattern"
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, *load_scene(args.scene))
     except NonConvergence as exc:
         print(f"ERROR:{exc.code}:{exc}")
         return 2
@@ -102,12 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args) -> int:
-    config, _ = load_scene(args.scene)
+def _cmd_solve(args, config, point) -> int:
     if args.mode is not None:
-        config = Configuration(
-            config.circles, config.weights, config.tolerance, DistanceMode(args.mode)
-        )
+        config = replace(config, distance_mode=DistanceMode(args.mode))
     result = solve(config)
     if args.svg:
         Path(args.svg).write_text(render_svg(config, result))
@@ -129,13 +127,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_inverse(args) -> int:
-    config, point = load_scene(args.scene)
+def _cmd_inverse(args, config, point) -> int:
     if point is None:
         angles = SectorAngles.from_result(solve(config))
     else:
-        offsets, d = _point_offsets(config, point.as_array())
-        angles = SectorAngles(azimuths_at(point, _projections(config, offsets, d)))
+        angles = SectorAngles.from_points(
+            point, [project_onto_circle(point, c) for c in config.circles]
+        )
     if config.n == 3:
         triple = AngleTriple.from_sectors(angles.cyclic_order(), angles.sectors())
         weights = weights_from_angles(triple)
@@ -152,10 +150,9 @@ def _positive(value: float, option: str) -> None:
         raise SceneError(f"{option} must be finite and > 0, got {value}")
 
 
-def _cmd_plasticity(args) -> int:
+def _cmd_plasticity(args, config, point) -> int:
     if args.total is not None:
         _positive(args.total, "--total")
-    config, _ = load_scene(args.scene)
     result = solve(config)
     angles = SectorAngles.from_result(result)
     n = config.n
@@ -210,8 +207,7 @@ def _parse_free(expr: str, n: int) -> list[float]:
     return free
 
 
-def _cmd_check(args) -> int:
-    config, _ = load_scene(args.scene)
+def _cmd_check(args, config, point) -> int:
     result = solve(config)
     print(f"case={result.case}")
     if not result.case.is_floating:
@@ -226,10 +222,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args, config, point) -> int:
     if args.steps < 0:
         raise SceneError(f"--steps must be >= 0, got {args.steps}")
-    config, _ = load_scene(args.scene)
     if args.evo_type == "A":
         trace = evolve_type_a(config, scale=args.scale, steps=args.steps)
     else:
@@ -258,24 +253,17 @@ def trace_csv(trace: EvolutionTrace) -> str:
 
 
 def _write_frames(trace: EvolutionTrace, directory: Path) -> None:
-    from .geometry import Circle
-
     directory.mkdir(parents=True, exist_ok=True)
     for s in trace.steps:
-        circles = tuple(
-            Circle(c.center, r) for c, r in zip(trace.config.circles, s.radii)
-        )
-        frame = Configuration(
-            circles, s.weights, trace.config.tolerance, trace.config.distance_mode
-        )
+        circles = tuple(Circle(c.center, r) for c, r in zip(trace.config.circles, s.radii))
+        frame = replace(trace.config, circles=circles, weights=s.weights)
         result = solve(frame)
         (directory / f"frame_{s.step:03d}.svg").write_text(render_svg(frame, result))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, config, point) -> int:
     if args.grid < 1 or args.refine < 0:
         raise SceneError(f"need --grid >= 1 and --refine >= 0, got {args.grid}, {args.refine}")
-    config, _ = load_scene(args.scene)
     result = solve(config)
     if not result.case.is_floating and config.distance_mode is DistanceMode.TO_CURVE:
         raise PreconditionViolated(
@@ -290,9 +278,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_verify_geometric(args) -> int:
+def _cmd_verify_geometric(args, config, point) -> int:
     _positive(args.tol, "--tol")
-    config, _ = load_scene(args.scene)
     try:
         shifts = [float(s) for s in args.shifts.split(",")]
     except ValueError as exc:

@@ -12,6 +12,7 @@ condition, or the point-outside-disks assumption.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -267,11 +268,8 @@ def random_floating_config(
         if caps.min() <= 1e-3:
             continue
         radii = caps * rng.uniform(0.3, 0.9, size=n)
-        return Configuration(
-            tuple(Circle(Point2(*c), float(r)) for c, r in zip(centers, radii)),
-            tuple(float(w) for w in weights),
-            1e-10,
-            distance_mode,
+        return replace(
+            probe, circles=tuple(Circle(Point2(*c), float(r)) for c, r in zip(centers, radii))
         )
     raise RuntimeError(f"no valid floating instance found for n={n}, seed={seed}")
 

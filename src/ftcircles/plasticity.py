@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,7 +135,7 @@ class TriangleRatios:
         if n < 4:
             raise InvalidConfiguration("triangle ratios need n >= 4 rays")
         s = angles.signed_sin
-        for i, j in ((2, 1), (1, 2), (2, 0), (1, 0)):
+        for i, j in ((2, 1), (2, 0), (1, 0)):
             if abs(s(i, j)) < _MIN_SINE:
                 raise GeometryPreconditionViolated(f"rays {i} and {j} are collinear")
         r2 = -s(2, 0) / s(2, 1)
@@ -343,9 +343,7 @@ def shifted_configuration(
         center = p + (v / dist) * new_dist
         circles.append(Circle(Point2.from_array(center), float(radii[i])))
     try:
-        shifted = Configuration(
-            tuple(circles), config.weights, config.tolerance, config.distance_mode
-        )
+        shifted = replace(config, circles=tuple(circles))
     except InvalidConfiguration as exc:
         raise ShiftedConfigInvalid(f"shifted circles overlap: {exc}") from exc
     if not solve(shifted).case.is_floating:

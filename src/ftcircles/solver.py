@@ -316,24 +316,34 @@ def solve(
 
 
 def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> SolveResult:
+    centers = config.centers_array()
     weights = config.weights_array()
     start = initial.as_array() if initial is not None else None
     p, iters, residual, nearest, at_center = _minimize(
-        config.centers_array(), weights, config.tolerance, max_iters, start
+        centers, weights, config.tolerance, max_iters, start
     )
     point = Point2.from_array(p)
     case = classify_case(config, point, nearest)
-    if not case.is_floating:
-        return _absorbed_result(config, case.index, at_center)
-
+    floating, m = case.is_floating, case.index
+    if not floating:
+        point, p = config.circles[m].center, centers[m]
     offsets, d = _point_offsets(config, p)
-    inside = np.flatnonzero(d < config.radii_array())
-    if inside.size:
-        raise SolutionInsideDisk(int(inside[0]))
-    projections = _projections(config, offsets, d)
     distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
-    azimuths = azimuths_at(point, projections)
-    order, sectors = sectors_of(azimuths)
+    if floating:
+        inside = np.flatnonzero(d < config.radii_array())
+        if inside.size:
+            raise SolutionInsideDisk(int(inside[0]))
+    else:
+        # projection of the center onto its own circle is not unique; report
+        # the circle point in the pull direction, a unit offset along it
+        pull, pull_norm = at_center or _pull_at_center(centers, weights, m)
+        offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
+        d[m] = 1.0
+        residual = max(0.0, pull_norm - weights[m])
+        iters = 0
+    projections = _projections(config, offsets, d)
+    azimuths = azimuths_at(point, projections) if floating else np.empty(0)
+    order, sectors = sectors_of(azimuths) if floating else ((), ())
     return SolveResult(
         point=point,
         projection_xy=_pairs(projections),
@@ -345,34 +355,6 @@ def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> Sol
         equilibrium_residual=residual,
         iterations=iters,
         ray_azimuths=tuple(azimuths.tolist()),
-    )
-
-
-def _absorbed_result(
-    config: Configuration, m: int, at_center: tuple[np.ndarray, float] | None
-) -> SolveResult:
-    """Result at center m; ``at_center`` is ``_pull_at_center`` there when already known."""
-    point = config.circles[m].center
-    centers = config.centers_array()
-    weights = config.weights_array()
-    pull, pull_norm = at_center or _pull_at_center(centers, weights, m)
-
-    offsets, d = _point_offsets(config, centers[m])
-    distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
-    # projection of the center onto its own circle is not unique; report
-    # the circle point in the pull direction, a unit offset along it
-    offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
-    d[m] = 1.0
-    return SolveResult(
-        point=point,
-        projection_xy=_pairs(_projections(config, offsets, d)),
-        distances=tuple(distances.tolist()),
-        sector_angles=(),
-        sector_order=(),
-        objective=float(np.dot(weights, distances)),
-        case=CaseTag.absorbed(m),
-        equilibrium_residual=max(0.0, pull_norm - weights[m]),
-        iterations=0,
     )
 
 

@@ -1,4 +1,4 @@
-"""Public API tests: the error set, its codes, and the exported names."""
+"""Public API tests: the error set, its codes, the exported names and the module layering."""
 
 import ast
 import importlib
@@ -134,3 +134,20 @@ class TestExports:
             assert not set(keywords) & set(params), func.__name__
         result = inspect.signature(svg.render_svg).parameters["result"]
         assert result.default is inspect.Parameter.empty
+
+
+class TestLayering:
+    def test_no_module_imports_a_private_name_of_a_sibling(self):
+        private = []
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if node.level == 0 and not (node.module or "").startswith("ftcircles"):
+                    continue
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        assert not private, private

@@ -37,6 +37,47 @@ EQ_SCENE = {
 }
 
 
+# (scene entries to replace, message of the SceneError)
+MALFORMED = [
+    ({"circles": []}, "^scene needs a non-empty 'circles' list$"),
+    ({"weights": [1.0, 1.0]}, "^3 circles but 2 weights$"),
+    ({"mode": "banana"}, "^mode must be 'curve' or 'set', got 'banana'$"),
+    ({"circles": [{"cx": 0.0, "cy": 0.0}]}, "^1 circles but 3 weights$"),
+    ({"point": [1.0]}, r"^point must be \[x, y\], got \[1.0\]$"),
+    ({"point": [1.0, "x"]}, "^point: could not convert string to float: 'x'$"),
+    ({"point": [1.0, None]}, "^point: float.. argument must be"),
+    ({"point": [math.inf, 0.0]}, r"^point: point coordinates must be finite, got \(inf, 0.0\)$"),
+    ({"weights": 1.0}, "^scene needs a 'weights' list$"),
+    ({"weights": [1.0, "x", 1.0]}, "^could not convert string to float: 'x'$"),
+    (
+        {"circles": EQ_SCENE["circles"][:2] + [{"cx": 0.5, "cy": -0.3}]},
+        "^circle 2 must have keys cx, cy, r$",
+    ),
+    (
+        {"circles": [dict(EQ_SCENE["circles"][0], cx="a")] + EQ_SCENE["circles"][1:]},
+        "^circle 0: could not convert string to float: 'a'$",
+    ),
+]
+
+# plasticity --free value -> message of its invalid_scene error
+BAD_FREE = {
+    "w2=9,w4=0.5,w5=0.7": "bad --free key 'w2': the free weights are w4..w5",
+    "w4=0.5,w5=0.7,w9=3": "bad --free key 'w9': the free weights are w4..w5",
+    "w4=0.5,w4=0.6,w5=0.7": "--free repeats w4",
+    "w4": "bad --free entry 'w4', expected wK=value",
+    "x4=1": "bad --free key 'x4'",
+    "w4=abc": "bad --free entry 'w4=abc': could not convert string to float: 'abc'",
+    "w4=1": "--free is missing w5",
+}
+
+# verify-geometric --shifts value on a three-circle scene -> message of its invalid_scene error
+BAD_SHIFTS = {
+    "0.1,0.2": "--shifts needs 3 values, one per circle, got 2",
+    "0,0,0,0": "--shifts needs 3 values, one per circle, got 4",
+    "a,b,c": "bad --shifts value: could not convert string to float: 'a'",
+}
+
+
 @pytest.fixture
 def eq_scene_path(tmp_path):
     path = tmp_path / "eq.json"
@@ -84,27 +125,30 @@ class TestSceneParsing:
         assert point.distance_to(result.point) == 0.0
 
     @pytest.mark.parametrize(
-        "mutation",
-        [
-            {"circles": []},
-            {"weights": [1.0, 1.0]},
-            {"mode": "banana"},
-            {"circles": [{"cx": 0.0, "cy": 0.0}]},
-            {"point": [1.0]},
-            {"point": [1.0, "x"]},
-            {"point": [1.0, None]},
-            {"point": [math.inf, 0.0]},
-        ],
+        "mutation, match",
+        MALFORMED,
+        ids=[f"mutation{k}" for k in range(len(MALFORMED))],
     )
-    def test_malformed_rejected(self, mutation):
+    def test_malformed_rejected(self, mutation, match):
         data = dict(EQ_SCENE)
         data.update(mutation)
-        with pytest.raises(SceneError):
+        with pytest.raises(SceneError, match=match):
             parse_scene(data)
 
     def test_missing_file(self):
         with pytest.raises(SceneError):
             load_scene("/nonexistent/scene.json")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("[1, 2]", "^scene must be a JSON object$"), ("{nope", "is not valid JSON: ")],
+        ids=["list", "not-json"],
+    )
+    def test_unparsable_file(self, tmp_path, text, match):
+        path = tmp_path / "scene.json"
+        path.write_text(text)
+        with pytest.raises(SceneError, match=match):
+            load_scene(path)
 
 
 class TestSvg:
@@ -209,6 +253,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "case=floating" in out
         assert "sine system residual" in out
+
+    def test_check_absorbed_scene(self, tmp_path, capsys):
+        assert main(["check", _absorbed_pentagon(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "case=absorbed(at=0)\npoint=(1.22464679915e-16, 2)\nobjective=13.5107341487\n"
+        )
 
     def test_plasticity(self, pentagon_path, capsys):
         assert main(["plasticity", pentagon_path]) == 0
@@ -315,12 +365,17 @@ class TestCli:
         assert main(["plasticity", pentagon_path, "--free", "w4=1.0,w5=nan"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
 
-    @pytest.mark.parametrize(
-        "free", ["w2=9,w4=0.5,w5=0.7", "w4=0.5,w5=0.7,w9=3", "w4=0.5,w4=0.6,w5=0.7"]
-    )
+    @pytest.mark.parametrize("free", list(BAD_FREE))
     def test_plasticity_free_bad_label(self, pentagon_path, free, capsys):
         assert main(["plasticity", pentagon_path, "--free", free]) == 1
-        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+        assert capsys.readouterr().out == f"ERROR:invalid_scene:{BAD_FREE[free]}\n"
+
+    def test_plasticity_collinear_rays(self, tmp_path, capsys):
+        # rays 0 and 2 of a square's solution point are opposite
+        path = tmp_path / "square.json"
+        path.write_text(dump_json(scene_dict(regular_polygon_config(4))))
+        assert main(["plasticity", str(path)]) == 1
+        assert capsys.readouterr().out == "ERROR:geometry_precondition:rays 2 and 0 are collinear\n"
 
     @pytest.mark.parametrize("extra", [[], ["--free", "w4=1"]])
     def test_plasticity_three_circles(self, eq_scene_path, extra, capsys):
@@ -337,10 +392,10 @@ class TestCli:
         assert main(["verify-geometric", eq_scene_path, "--shifts", f"0,{bad},0"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
 
-    @pytest.mark.parametrize("shifts", ["0.1,0.2", "0,0,0,0"])
+    @pytest.mark.parametrize("shifts", list(BAD_SHIFTS))
     def test_verify_geometric_shift_count(self, eq_scene_path, shifts, capsys):
         assert main(["verify-geometric", eq_scene_path, "--shifts", shifts]) == 1
-        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+        assert capsys.readouterr().out == f"ERROR:invalid_scene:{BAD_SHIFTS[shifts]}\n"
 
     def test_oracle_bad_grid(self, eq_scene_path, capsys):
         assert main(["oracle", eq_scene_path, "--grid", "0"]) == 1
@@ -369,6 +424,23 @@ class TestCli:
     def test_unreadable_scene(self, capsys):
         assert main(["solve", "/nonexistent.json"]) == 1
         assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plasticity", "--total", "-1"],
+            ["evolve", "--type", "A", "--steps", "-1"],
+            ["oracle", "--grid", "0"],
+            ["verify-geometric", "--shifts", "0,0,0", "--tol", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_scene_error_wins_over_option_error(self, argv, capsys):
+        # the scene loads before the command checks its options
+        assert main([argv[0], "/nonexistent.json", *argv[1:]]) == 1
+        assert capsys.readouterr().out.startswith(
+            "ERROR:invalid_scene:cannot read scene file /nonexistent.json:"
+        )
 
     def test_overlapping_scene_error(self, tmp_path, capsys):
         data = dict(EQ_SCENE)
