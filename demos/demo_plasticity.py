@@ -41,7 +41,7 @@ print("=" * 72)
 print("   rho = w4/w1      w1        w2        w3        w4   max cosine residual")
 for rho in (0.2, 0.4, 0.6, 0.8, 1.0):
     member = plasticity_n(angles, [rho], total=1.0)
-    res = np.max(np.abs(cosine_residuals(angles, member)))
+    res = np.max(np.abs(cosine_residuals(angles.azimuths, member)))
     print(f"   {rho:8.2f}   " + "  ".join(f"{x:8.5f}" for x in member) + f"   {res:.1e}")
 print("every member satisfies the equilibrium equations at the same point:")
 print("that non-uniqueness is the dynamic plasticity of the configuration")

@@ -24,7 +24,9 @@ from .geometry import (
     Configuration,
     DistanceMode,
     Point2,
+    cosine_residuals,
     project_onto_circle,
+    sine_residuals,
 )
 from .inverse import AngleTriple, angles_from_weights, opposite_angles, weights_from_angles
 from .solver import CaseTag, SolveResult, certificate_residuals, classify_case, solve
@@ -32,12 +34,10 @@ from .plasticity import (
     PlasticityCoefficients,
     SectorAngles,
     TriangleRatios,
-    cosine_residuals,
     cosine_system_weights,
     plasticity4_preconditions,
     plasticity_n,
     shifted_configuration,
-    sine_residuals,
     transfer_coefficients,
     verify_geometric_plasticity,
 )

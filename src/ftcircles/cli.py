@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneError
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
-from .geometry import Circle, DistanceMode, project_onto_circle, sine_matrix
+from .geometry import Circle, DistanceMode, project_onto_circle, sine_residuals
 from .inverse import AngleTriple, weights_from_angles
 from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
 from .plasticity import (
@@ -215,7 +215,7 @@ def _cmd_check(args, config, point) -> int:
         print(f"objective={result.objective:.12g}")
         return 0
     residuals = certificate_residuals(result, config)
-    sin_res = sine_matrix(result.ray_azimuths) @ config.weights_array()
+    sin_res = sine_residuals(result.ray_azimuths, config.weights_array())
     print(f"equilibrium_residual={result.equilibrium_residual:.3e}")
     print(f"max cosine residual: {max(abs(r) for r in residuals):.3e}")
     print(f"max sine system residual: {np.max(np.abs(sin_res)):.3e}")

@@ -140,12 +140,11 @@ def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
     rays = np.column_stack([np.cos(layout.azimuths), np.sin(layout.azimuths)])
     # growing branches (labels 3, 4) must lie in the sector from ray 2 to
     # ray 0 that avoids ray 1, i.e. the input labels run around the point
-    order = list(base.sector_order)
-    k = order.index(0)
-    seq = order[k:] + order[:k]
-    if seq != [0, 1, 2, 3, 4] and seq != [0, 4, 3, 2, 1]:
+    if not layout.label_orientation():
+        order = list(base.sector_order)
+        k = order.index(0)
         raise PreconditionViolated(
-            f"circle labels must run around the point in order, got cycle {seq}"
+            f"circle labels must run around the point in order, got cycle {order[k:] + order[:k]}"
         )
     return base.point, layout, rays
 

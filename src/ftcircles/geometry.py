@@ -37,9 +37,7 @@ class Point2:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidConfiguration(
-                f"point coordinates must be finite, got ({self.x}, {self.y})"
-            )
+            raise InvalidConfiguration(f"coordinates must be finite, got ({self.x}, {self.y})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -88,7 +86,7 @@ class Configuration:
     _centers: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
     _radii: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
-    # result of the first successful default ``solve``, which later ones return
+    # result of the first successful ``solve``, which later calls return
     _solved: SolveResult | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
@@ -272,19 +270,19 @@ def cosine_matrix(azimuths: Sequence[float]) -> np.ndarray:
 
     The diagonal is exactly 1, so ``cosine_matrix(az) @ w`` is the cosine
     equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``;
-    :func:`resultant_projections` computes that product in O(n).
+    :func:`cosine_residuals` computes that product in O(n).
     """
     az = np.asarray(azimuths, dtype=float)
     return np.cos(az[None, :] - az[:, None])
 
 
-def resultant_projections(azimuths: Sequence[float], weights: Sequence[float]) -> np.ndarray:
-    """Projections ``u_i . sum_j w_j u_j`` of the weighted resultant onto each ray.
+def cosine_residuals(azimuths: Sequence[float], weights: Sequence[float]) -> np.ndarray:
+    """Cosine residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)`` of rays at the given azimuths.
 
-    ``u_j`` is the unit vector at azimuth ``az_j``. This is the cosine
-    equilibrium residual ``w_i + sum_{j!=i} w_j cos(angle_ij)``, the same
-    quantity as ``cosine_matrix(az) @ w``, computed in O(n) instead of
-    O(n^2); the two round differently, by at most about ``n * eps * sum(w)``.
+    Each is the projection ``u_i . sum_j w_j u_j`` of the weighted resultant
+    of the unit rays onto ray i, the same quantity as
+    ``cosine_matrix(az) @ w``, computed in O(n) instead of O(n^2); the two
+    round differently, by at most about ``n * eps * sum(w)``.
     """
     az = np.asarray(azimuths, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -292,7 +290,12 @@ def resultant_projections(azimuths: Sequence[float], weights: Sequence[float]) -
     return c * np.dot(w, c) + s * np.dot(w, s)
 
 
-def sine_matrix(azimuths: Sequence[float]) -> np.ndarray:
-    """Matrix ``sin(az_j - az_i)`` of the signed sines between every pair of rays."""
+def sine_residuals(azimuths: Sequence[float], weights: Sequence[float]) -> np.ndarray:
+    """Signed sine residuals ``sum_j w_j sin(az_j - az_i)`` of rays at the given azimuths.
+
+    These are the cross products of the equilibrium with each ray direction;
+    with rays laid out per the interior/exterior hypotheses they reduce
+    term-by-term to the displayed weighted sine equations.
+    """
     az = np.asarray(azimuths, dtype=float)
-    return np.sin(az[None, :] - az[:, None])
+    return np.sin(az[None, :] - az[:, None]) @ np.asarray(weights, dtype=float)

@@ -43,9 +43,7 @@ from .geometry import (
     Point2,
     azimuths_at,
     cosine_matrix,
-    resultant_projections,
     sectors_of,
-    sine_matrix,
     wrap_angle,
 )
 from .solver import SolveResult, solve
@@ -110,6 +108,16 @@ class SectorAngles:
     def sectors(self) -> tuple[float, ...]:
         """Consecutive sector angles aligned with :meth:`cyclic_order`."""
         return self._sectors
+
+    def label_orientation(self) -> int:
+        """1 when labels 0..n-1 run counterclockwise around the apex, -1 when clockwise, else 0."""
+        k = self._order.index(0)
+        seq = self._order[k:] + self._order[:k]
+        if seq == tuple(range(self.n)):
+            return 1
+        if seq[1:] == tuple(range(self.n - 1, 0, -1)):
+            return -1
+        return 0
 
 
 @dataclass(frozen=True)
@@ -201,21 +209,6 @@ def transfer_coefficients(
     return PlasticityCoefficients(n=n, total=float(total), a=a, const=const)
 
 
-def cosine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
-    """Residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)`` of the cosine system."""
-    return resultant_projections(angles.azimuths, weights)
-
-
-def sine_residuals(angles: SectorAngles, weights: Sequence[float]) -> np.ndarray:
-    """Signed sine residuals ``sum_i w_i sin(theta_i - theta_j)`` per ray j.
-
-    These are the cross products of the equilibrium with each ray direction;
-    with rays laid out per the interior/exterior hypotheses they reduce
-    term-by-term to the displayed weighted sine equations.
-    """
-    return sine_matrix(angles.azimuths) @ np.asarray(weights, dtype=float)
-
-
 def cosine_system_weights(angles: SectorAngles) -> np.ndarray:
     """Solve the weighted cosine equations plus the unit-sum constraint.
 
@@ -284,18 +277,13 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     """
     if angles.n != 4:
         raise InvalidConfiguration("preconditions are defined for 4 rays")
-    order = angles.cyclic_order()
-    pos = {label: k for k, label in enumerate(order)}
-    seq = [(pos[label] - pos[0]) % 4 for label in range(4)]
-    if seq == [0, 1, 2, 3]:
-        ccw = True
-    elif seq == [0, 3, 2, 1]:
-        ccw = False
-    else:
+    turn = angles.label_orientation()
+    if not turn:
         return False  # labels do not run around the apex: crossed quadrilateral
-    az = angles.azimuths if ccw else -angles.azimuths
-    b = wrap_angle(np.roll(az, -1) - az)
-    b1, b2, b3, b4 = np.where(b <= 0, b + 2.0 * math.pi, b).tolist()
+    # sectors from ray 0 in label order: counterclockwise, or reversed
+    k = angles.cyclic_order().index(0)
+    b = angles.sectors()[k:] + angles.sectors()[:k]
+    b1, b2, b3, b4 = b if turn > 0 else b[::-1]
     return (
         b1 < math.pi
         and b2 < math.pi

@@ -27,8 +27,8 @@ from .geometry import (
     Configuration,
     Point2,
     azimuths_at,
+    cosine_residuals,
     distances_to_circles,
-    resultant_projections,
     sectors_of,
 )
 
@@ -73,7 +73,10 @@ class SolveResult:
     them. ``sector_angles`` are the consecutive counterclockwise angles
     between those rays, aligned with ``sector_order`` (input indices sorted
     by azimuth). All three are empty for an absorbed solution, which
-    carries no angle certificate.
+    carries no angle certificate. ``equilibrium_residual`` is the gradient
+    norm where the loop stopped for a floating solution, and 0 by definition
+    for an absorbed one: a center absorbs only when its pull is at most its
+    weight.
     """
 
     point: Point2
@@ -139,7 +142,7 @@ def _minimize(
     centers: np.ndarray,
     weights: np.ndarray,
     tol: float,
-    max_iters: int,
+    max_iters: int = DEFAULT_MAX_ITERS,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, int, tuple[np.ndarray, float] | None]:
     """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
@@ -161,8 +164,9 @@ def _minimize(
     center that passes is returned as the result of that step.
 
     The next point depends only on the current one, so an iterate equal to
-    the previous point or the one before it repeats forever: that raises
-    NonConvergence at once instead of spending the rest of the budget.
+    any earlier one repeats the cycle between them forever: that raises
+    NonConvergence at once instead of spending the rest of the budget. The
+    test runs after the stop tests, so a converging run is unaffected.
     """
     if initial is None:
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
@@ -170,7 +174,7 @@ def _minimize(
         p = np.asarray(initial, dtype=float).copy()
     diff, d = _offsets(centers, p)
     step = residual = math.inf
-    prev = prev2 = None
+    visited = set()
     not_optimal = set()
     for it in range(max_iters + 1):
         hit = int(d.argmin())
@@ -186,11 +190,13 @@ def _minimize(
             residual = math.hypot(*grad)
             if step < tol and residual < 10.0 * tol:
                 return p, it, residual, hit, None
-        if _same(p, prev) or _same(p, prev2):
+        xy = tuple(p.tolist())
+        if xy in visited:
             raise NonConvergence(
                 f"iteration revisits a point after {it} steps without reaching "
                 f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
             )
+        visited.add(xy)
         if it == max_iters:
             break
         accepted = None
@@ -211,7 +217,7 @@ def _minimize(
             else:
                 new_p, diff, d = accepted
         step = math.hypot(new_p[0] - p[0], new_p[1] - p[1])
-        prev2, prev, p = prev, p, new_p
+        p = new_p
         if accepted is None:
             diff, d = _offsets(centers, p)
     raise NonConvergence(
@@ -224,10 +230,6 @@ def _offsets(centers: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """``centers - p`` and its row lengths."""
     diff = centers - p
     return diff, np.hypot(diff[:, 0], diff[:, 1])
-
-
-def _same(p: np.ndarray, q: np.ndarray | None) -> bool:
-    return q is not None and p[0] == q[0] and p[1] == q[1]
 
 
 def _newton_step(p, d, e, grad, residual, hit, centers, weights):
@@ -275,19 +277,14 @@ def _newton_step(p, d, e, grad, residual, hit, centers, weights):
     return None
 
 
-def solve(
-    config: Configuration,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    initial: Point2 | None = None,
-) -> SolveResult:
+def solve(config: Configuration) -> SolveResult:
     """Solve the weighted minimum-distance-sum problem for the configuration.
 
-    Every solve runs the solver loop on the centers, started from the
-    weighted centroid or from ``initial``, and takes the case from the
-    point where it stops (``classify_case``). Raises NonConvergence when
-    ``max_iters`` steps neither meet the convergence test nor reach an
-    absorbing center; this limit holds for absorbed scenes too, and
-    ``max_iters=0`` only tests the start point.
+    The solver loop runs on the centers from their weighted centroid, and
+    the case comes from the point where it stops (``classify_case``).
+    Raises NonConvergence when the loop revisits a point, or when
+    ``DEFAULT_MAX_ITERS`` steps neither meet the convergence test nor reach
+    an absorbing center; absorbed scenes included.
 
     Floating case: projections, consecutive sector angles, objective with
     radii subtracted, and the equilibrium residual. ``iterations`` counts
@@ -296,32 +293,23 @@ def solve(
     theory does not apply.
 
     Absorbed case: the point is the absorbing center; distances and
-    projections are computed from it, ``iterations`` is 0 and no angle
-    certificate is produced.
+    projections are computed from it, ``iterations`` and
+    ``equilibrium_residual`` are 0 and no angle certificate is produced.
 
-    Each configuration is solved once: a call with the default ``max_iters``
-    and no ``initial`` stores its result on the (immutable) configuration,
-    and later such calls return that same object. Calls with other
-    arguments always compute and never store. Errors are never stored, so a
-    failing call raises again. Pickled and deep-copied configurations start
-    without a stored result.
+    Each configuration is solved once: the first call stores its result on
+    the (immutable) configuration, and later calls return that same object.
+    Errors are never stored, so a failing call raises again. Pickled and
+    deep-copied configurations start without a stored result.
     """
-    default = max_iters == DEFAULT_MAX_ITERS and initial is None
-    if default and config._solved is not None:
-        return config._solved
-    result = _solve(config, max_iters, initial)
-    if default:
-        object.__setattr__(config, "_solved", result)
-    return result
+    if config._solved is None:
+        object.__setattr__(config, "_solved", _solve(config))
+    return config._solved
 
 
-def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> SolveResult:
+def _solve(config: Configuration) -> SolveResult:
     centers = config.centers_array()
     weights = config.weights_array()
-    start = initial.as_array() if initial is not None else None
-    p, iters, residual, nearest, at_center = _minimize(
-        centers, weights, config.tolerance, max_iters, start
-    )
+    p, iters, residual, nearest, at_center = _minimize(centers, weights, config.tolerance)
     point = Point2.from_array(p)
     case = classify_case(config, point, nearest)
     floating, m = case.is_floating, case.index
@@ -339,7 +327,7 @@ def _solve(config: Configuration, max_iters: int, initial: Point2 | None) -> Sol
         pull, pull_norm = at_center or _pull_at_center(centers, weights, m)
         offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
         d[m] = 1.0
-        residual = max(0.0, pull_norm - weights[m])
+        residual = 0.0
         iters = 0
     projections = _projections(config, offsets, d)
     azimuths = azimuths_at(point, projections) if floating else np.empty(0)
@@ -390,10 +378,10 @@ def certificate_residuals(result: SolveResult, config: Configuration) -> list[fl
     """Cosine equilibrium residuals ``w_i + sum_{j!=i} w_j cos(angle_ij)``.
 
     Each is the projection of the weighted resultant of the result's unit
-    rays onto ray i (see ``resultant_projections``), an O(n) computation.
+    rays onto ray i (see ``cosine_residuals``), an O(n) computation.
     All residuals vanish at the true floating minimizer. Raises
     PreconditionViolated for absorbed results, which have no angle certificate.
     """
     if not result.case.is_floating:
         raise PreconditionViolated("cosine residuals require a floating solution")
-    return resultant_projections(result.ray_azimuths, config.weights_array()).tolist()
+    return cosine_residuals(result.ray_azimuths, config.weights_array()).tolist()

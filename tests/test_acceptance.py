@@ -131,8 +131,8 @@ def test_criterion_04_cosine_sine_residuals(scenes4):
         result = solve(config)
         angles = SectorAngles.from_result(result)
         w = config.weights_array()
-        worst = max(worst, float(np.max(np.abs(cosine_residuals(angles, w)))))
-        worst = max(worst, float(np.max(np.abs(sine_residuals(angles, w)))))
+        worst = max(worst, float(np.max(np.abs(cosine_residuals(angles.azimuths, w)))))
+        worst = max(worst, float(np.max(np.abs(sine_residuals(angles.azimuths, w)))))
     ok = worst < 1e-7
     _report(4, "cosine-sine-residuals", ok, f"max residual {worst:.2e}")
 
@@ -150,7 +150,7 @@ def test_criterion_05_four_circle_plasticity(scenes4):
         worst_true = max(worst_true, float(np.max(np.abs(out - normalized))))
         member = cosine_system_weights(angles)
         worst_system = max(
-            worst_system, float(np.max(np.abs(cosine_residuals(angles, member))))
+            worst_system, float(np.max(np.abs(cosine_residuals(angles.azimuths, member))))
         )
         again = plasticity_n(angles, [member[3] / member[0]], total=float(member.sum()))
         worst_family = max(worst_family, float(np.max(np.abs(again - member))))

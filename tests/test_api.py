@@ -38,6 +38,7 @@ REMOVED_KEYWORDS = (
     (ftcircles.random_dominated_config, ("radius",)),
     (ftcircles.regular_polygon_config, ("weight",)),
     (ftcircles.cosine_system_weights, ("atol",)),
+    (ftcircles.solve, ("max_iters", "initial")),
     (svg.render_svg, ("size",)),
     (ftcircles.SolutionInsideDisk, ("message",)),
 )

@@ -46,7 +46,7 @@ MALFORMED = [
     ({"point": [1.0]}, r"^point must be \[x, y\], got \[1.0\]$"),
     ({"point": [1.0, "x"]}, "^point: could not convert string to float: 'x'$"),
     ({"point": [1.0, None]}, r"^point: float\(\) argument must be"),
-    ({"point": [math.inf, 0.0]}, r"^point: point coordinates must be finite, got \(inf, 0.0\)$"),
+    ({"point": [math.inf, 0.0]}, r"^point: coordinates must be finite, got \(inf, 0.0\)$"),
     ({"weights": 1.0}, "^scene needs a 'weights' list$"),
     ({"weights": [1.0, "x", 1.0]}, "^could not convert string to float: 'x'$"),
     (

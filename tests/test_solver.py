@@ -215,7 +215,7 @@ class TestClassifyFromMinimizer:
             config.centers_array(), config.weights_array(), config.tolerance, 1
         )
         assert (p.tolist(), steps, nearest, tested) == ([1.0, 0.0], 1, 1, [1])
-        result = solve(config, max_iters=1)
+        result = solve(config)
         assert result.case == CaseTag.absorbed(1) and result.iterations == 0
 
     def test_weiszfeld_steps_test_each_center_once(self, monkeypatch):
@@ -247,20 +247,24 @@ class TestClassifyFromMinimizer:
 
     def test_max_iters_limits_absorbed_scenes(self):
         config = random_dominated_config(4, seed=0, dominant=1)
-        steps = solver_module._minimize(
-            config.centers_array(), config.weights_array(), config.tolerance, 100
-        )[1]
+        args = (config.centers_array(), config.weights_array(), config.tolerance)
+        steps = solver_module._minimize(*args, 100)[1]
         assert steps >= 1
         with pytest.raises(NonConvergence):
-            solve(config, max_iters=steps - 1)
-        result = solve(config, max_iters=steps)
+            solver_module._minimize(*args, steps - 1)
+        p, _, _, nearest, _ = solver_module._minimize(*args, steps)
+        assert p.tolist() == config.centers_array()[1].tolist() and nearest == 1
+        result = solve(config)
         assert result.case == CaseTag.absorbed(1)
         assert result.iterations == 0
 
     def test_start_on_the_absorbing_center_needs_no_step(self):
         config = random_dominated_config(4, seed=0, dominant=1)
-        result = solve(config, max_iters=0, initial=config.circles[1].center)
-        assert result.case == CaseTag.absorbed(1)
+        centers = config.centers_array()
+        p, steps, _, nearest, _ = solver_module._minimize(
+            centers, config.weights_array(), config.tolerance, 0, centers[1]
+        )
+        assert (p.tolist(), steps, nearest) == (centers[1].tolist(), 0, 1)
 
 
 class TestFloatingSolve:
@@ -292,13 +296,15 @@ class TestFloatingSolve:
         configs += [random_floating_config(n, seed=s) for n in (3, 4, 5, 6) for s in range(25)]
         rng = np.random.default_rng(11)
         for config in configs:
-            base = solve(config).point
+            base = solve(config).point.as_array()
             centers = config.centers_array()
             lo, hi = centers.min(axis=0), centers.max(axis=0)
-            starts = [Point2(*rng.uniform(lo, hi)) for _ in range(10)]
-            for start in starts + [c.center for c in config.circles]:
-                other = solve(config, initial=start).point
-                assert other.distance_to(base) < 1e-6
+            starts = [rng.uniform(lo, hi) for _ in range(10)]
+            for start in starts + list(centers):
+                other = solver_module._minimize(
+                    centers, config.weights_array(), config.tolerance, initial=start
+                )[0]
+                assert np.hypot(*(other - base)) < 1e-6
 
     def test_local_minimality_probes(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
@@ -372,8 +378,8 @@ class TestFloatingSolve:
             config = Configuration(
                 tuple(Circle(Point2(*c), 0.05) for c in centers), tuple(weights)
             )
-            result = solve(config, max_iters=100)
-            assert result.case.is_floating
+            result = solve(config)
+            assert result.case.is_floating and result.iterations <= 100
             assert result.equilibrium_residual < 10 * config.tolerance
 
     def test_newton_step_count(self):
@@ -390,8 +396,10 @@ class TestFloatingSolve:
 
     def test_non_convergence(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
-        with pytest.raises(NonConvergence):
-            solve(config, max_iters=1)
+        with pytest.raises(NonConvergence, match="in 1 steps"):
+            solver_module._minimize(
+                config.centers_array(), config.weights_array(), config.tolerance, 1
+            )
 
     @pytest.mark.parametrize(
         "centers, radii, weights",
@@ -430,6 +438,32 @@ class TestFloatingSolve:
             tuple(Circle(Point2(*c), r) for c, r in zip(centers, radii)), tuple(weights)
         )
         with pytest.raises(NonConvergence) as info:
+            solve(config)
+        steps = re.search(r"after (\d+) steps", str(info.value))
+        assert steps is not None and int(steps.group(1)) <= 50
+
+    def test_cycle_of_any_period_fails_fast(self):
+        # margin 2.4e-8 from absorption: the iterates cycle through five
+        # points, which a test against the previous two alone never sees
+        centers = [
+            ("0x1.3a23fd7cb43eap+1", "0x1.cad4d93baacd8p-2"),
+            ("0x1.781a8f7ce1130p+0", "0x1.5dfa97a118d16p+0"),
+            ("0x1.498079e283da0p-2", "0x1.ec6790c5978c9p+1"),
+            ("0x1.06b09e958a051p+1", "0x1.aed1341ae8c9ap+1"),
+            ("0x1.dc03baa56260dp+1", "0x1.c3c6c8a266758p-1"),
+        ]
+        radii = ["0x1.2abdc08646882p-27", "0x1.52abaf2aa404dp-3", "0x1.33270ca9533edp-1",
+                 "0x1.4565f597d5d9ap-2", "0x1.3b8b4cadf0450p-2"]
+        weights = ["0x1.9cded1924fc83p+1", "0x1.80a12f229d6e9p-1", "0x1.547775f0bbcfep+0",
+                   "0x1.2b69f18cb982fp+0", "0x1.4d095d67dd68ep+0"]
+        config = Configuration(
+            tuple(
+                Circle(Point2(float.fromhex(x), float.fromhex(y)), float.fromhex(r))
+                for (x, y), r in zip(centers, radii)
+            ),
+            tuple(map(float.fromhex, weights)),
+        )
+        with pytest.raises(NonConvergence, match="revisits a point") as info:
             solve(config)
         steps = re.search(r"after (\d+) steps", str(info.value))
         assert steps is not None and int(steps.group(1)) <= 50
@@ -556,7 +590,8 @@ class TestCertificate:
             matrix_form = cosine_matrix(result.ray_azimuths) @ w
             gap = float(np.max(np.abs(np.array(residuals) - matrix_form)))
             assert gap <= config.n * np.finfo(float).eps * w.sum(), (config.n, gap)
-            assert cosine_residuals(SectorAngles.from_result(result), w).tolist() == residuals
+            angles = SectorAngles.from_result(result)
+            assert cosine_residuals(angles.azimuths, w).tolist() == residuals
         assert floating == 1221
 
 
@@ -595,21 +630,7 @@ class TestStoredResult:
         config = triangle_config(weights=(0.9, 1.2, 1.0))
         first = solve(config)
         assert solve(config) is first
-        assert solve(config, max_iters=solver_module.DEFAULT_MAX_ITERS) is first
         assert len(minimize_calls) == 1
-
-    def test_other_arguments_recompute_and_leave_it_alone(self, minimize_calls):
-        config = triangle_config(weights=(0.7, 1.1, 1.4))
-        limited = solve(config, max_iters=50)
-        started = solve(config, initial=Point2(1.0, 1.0))
-        assert len(minimize_calls) == 2
-        first = solve(config)
-        assert first is not limited and first is not started
-        assert len(minimize_calls) == 3
-        assert solve(config, max_iters=50) is not first
-        assert solve(config, initial=Point2(1.0, 1.0)) is not first
-        assert solve(config) is first
-        assert len(minimize_calls) == 5
 
     @pytest.mark.parametrize(
         "config, error",
