@@ -5,12 +5,13 @@ dynamic/geometric plasticity systems, five-circle evolution traces, and an
 independent brute-force oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AbsorbedWeights,
     DegenerateAngle,
     DegenerateProjection,
     FTCirclesError,
-    GeometryPreconditionViolated,
     InvalidConfiguration,
     NonConvergence,
     PreconditionViolated,
@@ -63,57 +64,9 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsorbedWeights",
-    "AngleTriple",
-    "CaseTag",
-    "Circle",
-    "Configuration",
-    "DegenerateAngle",
-    "DegenerateProjection",
-    "DistanceMode",
-    "EvolutionStep",
-    "EvolutionTrace",
-    "EvolutionType",
-    "FTCirclesError",
-    "GeometryPreconditionViolated",
-    "InvalidConfiguration",
-    "NonConvergence",
-    "PlasticityCoefficients",
-    "Point2",
-    "PreconditionViolated",
-    "SceneError",
-    "SectorAngles",
-    "ShiftedConfigInvalid",
-    "SingularSystem",
-    "SolutionInsideDisk",
-    "SolveResult",
-    "TerminationReason",
-    "TriangleRatios",
-    "WeightChange",
-    "angles_from_weights",
-    "certificate_residuals",
-    "classify_case",
-    "compose_rays",
-    "cosine_residuals",
-    "cosine_system_weights",
-    "directional_derivative_to_circle",
-    "evolve_type_a",
-    "evolve_type_b",
-    "finite_difference_gradient",
-    "objective",
-    "opposite_angles",
-    "oracle_minimize",
-    "plasticity4_preconditions",
-    "plasticity_n",
-    "project_onto_circle",
-    "random_dominated_config",
-    "random_floating_config",
-    "regular_polygon_config",
-    "shifted_configuration",
-    "sine_residuals",
-    "solve",
-    "transfer_coefficients",
-    "verify_geometric_plasticity",
-    "weights_from_angles",
-]
+# The imports above are the one list of public names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

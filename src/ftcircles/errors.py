@@ -63,12 +63,6 @@ class SingularSystem(FTCirclesError):
     code = "singular_system"
 
 
-class GeometryPreconditionViolated(FTCirclesError):
-    """Ray geometry violates the interior/exterior triangle hypotheses."""
-
-    code = "geometry_precondition"
-
-
 class ShiftedConfigInvalid(FTCirclesError):
     """A radially shifted configuration violates validity conditions."""
 

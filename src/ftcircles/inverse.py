@@ -111,6 +111,4 @@ def opposite_angles(result: SolveResult) -> AngleTriple:
     """
     if not result.case.is_floating:
         raise PreconditionViolated("angle triple requires a floating solution")
-    if len(result.projection_xy) != 3:
-        raise InvalidConfiguration("angle triple is defined for exactly 3 circles")
     return AngleTriple.from_sectors(result.sector_order, result.sector_angles)

@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    GeometryPreconditionViolated,
     PreconditionViolated,
     ShiftedConfigInvalid,
     SingularSystem,
@@ -66,6 +65,8 @@ class SectorAngles:
         az = np.asarray(azimuths, dtype=float)
         if az.ndim != 1 or az.size < 3:
             raise InvalidConfiguration("need at least 3 ray azimuths")
+        if not np.isfinite(az).all():
+            raise InvalidConfiguration(f"ray azimuths must be finite, got {az.tolist()}")
         self._set(az, *sectors_of(az))
 
     def _set(self, az: np.ndarray, order: tuple[int, ...], sectors: tuple[float, ...]) -> None:
@@ -145,7 +146,7 @@ class TriangleRatios:
         s = angles.signed_sin
         for i, j in ((2, 1), (2, 0), (1, 0)):
             if abs(s(i, j)) < _MIN_SINE:
-                raise GeometryPreconditionViolated(f"rays {i} and {j} are collinear")
+                raise PreconditionViolated(f"rays {i} and {j} are collinear")
         r2 = -s(2, 0) / s(2, 1)
         r3 = -s(1, 0) / s(1, 2)
         q3 = {j: -s(2, j) / s(2, 0) for j in range(3, n)}
@@ -273,7 +274,9 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     True when, with rays labeled cyclically 1, 2, 3, 4, the apex lies inside
     triangles {1,2,3} and {1,2,4} and outside triangle {1,3,4}. Expressed in
     consecutive sector angles b1..b4 (from ray 1) this is b1 < pi, b2 < pi,
-    b4 < pi, b2 + b3 < pi and b3 + b4 < pi.
+    b4 < pi, b2 + b3 < pi and b3 + b4 < pi. Each must hold with the margin
+    at which :class:`TriangleRatios` calls rays collinear, so a layout with
+    the apex on a triangle edge (a sum equal to pi) does not meet them.
     """
     if angles.n != 4:
         raise InvalidConfiguration("preconditions are defined for 4 rays")
@@ -284,12 +287,13 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     k = angles.cyclic_order().index(0)
     b = angles.sectors()[k:] + angles.sectors()[:k]
     b1, b2, b3, b4 = b if turn > 0 else b[::-1]
+    limit = math.pi - _MIN_SINE
     return (
-        b1 < math.pi
-        and b2 < math.pi
-        and b4 < math.pi
-        and b2 + b3 < math.pi
-        and b3 + b4 < math.pi
+        b1 < limit
+        and b2 < limit
+        and b4 < limit
+        and b2 + b3 < limit
+        and b3 + b4 < limit
     )
 
 
@@ -303,22 +307,24 @@ def shifted_configuration(
     The point is that of ``solve(config)``, the stored result once the
     configuration has been solved; PreconditionViolated is raised when it
     is absorbed. Positive shifts move centers away from the point. Raises
-    ShiftedConfigInvalid when a shift is not finite, or when the result
-    overlaps, loses the floating condition, or swallows the base point into
-    a disk. The floating check solves the shifted configuration, so errors
-    of ``solve`` pass through and a later ``solve(shifted)`` returns the
-    stored result.
+    ShiftedConfigInvalid when the shifts or ``new_radii`` are not n values,
+    when a shift is not finite, or when the result overlaps, loses the
+    floating condition, or swallows the base point into a disk. The
+    floating check solves the shifted configuration, so errors of ``solve``
+    pass through and a later ``solve(shifted)`` returns the stored result.
     """
     shifts = np.asarray(radial_shifts, dtype=float)
     if shifts.shape != (config.n,):
         raise ShiftedConfigInvalid(f"expected {config.n} shifts, got {shifts.shape}")
     if not np.isfinite(shifts).all():
         raise ShiftedConfigInvalid(f"shifts must be finite, got {shifts.tolist()}")
+    radii = config.radii_array() if new_radii is None else np.asarray(new_radii, float)
+    if radii.shape != (config.n,):
+        raise ShiftedConfigInvalid(f"expected {config.n} radii, got {radii.shape}")
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("geometric plasticity requires a floating instance")
     p = base.point.as_array()
-    radii = config.radii_array() if new_radii is None else np.asarray(new_radii, float)
     circles = []
     for i, c in enumerate(config.circles):
         v = c.center.as_array() - p
@@ -351,9 +357,6 @@ def verify_geometric_plasticity(
     its ray from the solution point (optionally with new radii), re-solves,
     and reports whether the two points agree within ``point_tol``.
     """
-    base = solve(config)
-    if not base.case.is_floating:
-        raise PreconditionViolated("geometric plasticity requires a floating instance")
     shifted = shifted_configuration(config, radial_shifts, new_radii)
     moved = solve(shifted)
-    return moved.point.distance_to(base.point) < point_tol
+    return moved.point.distance_to(solve(config).point) < point_tol

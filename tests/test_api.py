@@ -16,6 +16,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED_NAMES = (
     "CalledOnAbsorbed",
     "DegenerateAngles",
+    "GeometryPreconditionViolated",
     "MissingRatio",
     "StepOutOfRange",
     "StepTooSmall",

@@ -119,3 +119,8 @@ class TestEndToEnd:
                 1e-7,
                 f"seed {seed} recovery",
             )
+
+    def test_opposite_angles_need_three_rays(self):
+        result = solve(random_floating_config(4, seed=0))
+        with pytest.raises(InvalidConfiguration, match="exactly 3 rays"):
+            opposite_angles(result)

@@ -1,5 +1,6 @@
 """Plasticity system tests: ratio identities, transfer map, geometric invariance."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,11 @@ from conftest import assert_close
 # a four-ray layout satisfying the interior/exterior triangle hypotheses:
 # consecutive sectors (150, 60, 80, 70) degrees
 CANONICAL_AZIMUTHS = np.deg2rad([0.0, 150.0, 210.0, 290.0])
+
+
+def grid_azimuths(steps):
+    """Azimuths in (-pi, pi] of the rays at the given multiples of 30 degrees."""
+    return [math.atan2(math.sin(k * math.pi / 6), math.cos(k * math.pi / 6)) for k in steps]
 
 
 def solved_angles(n, seed):
@@ -82,6 +88,11 @@ class TestSectorAngles:
         assert angles.sectors() == result.sector_angles
         with pytest.raises(AssertionError, match="sectors_of called"):
             SectorAngles(result.ray_azimuths)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_azimuth_rejected(self, bad):
+        with pytest.raises(InvalidConfiguration, match="finite"):
+            SectorAngles([bad, 0.0, 2.0])
 
 
 class TestCosineSystem:
@@ -157,6 +168,27 @@ class TestPlasticity4:
 
     def test_preconditions_reflection_invariant(self):
         assert plasticity4_preconditions(SectorAngles(-CANONICAL_AZIMUTHS))
+
+    def test_preconditions_reject_an_exact_tie(self):
+        # sectors (60, 120, 60, 120) degrees: b2 + b3 = b3 + b4 = pi, the
+        # apex lies on the edges of triangles {1,2,4} and {1,3,4}
+        assert not plasticity4_preconditions(SectorAngles(grid_azimuths((0, 2, 6, 8))))
+
+    def test_preconditions_match_exact_arithmetic_on_a_30_degree_grid(self):
+        # every ordered choice of 4 of the 12 grid rays, decided on the
+        # integer sector counts, where a sum equal to pi is exactly 6
+        for ks in itertools.permutations(range(12), 4):
+            order = sorted(range(4), key=lambda i: ks[i])
+            k = order.index(0)
+            seq = order[k:] + order[:k]
+            if seq == [0, 1, 2, 3]:
+                b1, b2, b3, b4 = ((ks[(i + 1) % 4] - ks[i]) % 12 for i in range(4))
+            elif seq == [0, 3, 2, 1]:
+                b1, b2, b3, b4 = ((ks[i] - ks[(i + 1) % 4]) % 12 for i in range(4))
+            else:
+                b1 = b2 = b3 = b4 = 12
+            exact = b1 < 6 and b2 < 6 and b4 < 6 and b2 + b3 < 6 and b3 + b4 < 6
+            assert plasticity4_preconditions(SectorAngles(grid_azimuths(ks))) == exact, ks
 
 
 class TestTransferCoefficients:
@@ -299,6 +331,17 @@ class TestGeometricPlasticity:
         gap = result.point.distance_to(config.circles[0].center)
         with pytest.raises(ShiftedConfigInvalid):
             shifted_configuration(config, [-(gap - 0.5 * config.circles[0].radius), 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "new_radii, shape",
+        [([0.01] * 3, "(3,)"), ([0.01] * 5, "(5,)"), ([[0.01]] * 4, "(4, 1)")],
+        ids=["short", "long", "nested"],
+    )
+    def test_wrong_radius_count_rejected(self, new_radii, shape):
+        config = random_floating_config(4, seed=14)
+        with pytest.raises(ShiftedConfigInvalid) as info:
+            shifted_configuration(config, [0.0] * 4, new_radii=new_radii)
+        assert str(info.value) == f"expected 4 radii, got {shape}"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_shift_rejected(self, bad):

@@ -376,7 +376,7 @@ class TestCli:
         path = tmp_path / "square.json"
         path.write_text(dump_json(scene_dict(regular_polygon_config(4))))
         assert main(["plasticity", str(path)]) == 1
-        assert capsys.readouterr().out == "ERROR:geometry_precondition:rays 2 and 0 are collinear\n"
+        assert capsys.readouterr().out == "ERROR:precondition_violated:rays 2 and 0 are collinear\n"
 
     @pytest.mark.parametrize("extra", [[], ["--free", "w4=1"]])
     def test_plasticity_three_circles(self, eq_scene_path, extra, capsys):
