@@ -67,11 +67,11 @@ def oracle_minimize(
     """Coarse grid search plus grid zoom on the exact objective.
 
     The coarse grid has ``grid_cells`` points per side over the bounding box
-    of the centers inflated by the largest radius; in curve mode grid points
-    strictly inside a disk are excluded. Each zoom round re-grids a window
-    of a few cells around the best point seen and shrinks the window, until
-    its half-width falls below ``1e-10`` times the box size or
-    ``refine_iters`` rounds have run. Uses objective values only and
+    of the centers inflated by the largest radius plus 1e-6 times the box's
+    larger side; in curve mode grid points strictly inside a disk are
+    excluded. Each zoom round re-grids a window of a few cells around the
+    best point seen and shrinks the window, until its half-width falls below
+    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Uses objective values only and
     returns the best point seen. Raises ``PreconditionViolated`` unless
     ``grid_cells >= 1`` and ``refine_iters >= 0``.
     """
@@ -88,9 +88,10 @@ def oracle_minimize(
         config.weights_array(),
         config.distance_mode is DistanceMode.TO_CURVE,
     )
-    pad = float(radii.max()) + 1e-6
-    lo = centers.min(axis=0) - pad
-    hi = centers.max(axis=0) + pad
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    # relative to the scene's size, so a scaled scene gets the scaled box
+    pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
+    lo, hi = lo - pad, hi + pad
     bx, by, best_val = _best_on_screened_grid(
         np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells), disks
     )

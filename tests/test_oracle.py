@@ -69,6 +69,17 @@ class TestOracleMinimize:
         for key, config in configs.items():
             assert oracle_minimize(config).distance_to(Point2(*expected[key])) < 1e-4, key
 
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-6, 1e6])
+    def test_scaled_scene_gives_the_scaled_point(self, s, mode):
+        # the box pad is relative to the scene, so the grid scales with it
+        config = random_floating_config(4, 11, distance_mode=mode)
+        centers = config.centers_array()
+        size = float((centers.max(axis=0) - centers.min(axis=0)).max())
+        p = oracle_minimize(config)
+        q = oracle_minimize(_scaled(config, s))
+        assert math.hypot(q.x - s * p.x, q.y - s * p.y) <= 1e-6 * s * size
+
     def test_import_does_not_load_scipy(self):
         src = str(Path(ftcircles.__file__).resolve().parents[1])
         code = "import sys, ftcircles; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -115,8 +126,8 @@ def pinned_scenes():
                 scenes[f"grid {cells}x{iters} {mode.value} n={n}"] = (
                     random_floating_config(n, 100 + cells, distance_mode=mode), cells, iters
                 )
-        # squares of grid offsets overflow from 1e155 up; below 1e-6 the
-        # box is set by the 1e-6 pad, so the grid is far from the centers
+        # squares of grid offsets overflow from 1e155 up, and underflow
+        # toward 1e-160 and below
         for scale in ("1e155", "1e200", "1e300", "1e-160", "1e-300"):
             scenes[f"scaled {scale} {mode.value} n=4"] = (
                 _scaled(random_floating_config(4, 11, distance_mode=mode), float(scale)), 64, 40
@@ -151,7 +162,7 @@ def _on_circle(mode, ulps=0):
     ulps to put that point just inside; circle 1 keeps the largest radius,
     so the grid does not depend on circle 0.
     """
-    pad = 0.6 + 1e-6
+    pad = 0.6 + 1e-6 * 5.5  # the centers' box is 5.5 x 3
     x = np.linspace(-2.5 - pad, 3.0 + pad, 64)[29]
     y = np.linspace(0.0 - pad, 3.0 + pad, 64)[15]
     r = float(np.hypot(x, y))
@@ -236,8 +247,9 @@ def _coarse(config, cells, best_on_grid):
     centers, radii = config.centers_array(), config.radii_array()
     curve = config.distance_mode is DistanceMode.TO_CURVE
     disks = (centers[:, 0], centers[:, 1], radii, config.weights_array(), curve)
-    pad = float(radii.max()) + 1e-6
-    lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
+    lo, hi = lo - pad, hi + pad
     return best_on_grid(np.linspace(lo[0], hi[0], cells), np.linspace(lo[1], hi[1], cells), disks)
 
 
