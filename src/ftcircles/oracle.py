@@ -262,7 +262,9 @@ def random_floating_config(
         if not result.case.is_floating:
             continue
         p = result.point.as_array()
-        dist_to_p = np.linalg.norm(centers - p, axis=1)
+        # floored to a 2**-20 grid, so a last-bit change in the solver's
+        # point does not move the radii
+        dist_to_p = np.floor(np.linalg.norm(centers - p, axis=1) * 2**20) / 2**20
         if dist_to_p.min() < 0.15:
             continue
         caps = np.minimum(0.45 * pair_distances(centers).min(axis=1), 0.6 * dist_to_p)
