@@ -321,9 +321,15 @@ def regular_polygon_config(
 
 
 def _sample_centers(rng, n: int) -> np.ndarray:
-    """n centers in the square [0, 4]^2, every pair at least 1.2 apart."""
+    """n centers in the square [0, s]^2, every pair at least 1.2 apart.
+
+    s is 4 up to n = 7 and 0.65 n above. A side proportional to n keeps
+    the expected number of pairs closer than 1.2 in one draw constant, and
+    0.65 n accepts a draw more often than the side 4 does at n = 7.
+    """
+    side = 4.0 if n <= 7 else 0.65 * n
     for _ in range(5000):
-        pts = rng.uniform(0.0, 4.0, size=(n, 2))
+        pts = rng.uniform(0.0, side, size=(n, 2))
         if pair_distances(pts).min() >= 1.2:
             return pts
     raise RuntimeError("center sampling failed; box too tight for the separation")

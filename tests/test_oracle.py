@@ -341,6 +341,14 @@ class TestGenerators:
             for c in config.circles:
                 assert result.point.distance_to(c.center) > c.radius
 
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    def test_floating_configs_reach_n_16(self, mode):
+        # above n = 7 the sampling box grows with n
+        for n in range(8, 17):
+            for seed in range(20):
+                config = random_floating_config(n, seed, distance_mode=mode)
+                assert config.n == n and classify_case(config).is_floating
+
     def test_deterministic(self):
         a = random_floating_config(4, seed=42)
         b = random_floating_config(4, seed=42)
