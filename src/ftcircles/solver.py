@@ -33,7 +33,10 @@ from .geometry import (
 )
 
 DEFAULT_MAX_ITERS = 10000
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# below this many centers the solver loop runs on Python floats: per call,
+# numpy costs more than the arithmetic on a few floats (crossover n = 30-32)
+_SMALL_N = 32
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,24 @@ def classify_case(
 
 
 def _pull_at_center(centers: np.ndarray, weights: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
+    """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm.
+
+    Below ``_SMALL_N`` centers the pull is summed on Python floats in the
+    same order and to the same bits as on arrays; its norm is then
+    ``math.hypot``'s, which can differ from ``np.linalg.norm``'s in the last
+    bit.
+    """
+    if len(weights) < _SMALL_N:
+        xs, ys = centers.T.tolist()
+        ax, ay = xs[m], ys[m]
+        px = py = 0.0
+        for j, (x, y, w) in enumerate(zip(xs, ys, weights.tolist())):
+            if j != m:
+                dx, dy = x - ax, y - ay
+                dj = math.sqrt(dx * dx + dy * dy)
+                px += w * dx / dj
+                py += w * dy / dj
+        return np.array([px, py]), math.hypot(px, py)
     diff = centers - centers[m]
     sq = diff * diff
     d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
@@ -167,7 +187,33 @@ def _minimize(
     any earlier one repeats the cycle between them forever: that raises
     NonConvergence at once instead of spending the rest of the budget. The
     test runs after the stop tests, so a converging run is unaffected.
+
+    Below ``_SMALL_N`` centers the loop runs on Python floats
+    (``_minimize_floats``), from ``_SMALL_N`` up on arrays
+    (``_minimize_arrays``). Both take the same steps and tests; their sums
+    round in a different order, so their points agree to about 1e-14 times
+    the size of the scene rather than bit for bit.
     """
+    loop = _minimize_floats if len(weights) < _SMALL_N else _minimize_arrays
+    return loop(centers, weights, tol, max_iters, initial)
+
+
+def _revisit_message(it: int, tol: float, step: float, residual: float) -> str:
+    return (
+        f"iteration revisits a point after {it} steps without reaching "
+        f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
+    )
+
+
+def _budget_message(max_iters: int, tol: float, residual: float) -> str:
+    return (
+        f"iteration did not reach tolerance {tol} in {max_iters} steps "
+        f"(residual {residual:.3e})"
+    )
+
+
+def _minimize_arrays(centers, weights, tol, max_iters, initial):
+    """``_minimize`` on numpy arrays, for n >= ``_SMALL_N``."""
     if initial is None:
         p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
     else:
@@ -192,10 +238,7 @@ def _minimize(
                 return p, it, residual, hit, None
         xy = tuple(p.tolist())
         if xy in visited:
-            raise NonConvergence(
-                f"iteration revisits a point after {it} steps without reaching "
-                f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
-            )
+            raise NonConvergence(_revisit_message(it, tol, step, residual))
         visited.add(xy)
         if it == max_iters:
             break
@@ -220,10 +263,92 @@ def _minimize(
         p = new_p
         if accepted is None:
             diff, d = _offsets(centers, p)
-    raise NonConvergence(
-        f"iteration did not reach tolerance {tol} in {max_iters} steps "
-        f"(residual {residual:.3e})"
-    )
+    raise NonConvergence(_budget_message(max_iters, tol, residual))
+
+
+def _minimize_floats(centers, weights, tol, max_iters, initial):
+    """``_minimize_arrays`` on Python floats, for n < ``_SMALL_N``.
+
+    At a few centers each numpy call costs more than its arithmetic. The
+    point is ``px, py``; ``dx, dy, d`` are the rows of ``centers - point``
+    and their lengths, and ``f`` the objective there. Each sum adds its
+    terms in index order with ``+=``, several sums to a pass (``sum`` on
+    floats rounds differently from Python 3.12 on).
+    """
+    xs, ys = centers.T.tolist()
+    ws = weights.tolist()
+    if initial is None:
+        wsum = px = py = 0.0
+        for w, x, y in zip(ws, xs, ys):
+            wsum += w
+            px += w * x
+            py += w * y
+        px, py = px / wsum, py / wsum
+    else:
+        px, py = np.asarray(initial, dtype=float).tolist()
+    dx, dy, d, f = _float_offsets(xs, ys, ws, px, py)
+    step = residual = math.inf
+    visited = set()
+    not_optimal = set()
+    for it in range(max_iters + 1):
+        hit = d.index(min(d))
+        on_center = d[hit] < COINCIDENT_EPS
+        if on_center:
+            pull, pull_norm = at_center = _pull_at_center(centers, weights, hit)
+            if pull_norm <= ws[hit]:
+                return centers[hit].copy(), it, 0.0, hit, at_center
+        else:
+            # the gradient and the Hessian's three entries in one pass
+            gx = gy = h_xx = h_yy = h_xy = 0.0
+            for w, a, b, di in zip(ws, dx, dy, d):
+                ex, ey, k = a / di, b / di, w / di
+                gx += w * ex
+                gy += w * ey
+                h_xx += k * (1.0 - ex * ex)
+                h_yy += k * (1.0 - ey * ey)
+                h_xy += k * (ex * ey)
+            gx, gy = -gx, -gy
+            residual = math.hypot(gx, gy)
+            if step < tol and residual < 10.0 * tol:
+                return np.array([px, py]), it, residual, hit, None
+        if (px, py) in visited:
+            raise NonConvergence(_revisit_message(it, tol, step, residual))
+        visited.add((px, py))
+        if it == max_iters:
+            break
+        accepted = None
+        if on_center:
+            inv = 0.0
+            for j, (w, di) in enumerate(zip(ws, d)):
+                if j != hit:
+                    inv += w / di
+            scale = 1.0 - ws[hit] / pull_norm
+            ux, uy = pull.tolist()
+            nx, ny = xs[hit] + scale * ux / inv, ys[hit] + scale * uy / inv
+        else:
+            accepted = _newton_step_floats(
+                px, py, f, gx, gy, h_xx, h_yy, -h_xy, residual, d[hit], hit, xs, ys, ws
+            )
+            if accepted is None:
+                if hit not in not_optimal:
+                    at_center = _pull_at_center(centers, weights, hit)
+                    if at_center[1] <= ws[hit]:
+                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
+                    not_optimal.add(hit)
+                inv = nx = ny = 0.0
+                for w, di, x, y in zip(ws, d, xs, ys):
+                    k = w / di
+                    inv += k
+                    nx += k * x
+                    ny += k * y
+                nx, ny = nx / inv, ny / inv
+            else:
+                nx, ny, dx, dy, d, f = accepted
+        step = math.hypot(nx - px, ny - py)
+        px, py = nx, ny
+        if accepted is None:
+            dx, dy, d, f = _float_offsets(xs, ys, ws, px, py)
+    raise NonConvergence(_budget_message(max_iters, tol, residual))
 
 
 def _offsets(centers: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,6 +398,51 @@ def _newton_step(p, d, e, grad, residual, hit, centers, weights):
             g = weights @ (diff / d_cand[:, None])
             if math.hypot(g[0], g[1]) < residual:
                 return cand, diff, d_cand
+        t *= 0.5
+    return None
+
+
+def _float_offsets(xs, ys, ws, px, py):
+    """``_offsets`` on lists, and the objective ``sum w_i d_i`` at ``(px, py)``."""
+    dx = [x - px for x in xs]
+    dy = [y - py for y in ys]
+    d = list(map(math.hypot, dx, dy))
+    f = 0.0
+    for w, di in zip(ws, d):
+        f += w * di
+    return dx, dy, d, f
+
+
+def _newton_step_floats(px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, d_hit, hit, xs, ys, ws):
+    """``_newton_step`` on floats: the accepted ``(x, y, dx, dy, d, f)``, or None.
+
+    ``f``, the gradient and the Hessian entries are those at ``(px, py)``,
+    and ``d_hit`` its distance to the nearest center ``hit``.
+    """
+    det = h_xx * h_yy - h_xy * h_xy
+    if det <= 0.0:
+        return None
+    delta_x = (-gx * h_yy + gy * h_xy) / det
+    delta_y = (-gy * h_xx + gx * h_xy) / det
+    if math.hypot(delta_x, delta_y) >= d_hit:
+        cand = _float_offsets(xs, ys, ws, xs[hit], ys[hit])
+        if cand[3] <= f:
+            return (xs[hit], ys[hit], *cand)
+    slack = len(ws) * _EPS * f
+    t = 1.0
+    for _ in range(40):
+        cx, cy = px + t * delta_x, py + t * delta_y
+        cand = _float_offsets(xs, ys, ws, cx, cy)
+        cdx, cdy, cd, f_cand = cand
+        if f_cand <= f:
+            return (cx, cy, *cand)
+        if f_cand - f <= slack and min(cd) >= COINCIDENT_EPS:
+            g0 = g1 = 0.0
+            for w, a, b, di in zip(ws, cdx, cdy, cd):
+                g0 += w * (a / di)
+                g1 += w * (b / di)
+            if math.hypot(g0, g1) < residual:
+                return (cx, cy, *cand)
         t *= 0.5
     return None
 

@@ -94,6 +94,19 @@ def reference_case(config):
     return CaseTag.floating()
 
 
+def each_loop(monkeypatch):
+    """Yields the name of each solver loop while ``_minimize`` runs it at every n.
+
+    A property of the loop is checked inside ``for _ in each_loop(...)``
+    once per loop. Build configurations inside it: a solved configuration
+    keeps its result, so a second solve would not run the loop again.
+    """
+    for name, small_n in (("floats", math.inf), ("arrays", 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_SMALL_N", small_n)
+            yield name
+
+
 def _line(xs, weights):
     return Configuration(
         tuple(Circle(Point2(float(x), 0.0), 0.2) for x in xs), tuple(weights)
@@ -112,7 +125,7 @@ class TestClassifyFromMinimizer:
         ("large-n", 2): (8, 1, 0),
         ("oracle-sweep", 1): (32, 0, 0),
         ("oracle-sweep", 2): (32, 0, 0),
-        ("near-boundary", 1): (96, 0, 7),
+        ("near-boundary", 1): (96, 0, 5),
         ("near-boundary", 2): (96, 0, 9),
     }
 
@@ -145,18 +158,20 @@ class TestClassifyFromMinimizer:
     def test_one_pull_evaluation_per_solve(self, monkeypatch):
         # an absorbed solve reuses the test the loop ran on the center; a
         # floating one tests only the center nearest to its point
-        absorbed = random_dominated_config(5, seed=3, dominant=2)
-        floating = random_floating_config(5, seed=3)
         calls = []
         real = solver_module._pull_at_center
         monkeypatch.setattr(
             solver_module, "_pull_at_center", lambda *args: calls.append(args[2]) or real(*args)
         )
-        assert solve(absorbed).case == CaseTag.absorbed(2)
-        assert calls == [2]
-        calls.clear()
-        assert solve(floating).case.is_floating
-        assert len(calls) == 1
+        for _ in each_loop(monkeypatch):
+            absorbed = random_dominated_config(5, seed=3, dominant=2)
+            floating = random_floating_config(5, seed=3)
+            calls.clear()
+            assert solve(absorbed).case == CaseTag.absorbed(2)
+            assert calls == [2]
+            calls.clear()
+            assert solve(floating).case.is_floating
+            assert len(calls) == 1
 
     def test_point_on_a_center_is_absorbed_there(self):
         config = triangle_config(weights=(10.0, 1.0, 1.0))
@@ -165,16 +180,17 @@ class TestClassifyFromMinimizer:
         assert classify_case(triangle_config(), Point2(1.4, 0.9)).is_floating
 
     @pytest.mark.parametrize("xs", [(0, 1, 2), (0, 1.5, 2)])
-    def test_collinear_unique_minimizer(self, xs):
+    def test_collinear_unique_minimizer(self, xs, monkeypatch):
         # on a line the minimizer is the weighted median, here the middle center
-        config = _line(xs, (1.0, 1.0, 1.0))
-        assert solve(config).case == reference_case(config) == CaseTag.absorbed(1)
+        for _ in each_loop(monkeypatch):
+            config = _line(xs, (1.0, 1.0, 1.0))
+            assert solve(config).case == reference_case(config) == CaseTag.absorbed(1)
 
     @pytest.mark.parametrize(
         "weights, start_x, index",
         [((1.0, 1.0, 1.0, 1.0), 1.5, 1), ((1.0, 1.5, 1.0, 1.5), 1.6, 2)],
     )
-    def test_collinear_segment_of_minimizers(self, weights, start_x, index):
+    def test_collinear_segment_of_minimizers(self, weights, start_x, index, monkeypatch):
         # centers 0, 1, 2, 3 with half the weight on each side of [A_1, A_2]:
         # every point of that segment is a minimizer and both ends pass the
         # test with equality. The Hessian is singular on a line, so the first
@@ -182,17 +198,18 @@ class TestClassifyFromMinimizer:
         # weighted centroid; the first on a tie) passes the test before it
         # and is the case. The O(n^2) reference names the first passing
         # center instead.
-        config = _line((0, 1, 2, 3), weights)
-        centers, w = config.centers_array(), config.weights_array()
-        norms = resultant_norms(config)
-        assert norms[1] == weights[1] and norms[2] == weights[2]
-        assert (w @ centers / w.sum()).tolist() == [start_x, 0.0]
-        p, steps, _, nearest, pull = solver_module._minimize(centers, w, config.tolerance, 100)
-        assert p.tolist() == centers[index].tolist() and (steps, nearest) == (1, index)
-        assert pull[1] == weights[index]
-        result = solve(config)
-        assert result.case == CaseTag.absorbed(index)
-        assert reference_case(config) == CaseTag.absorbed(1)
+        for _ in each_loop(monkeypatch):
+            config = _line((0, 1, 2, 3), weights)
+            centers, w = config.centers_array(), config.weights_array()
+            norms = resultant_norms(config)
+            assert norms[1] == weights[1] and norms[2] == weights[2]
+            assert (w @ centers / w.sum()).tolist() == [start_x, 0.0]
+            p, steps, _, nearest, pull = solver_module._minimize(centers, w, config.tolerance, 100)
+            assert p.tolist() == centers[index].tolist() and (steps, nearest) == (1, index)
+            assert pull[1] == weights[index]
+            result = solve(config)
+            assert result.case == CaseTag.absorbed(index)
+            assert reference_case(config) == CaseTag.absorbed(1)
 
         def center_sum(x):
             return float(w @ np.abs(centers[:, 0] - x))
@@ -204,32 +221,36 @@ class TestClassifyFromMinimizer:
         # and the weighted centroid lies 5e-4 from it. Weiszfeld steps alone
         # would close that gap by a factor of about 0.999 each and exhaust
         # the budget; the test before the first one finds the center.
-        config = _line((0, 1, 2), (1.0, 0.001, 1.000999))
-        assert reference_case(config) == CaseTag.absorbed(1)
         tested = []
         real = solver_module._pull_at_center
         monkeypatch.setattr(
             solver_module, "_pull_at_center", lambda *args: tested.append(args[2]) or real(*args)
         )
-        p, steps, _, nearest, _ = solver_module._minimize(
-            config.centers_array(), config.weights_array(), config.tolerance, 1
-        )
-        assert (p.tolist(), steps, nearest, tested) == ([1.0, 0.0], 1, 1, [1])
-        result = solve(config)
-        assert result.case == CaseTag.absorbed(1) and result.iterations == 0
+        for _ in each_loop(monkeypatch):
+            config = _line((0, 1, 2), (1.0, 0.001, 1.000999))
+            assert reference_case(config) == CaseTag.absorbed(1)
+            tested.clear()
+            p, steps, _, nearest, _ = solver_module._minimize(
+                config.centers_array(), config.weights_array(), config.tolerance, 1
+            )
+            assert (p.tolist(), steps, nearest, tested) == ([1.0, 0.0], 1, 1, [1])
+            result = solve(config)
+            assert result.case == CaseTag.absorbed(1) and result.iterations == 0
 
     def test_weiszfeld_steps_test_each_center_once(self, monkeypatch):
         # five collinear centers, minimizer at the heavy end: every step is a
         # Weiszfeld step. The centroid is nearest to A_3, which fails the test
         # once and is not tested again until the iterate is nearest to A_4
-        config = _line((0, 1, 2, 3, 4), (1.0, 1.0, 1.0, 1.0, 4.5))
         tested = []
         real = solver_module._pull_at_center
         monkeypatch.setattr(
             solver_module, "_pull_at_center", lambda *args: tested.append(args[2]) or real(*args)
         )
-        assert solve(config).case == reference_case(config) == CaseTag.absorbed(4)
-        assert tested == [3, 4]
+        for _ in each_loop(monkeypatch):
+            config = _line((0, 1, 2, 3, 4), (1.0, 1.0, 1.0, 1.0, 4.5))
+            tested.clear()
+            assert solve(config).case == reference_case(config) == CaseTag.absorbed(4)
+            assert tested == [3, 4]
 
     def test_exact_tie_absorbs(self):
         # pull at center 0 is (1,0) + (0,1) + (-1,0) = (0,1): norm 1 == w_0
@@ -245,26 +266,28 @@ class TestClassifyFromMinimizer:
         assert result.equilibrium_residual == 0.0
         assert result.projections[0] == Point2(0.0, 0.2)
 
-    def test_max_iters_limits_absorbed_scenes(self):
-        config = random_dominated_config(4, seed=0, dominant=1)
-        args = (config.centers_array(), config.weights_array(), config.tolerance)
-        steps = solver_module._minimize(*args, 100)[1]
-        assert steps >= 1
-        with pytest.raises(NonConvergence):
-            solver_module._minimize(*args, steps - 1)
-        p, _, _, nearest, _ = solver_module._minimize(*args, steps)
-        assert p.tolist() == config.centers_array()[1].tolist() and nearest == 1
-        result = solve(config)
-        assert result.case == CaseTag.absorbed(1)
-        assert result.iterations == 0
+    def test_max_iters_limits_absorbed_scenes(self, monkeypatch):
+        for _ in each_loop(monkeypatch):
+            config = random_dominated_config(4, seed=0, dominant=1)
+            args = (config.centers_array(), config.weights_array(), config.tolerance)
+            steps = solver_module._minimize(*args, 100)[1]
+            assert steps >= 1
+            with pytest.raises(NonConvergence, match=f"in {steps - 1} steps"):
+                solver_module._minimize(*args, steps - 1)
+            p, _, _, nearest, _ = solver_module._minimize(*args, steps)
+            assert p.tolist() == config.centers_array()[1].tolist() and nearest == 1
+            result = solve(config)
+            assert result.case == CaseTag.absorbed(1)
+            assert result.iterations == 0
 
-    def test_start_on_the_absorbing_center_needs_no_step(self):
+    def test_start_on_the_absorbing_center_needs_no_step(self, monkeypatch):
         config = random_dominated_config(4, seed=0, dominant=1)
         centers = config.centers_array()
-        p, steps, _, nearest, _ = solver_module._minimize(
-            centers, config.weights_array(), config.tolerance, 0, centers[1]
-        )
-        assert (p.tolist(), steps, nearest) == (centers[1].tolist(), 0, 1)
+        for _ in each_loop(monkeypatch):
+            p, steps, _, nearest, _ = solver_module._minimize(
+                centers, config.weights_array(), config.tolerance, 0, centers[1]
+            )
+            assert (p.tolist(), steps, nearest) == (centers[1].tolist(), 0, 1)
 
 
 class TestFloatingSolve:
@@ -290,7 +313,7 @@ class TestFloatingSolve:
         result = solve(config)
         assert result.equilibrium_residual < 10 * config.tolerance
 
-    def test_restarts_agree(self):
+    def test_restarts_agree(self, monkeypatch):
         # random starts plus every center, where the solver must step off
         configs = [triangle_config(weights=(0.9, 1.2, 1.0))]
         configs += [random_floating_config(n, seed=s) for n in (3, 4, 5, 6) for s in range(25)]
@@ -300,11 +323,12 @@ class TestFloatingSolve:
             centers = config.centers_array()
             lo, hi = centers.min(axis=0), centers.max(axis=0)
             starts = [rng.uniform(lo, hi) for _ in range(10)]
-            for start in starts + list(centers):
-                other = solver_module._minimize(
-                    centers, config.weights_array(), config.tolerance, initial=start
-                )[0]
-                assert np.hypot(*(other - base)) < 1e-6
+            for _ in each_loop(monkeypatch):
+                for start in starts + list(centers):
+                    other = solver_module._minimize(
+                        centers, config.weights_array(), config.tolerance, initial=start
+                    )[0]
+                    assert np.hypot(*(other - base)) < 1e-6
 
     def test_local_minimality_probes(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
@@ -394,12 +418,13 @@ class TestFloatingSolve:
         # center and stepping off it beats creeping toward it (30 steps)
         assert solve(random_floating_config(4, seed=447)).iterations <= 12
 
-    def test_non_convergence(self):
+    def test_non_convergence(self, monkeypatch):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
-        with pytest.raises(NonConvergence, match="in 1 steps"):
-            solver_module._minimize(
-                config.centers_array(), config.weights_array(), config.tolerance, 1
-            )
+        for _ in each_loop(monkeypatch):
+            with pytest.raises(NonConvergence, match="in 1 steps"):
+                solver_module._minimize(
+                    config.centers_array(), config.weights_array(), config.tolerance, 1
+                )
 
     @pytest.mark.parametrize(
         "centers, radii, weights",
@@ -417,32 +442,33 @@ class TestFloatingSolve:
                 [2.0115995356258045, 1.354858910653428, 1.0116839878911164,
                  0.75391200318782, 1.4507389292947956],
             ),
-            # margin 9.4e-8: the iterates alternate between two points
+            # margin 2.5e-8: the iterates alternate between two points
             (
-                [[3.848161222514962, 2.3726124601142664],
-                 [3.1812183178504885, 3.7088266438837025],
-                 [0.9041549906481281, 0.37512382842503333],
-                 [2.9519966518080474, 0.5663396101719709],
-                 [1.1625053298502532, 1.617801304826314],
-                 [0.11592488869616657, 3.2129617857189148]],
-                [0.42630401681909885, 0.2155093301294668, 0.2525763429073912,
-                 0.3232845299126602, 1.3816256504397861e-08, 0.5184858546378035],
-                [0.6440674620734577, 0.6398749013017746, 1.3808952717439684,
-                 0.8523844044309511, 1.3323033964565474, 0.6247072578180964],
+                [[2.882411791948511, 0.6375908112031698],
+                 [0.04110480875532785, 3.780381693057171],
+                 [0.09021844253704092, 1.1649098405687708],
+                 [3.3544954473574364, 3.969722185418382],
+                 [1.4924510503118444, 3.2497838077948558],
+                 [0.61345726076968, 2.385509924379592]],
+                [0.6282345568140648, 0.3126103691789552, 0.2174790527959851,
+                 0.5402052227404748, 4.249814085317083e-09, 0.09698520927303647],
+                [0.6876978041799986, 1.2950640713596904, 1.0272333662872,
+                 0.9297948119172347, 1.9067648255302752, 1.0019136162264952],
             ),
         ],
         ids=["fixed-point", "two-cycle"],
     )
-    def test_revisited_point_fails_fast(self, centers, radii, weights):
-        config = Configuration(
-            tuple(Circle(Point2(*c), r) for c, r in zip(centers, radii)), tuple(weights)
-        )
-        with pytest.raises(NonConvergence) as info:
-            solve(config)
-        steps = re.search(r"after (\d+) steps", str(info.value))
-        assert steps is not None and int(steps.group(1)) <= 50
+    def test_revisited_point_fails_fast(self, centers, radii, weights, monkeypatch):
+        for _ in each_loop(monkeypatch):
+            config = Configuration(
+                tuple(Circle(Point2(*c), r) for c, r in zip(centers, radii)), tuple(weights)
+            )
+            with pytest.raises(NonConvergence) as info:
+                solve(config)
+            steps = re.search(r"after (\d+) steps", str(info.value))
+            assert steps is not None and int(steps.group(1)) <= 50
 
-    def test_cycle_of_any_period_fails_fast(self):
+    def test_cycle_of_any_period_fails_fast(self, monkeypatch):
         # margin 2.4e-8 from absorption: the iterates cycle through five
         # points, which a test against the previous two alone never sees
         centers = [
@@ -456,17 +482,64 @@ class TestFloatingSolve:
                  "0x1.4565f597d5d9ap-2", "0x1.3b8b4cadf0450p-2"]
         weights = ["0x1.9cded1924fc83p+1", "0x1.80a12f229d6e9p-1", "0x1.547775f0bbcfep+0",
                    "0x1.2b69f18cb982fp+0", "0x1.4d095d67dd68ep+0"]
-        config = Configuration(
-            tuple(
-                Circle(Point2(float.fromhex(x), float.fromhex(y)), float.fromhex(r))
-                for (x, y), r in zip(centers, radii)
-            ),
-            tuple(map(float.fromhex, weights)),
-        )
-        with pytest.raises(NonConvergence, match="revisits a point") as info:
-            solve(config)
-        steps = re.search(r"after (\d+) steps", str(info.value))
-        assert steps is not None and int(steps.group(1)) <= 50
+        for _ in each_loop(monkeypatch):
+            config = Configuration(
+                tuple(
+                    Circle(Point2(float.fromhex(x), float.fromhex(y)), float.fromhex(r))
+                    for (x, y), r in zip(centers, radii)
+                ),
+                tuple(map(float.fromhex, weights)),
+            )
+            with pytest.raises(NonConvergence, match="revisits a point") as info:
+                solve(config)
+            steps = re.search(r"after (\d+) steps", str(info.value))
+            assert steps is not None and int(steps.group(1)) <= 50
+
+
+def _loop_scenes():
+    """Scenes for the loop comparison, with n on both sides of ``_SMALL_N``."""
+    for mode in DistanceMode:
+        for n in range(3, 17):
+            for seed in range(5):
+                yield random_floating_config(n, seed, distance_mode=mode)
+                yield random_dominated_config(n, seed, dominant=seed % n, distance_mode=mode)
+    for n in range(3, 13):
+        yield regular_polygon_config(n)
+    for pool, seeds in (("small-n", (1, 2)), ("large-n", (1,))):
+        for seed in seeds:
+            yield from (scene.configuration() for scene in WORKLOADS[pool].make(seed))
+
+
+class TestBothLoops:
+    """The float loop (n < ``_SMALL_N``) and the array loop take the same steps."""
+
+    def test_points_agree_to_rounding(self, monkeypatch):
+        # the loops sum in different orders, so points may differ by
+        # rounding, not in the case or the error; the nearest center is the
+        # same unless two centers are equally near up to rounding (at the
+        # center of a regular polygon, all are)
+        sizes = set()
+        for config in _loop_scenes():
+            centers, weights = config.centers_array(), config.weights_array()
+            size = float((centers.max(axis=0) - centers.min(axis=0)).max())
+            sizes.add(config.n >= solver_module._SMALL_N)
+            outcomes = []
+            for _ in each_loop(monkeypatch):
+                try:
+                    p, _, _, nearest, _ = solver_module._minimize(centers, weights, config.tolerance)
+                except NonConvergence:
+                    outcomes.append(NonConvergence)
+                    continue
+                outcomes.append((p, nearest, classify_case(config, Point2.from_array(p), nearest)))
+            floats, arrays = outcomes
+            if NonConvergence in outcomes:
+                assert floats == arrays, config
+                continue
+            (p, i, case), (q, j, other) = floats, arrays
+            assert case == other and np.hypot(*(p - q)) <= 1e-14 * size, config
+            d = np.hypot(*(centers - p).T)
+            assert i == j or abs(d[i] - d[j]) <= 1e-14 * size, config
+        assert sizes == {False, True}
 
 
 def _rebuilt(config, centers, order):
@@ -626,11 +699,13 @@ def _swallowing_config(big):
 
 
 class TestStoredResult:
-    def test_repeat_default_solve_returns_stored_result(self, minimize_calls):
-        config = triangle_config(weights=(0.9, 1.2, 1.0))
-        first = solve(config)
-        assert solve(config) is first
-        assert len(minimize_calls) == 1
+    def test_repeat_default_solve_returns_stored_result(self, minimize_calls, monkeypatch):
+        for _ in each_loop(monkeypatch):
+            minimize_calls.clear()
+            config = triangle_config(weights=(0.9, 1.2, 1.0))
+            first = solve(config)
+            assert solve(config) is first
+            assert len(minimize_calls) == 1
 
     @pytest.mark.parametrize(
         "config, error",
@@ -645,27 +720,33 @@ class TestStoredResult:
         ],
         ids=["inside-disk", "non-convergence"],
     )
-    def test_errors_are_raised_again(self, minimize_calls, config, error):
-        for _ in range(2):
-            with pytest.raises(error):
-                solve(config)
-        assert len(minimize_calls) == 2
+    def test_errors_are_raised_again(self, minimize_calls, config, error, monkeypatch):
+        for _ in each_loop(monkeypatch):
+            minimize_calls.clear()
+            for _ in range(2):
+                with pytest.raises(error):
+                    solve(config)
+            assert len(minimize_calls) == 2
 
-    def test_copies_start_without_stored_result(self, minimize_calls):
-        config = triangle_config()
-        first = solve(config)
-        for duplicate in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
-            again = solve(duplicate)
-            assert again is not first and again == first
-        assert len(minimize_calls) == 3
+    def test_copies_start_without_stored_result(self, minimize_calls, monkeypatch):
+        for _ in each_loop(monkeypatch):
+            minimize_calls.clear()
+            config = triangle_config()
+            first = solve(config)
+            for duplicate in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+                again = solve(duplicate)
+                assert again is not first and again == first
+            assert len(minimize_calls) == 3
 
-    def test_analysis_chain_solves_each_configuration_once(self, minimize_calls):
+    def test_analysis_chain_solves_each_configuration_once(self, minimize_calls, monkeypatch):
         # the base configuration once, its radially shifted copy once
-        config = regular_polygon_config(5, circumradius=2.0, radius=0.2)
-        evolve_type_a(config)
-        evolve_type_b(config)
-        assert verify_geometric_plasticity(config, [0.1, 0.0, 0.2, 0.05, 0.15])
-        assert len(minimize_calls) == 2
+        for _ in each_loop(monkeypatch):
+            minimize_calls.clear()
+            config = regular_polygon_config(5, circumradius=2.0, radius=0.2)
+            evolve_type_a(config)
+            evolve_type_b(config)
+            assert verify_geometric_plasticity(config, [0.1, 0.0, 0.2, 0.05, 0.15])
+            assert len(minimize_calls) == 2
 
 
 def _assembly_scenes():
