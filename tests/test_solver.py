@@ -541,6 +541,15 @@ class TestBothLoops:
             assert i == j or abs(d[i] - d[j]) <= 1e-14 * size, config
         assert sizes == {False, True}
 
+    def test_small_n_runs_the_float_loop(self, monkeypatch):
+        ran = []
+        for name in ("_minimize_floats", "_minimize_arrays"):
+            monkeypatch.setattr(solver_module, name, lambda *args, name=name: ran.append(name))
+        small = solver_module._SMALL_N
+        for n in (3, small - 1, small, 200):
+            solver_module._minimize(np.zeros((n, 2)), np.ones(n), 1e-10)
+        assert ran == ["_minimize_floats"] * 2 + ["_minimize_arrays"] * 2
+
 
 def _rebuilt(config, centers, order):
     """The configuration with new centers, circles and weights taken in ``order``."""
