@@ -71,9 +71,10 @@ def oracle_minimize(
     larger side; in curve mode grid points strictly inside a disk are
     excluded. Each zoom round re-grids a window of a few cells around the
     best point seen and shrinks the window, until its half-width falls below
-    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Uses objective values only and
-    returns the best point seen. Raises ``PreconditionViolated`` unless
-    ``grid_cells >= 1`` and ``refine_iters >= 0``.
+    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Uses
+    objective values only and returns the best point seen. Raises
+    ``PreconditionViolated`` unless ``grid_cells >= 1`` and
+    ``refine_iters >= 0``.
     """
     if grid_cells < 1 or refine_iters < 0:
         raise PreconditionViolated(

@@ -95,16 +95,16 @@ def reference_case(config):
 
 
 def each_loop(monkeypatch):
-    """Yields the name of each solver loop while ``_minimize`` runs it at every n.
+    """Runs the body of ``for _ in each_loop(...)`` once per solver loop.
 
-    A property of the loop is checked inside ``for _ in each_loop(...)``
-    once per loop. Build configurations inside it: a solved configuration
+    The first pass runs the float loop at every n, the second the array
+    loop. Build configurations inside the body: a solved configuration
     keeps its result, so a second solve would not run the loop again.
     """
-    for name, small_n in (("floats", math.inf), ("arrays", 0)):
+    for small_n in (math.inf, 0):
         with monkeypatch.context() as patch:
             patch.setattr(solver_module, "_SMALL_N", small_n)
-            yield name
+            yield
 
 
 def _line(xs, weights):
@@ -469,8 +469,9 @@ class TestFloatingSolve:
             assert steps is not None and int(steps.group(1)) <= 50
 
     def test_cycle_of_any_period_fails_fast(self, monkeypatch):
-        # margin 2.4e-8 from absorption: the iterates cycle through five
-        # points, which a test against the previous two alone never sees
+        # margin 2.4e-8 from absorption: the iterates enter a cycle of three
+        # points (array loop) or four (float loop), which a test against the
+        # previous two alone never sees
         centers = [
             ("0x1.3a23fd7cb43eap+1", "0x1.cad4d93baacd8p-2"),
             ("0x1.781a8f7ce1130p+0", "0x1.5dfa97a118d16p+0"),
