@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import functools
+import json
 import math
 import pickle
 import re
@@ -44,6 +46,8 @@ from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, distance_to_circle,
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
+
+SOLVER_POINTS = Path(__file__).with_name("solver_points.json")
 
 
 class TestClassify:
@@ -497,18 +501,65 @@ class TestFloatingSolve:
             assert steps is not None and int(steps.group(1)) <= 50
 
 
+@functools.cache
 def _loop_scenes():
-    """Scenes for the loop comparison, with n on both sides of ``_SMALL_N``."""
+    """Named scenes for the loop comparison, with n on both sides of ``_SMALL_N``.
+
+    Built once per session: the tests here only run ``_minimize`` and
+    ``classify_case`` at a given point, so no scene keeps a stored result.
+    """
+    scenes = {}
     for mode in DistanceMode:
         for n in range(3, 17):
             for seed in range(5):
-                yield random_floating_config(n, seed, distance_mode=mode)
-                yield random_dominated_config(n, seed, dominant=seed % n, distance_mode=mode)
+                scenes[f"floating-{mode.name}-{n}-{seed}"] = random_floating_config(
+                    n, seed, distance_mode=mode
+                )
+                scenes[f"dominated-{mode.name}-{n}-{seed}"] = random_dominated_config(
+                    n, seed, dominant=seed % n, distance_mode=mode
+                )
     for n in range(3, 13):
-        yield regular_polygon_config(n)
+        scenes[f"polygon-{n}"] = regular_polygon_config(n)
     for pool, seeds in (("small-n", (1, 2)), ("large-n", (1,))):
         for seed in seeds:
-            yield from (scene.configuration() for scene in WORKLOADS[pool].make(seed))
+            for i, scene in enumerate(WORKLOADS[pool].make(seed)):
+                scenes[f"{pool}-{seed}-{i}"] = scene.configuration()
+    return scenes
+
+
+def _pinned_scenes():
+    """``_loop_scenes`` and the near-boundary pool of seed 1, where the loop
+    also fails: the scenes of ``solver_points.json``."""
+    scenes = dict(_loop_scenes())
+    for i, scene in enumerate(WORKLOADS["near-boundary"].make(1)):
+        scenes[f"near-boundary-1-{i}"] = scene.configuration()
+    return scenes
+
+
+def _loop_outputs(monkeypatch):
+    """Name -> the output of ``_minimize`` on each loop, as ``solver_points.json`` holds it.
+
+    An output is ``[x, y, steps, residual, nearest, pull]`` with the floats
+    as ``float.hex`` and ``pull`` as ``[x, y, norm]`` or None, or the
+    message of the NonConvergence raised.
+    """
+    outputs = {}
+    for name, config in _pinned_scenes().items():
+        centers, weights = config.centers_array(), config.weights_array()
+        outputs[name] = []
+        for _ in each_loop(monkeypatch):
+            try:
+                p, steps, residual, nearest, pull = solver_module._minimize(
+                    centers, weights, config.tolerance
+                )
+            except NonConvergence as err:
+                outputs[name].append(str(err))
+                continue
+            if pull is not None:
+                pull = [*map(float.hex, pull[0].tolist()), float.hex(pull[1])]
+            x, y = map(float.hex, p.tolist())
+            outputs[name].append([x, y, steps, float.hex(residual), nearest, pull])
+    return outputs
 
 
 class TestBothLoops:
@@ -520,7 +571,7 @@ class TestBothLoops:
         # same unless two centers are equally near up to rounding (at the
         # center of a regular polygon, all are)
         sizes = set()
-        for config in _loop_scenes():
+        for config in _loop_scenes().values():
             centers, weights = config.centers_array(), config.weights_array()
             size = float((centers.max(axis=0) - centers.min(axis=0)).max())
             sizes.add(config.n >= solver_module._SMALL_N)
@@ -541,6 +592,14 @@ class TestBothLoops:
             d = np.hypot(*(centers - p).T)
             assert i == j or abs(d[i] - d[j]) <= 1e-14 * size, config
         assert sizes == {False, True}
+
+    def test_outputs_match_pinned(self, monkeypatch):
+        # each loop's output, bit for bit, on every scene: a change to the
+        # loop that is meant to keep its arithmetic must leave this file as it is
+        pinned = json.loads(SOLVER_POINTS.read_text())
+        outputs = _loop_outputs(monkeypatch)
+        assert sorted(pinned) == sorted(outputs)
+        assert [name for name in outputs if outputs[name] != pinned[name]] == []
 
     def test_small_n_runs_the_float_loop(self, monkeypatch):
         ran = []
@@ -847,3 +906,12 @@ class TestSolveResultValue:
         for i, c in enumerate(config.circles):
             if i != own:
                 assert projections[i] == project_onto_circle(result.point, c)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_solver.py rewrites the pinned loop
+    # outputs from the current code
+    with pytest.MonkeyPatch.context() as patch:
+        outputs = _loop_outputs(patch)
+    lines = [f"{json.dumps(name)}: {json.dumps(out)}" for name, out in outputs.items()]
+    SOLVER_POINTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
