@@ -123,39 +123,15 @@ def classify_case(
         return solve(config).case
     centers = config.centers_array()
     p = point.as_array()
-    m = nearest if nearest is not None else int(_offsets(centers, p)[1].argmin())
+    m = nearest
+    if m is None:
+        diff = centers - p
+        m = int(np.hypot(diff[:, 0], diff[:, 1]).argmin())
     if np.hypot(*(centers[m] - p)) < COINCIDENT_EPS:
         return CaseTag.absorbed(m)
-    if _pull_at_center(centers, config.weights_array(), m)[1] <= config.weights[m]:
+    if _arithmetic(centers, config.weights_array()).pull(m)[1] <= config.weights[m]:
         return CaseTag.absorbed(m)
     return CaseTag.floating()
-
-
-def _pull_at_center(centers: np.ndarray, weights: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm.
-
-    Below ``_SMALL_N`` centers the pull is summed on Python floats in the
-    same order and to the same bits as on arrays; its norm is then
-    ``math.hypot``'s, which can differ from ``np.linalg.norm``'s in the last
-    bit.
-    """
-    if len(weights) < _SMALL_N:
-        xs, ys = centers.T.tolist()
-        ax, ay = xs[m], ys[m]
-        px = py = 0.0
-        for j, (x, y, w) in enumerate(zip(xs, ys, weights.tolist())):
-            if j != m:
-                dx, dy = x - ax, y - ay
-                dj = math.sqrt(dx * dx + dy * dy)
-                px += w * dx / dj
-                py += w * dy / dj
-        return np.array([px, py]), math.hypot(px, py)
-    diff = centers - centers[m]
-    sq = diff * diff
-    d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
-    d[m] = np.inf  # center m's own term becomes 0
-    pull = (weights[:, None] * diff / d[:, None]).sum(axis=0)
-    return pull, float(np.linalg.norm(pull))
 
 
 def _minimize(
@@ -171,11 +147,11 @@ def _minimize(
     is the damped Newton step, or the Weiszfeld map when backtracking
     accepts no Newton point. An iterate on a center gets the single-point
     optimality test: an optimal center is returned at once, with residual 0
-    and its pull and pull norm from ``_pull_at_center``; otherwise the
-    Vardi-Zhang step moves it off along the pull of the other centers.
-    Elsewhere the iteration stops when both the last step and the
-    equilibrium residual are small, and ``pull`` is None. Both stop tests
-    run on the start point and after each of at most ``max_iters`` steps.
+    and its pull and pull norm; otherwise the Vardi-Zhang step moves it off
+    along the pull of the other centers. Elsewhere the iteration stops when
+    both the last step and the equilibrium residual are small, and ``pull``
+    is None. Both stop tests run on the start point and after each of at
+    most ``max_iters`` steps.
 
     The Weiszfeld map approaches an absorbing center only linearly, and it
     is every step when the centers are collinear (the Hessian is singular).
@@ -188,236 +164,81 @@ def _minimize(
     NonConvergence at once instead of spending the rest of the budget. The
     test runs after the stop tests, so a converging run is unaffected.
 
-    Below ``_SMALL_N`` centers the loop runs on Python floats
-    (``_minimize_floats``), from ``_SMALL_N`` up on arrays
-    (``_minimize_arrays``). Both take the same steps and tests; their sums
-    round in a different order, so their points agree to about 1e-14 times
-    the size of the scene rather than bit for bit.
+    The iterate is a pair of floats; the sums over the centers come from
+    the arithmetic of ``_arithmetic``, on Python floats below ``_SMALL_N``
+    centers and on arrays from there up. Both give the same steps and
+    tests; their sums round in a different order, so their points agree to
+    about 1e-14 times the size of the scene rather than bit for bit.
     """
-    loop = _minimize_floats if len(weights) < _SMALL_N else _minimize_arrays
-    return loop(centers, weights, tol, max_iters, initial)
-
-
-def _revisit_message(it: int, tol: float, step: float, residual: float) -> str:
-    return (
-        f"iteration revisits a point after {it} steps without reaching "
-        f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
-    )
-
-
-def _budget_message(max_iters: int, tol: float, residual: float) -> str:
-    return (
+    arith = _arithmetic(centers, weights)
+    at, gradient = arith.at, arith.gradient
+    if initial is None:
+        px, py = arith.centroid()
+    else:
+        px, py = np.asarray(initial, dtype=float).tolist()
+    evaluated = at(px, py)
+    step = residual = math.inf
+    visited = set()
+    not_optimal = set()
+    for it in range(max_iters + 1):
+        f, hit, d_hit, here = evaluated
+        on_center = d_hit < COINCIDENT_EPS
+        if on_center:
+            pull, pull_norm = at_center = arith.pull(hit)
+            if pull_norm <= weights[hit]:
+                # the center itself is the minimizer: absorbed there
+                return centers[hit].copy(), it, 0.0, hit, at_center
+        else:
+            gx, gy, h_xx, h_yy, h_xy = gradient(here)
+            residual = math.hypot(gx, gy)
+            if step < tol and residual < 10.0 * tol:
+                return np.array([px, py]), it, residual, hit, None
+        if (px, py) in visited:
+            raise NonConvergence(
+                f"iteration revisits a point after {it} steps without reaching "
+                f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
+            )
+        visited.add((px, py))
+        if it == max_iters:
+            break
+        if on_center:
+            accepted = None
+            nx, ny = arith.vardi_zhang(here, hit, pull, pull_norm)
+        else:
+            accepted = _newton_step(
+                arith, px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, hit, d_hit
+            )
+            if accepted is None:
+                if hit not in not_optimal:
+                    at_center = arith.pull(hit)
+                    if at_center[1] <= weights[hit]:
+                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
+                    not_optimal.add(hit)
+                nx, ny = arith.weiszfeld(here)
+            else:
+                nx, ny, evaluated = accepted
+        step = math.hypot(nx - px, ny - py)
+        px, py = nx, ny
+        if accepted is None:
+            evaluated = at(px, py)
+    raise NonConvergence(
         f"iteration did not reach tolerance {tol} in {max_iters} steps "
         f"(residual {residual:.3e})"
     )
 
 
-def _minimize_arrays(centers, weights, tol, max_iters, initial):
-    """``_minimize`` on numpy arrays, for n >= ``_SMALL_N``."""
-    if initial is None:
-        p = (weights[:, None] * centers).sum(axis=0) / weights.sum()
-    else:
-        p = np.asarray(initial, dtype=float).copy()
-    diff, d = _offsets(centers, p)
-    step = residual = math.inf
-    visited = set()
-    not_optimal = set()
-    for it in range(max_iters + 1):
-        hit = int(d.argmin())
-        on_center = d[hit] < COINCIDENT_EPS
-        if on_center:
-            pull, pull_norm = at_center = _pull_at_center(centers, weights, hit)
-            if pull_norm <= weights[hit]:
-                # the center itself is the minimizer: absorbed there
-                return centers[hit].copy(), it, 0.0, hit, at_center
-        else:
-            e = diff / d[:, None]
-            grad = (-(weights @ e)).tolist()
-            residual = math.hypot(*grad)
-            if step < tol and residual < 10.0 * tol:
-                return p, it, residual, hit, None
-        xy = tuple(p.tolist())
-        if xy in visited:
-            raise NonConvergence(_revisit_message(it, tol, step, residual))
-        visited.add(xy)
-        if it == max_iters:
-            break
-        accepted = None
-        if on_center:
-            rest = np.delete(np.arange(len(centers)), hit)
-            inv = weights[rest] / d[rest]
-            new_p = centers[hit] + (1.0 - weights[hit] / pull_norm) * pull / inv.sum()
-        else:
-            accepted = _newton_step(p, d, e, grad, residual, hit, centers, weights)
-            if accepted is None:
-                if hit not in not_optimal:
-                    at_center = _pull_at_center(centers, weights, hit)
-                    if at_center[1] <= weights[hit]:
-                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
-                    not_optimal.add(hit)
-                inv = weights / d
-                new_p = (inv @ centers) / inv.sum()
-            else:
-                new_p, diff, d = accepted
-        step = math.hypot(new_p[0] - p[0], new_p[1] - p[1])
-        p = new_p
-        if accepted is None:
-            diff, d = _offsets(centers, p)
-    raise NonConvergence(_budget_message(max_iters, tol, residual))
-
-
-def _minimize_floats(centers, weights, tol, max_iters, initial):
-    """``_minimize_arrays`` on Python floats, for n < ``_SMALL_N``.
-
-    At a few centers each numpy call costs more than its arithmetic. The
-    point is ``px, py``; ``dx, dy, d`` are the rows of ``centers - point``
-    and their lengths, and ``f`` the objective there. Each sum adds its
-    terms in index order with ``+=``, several sums to a pass (``sum`` on
-    floats rounds differently from Python 3.12 on).
-    """
-    xs, ys = centers.T.tolist()
-    ws = weights.tolist()
-    if initial is None:
-        wsum = px = py = 0.0
-        for w, x, y in zip(ws, xs, ys):
-            wsum += w
-            px += w * x
-            py += w * y
-        px, py = px / wsum, py / wsum
-    else:
-        px, py = np.asarray(initial, dtype=float).tolist()
-    dx, dy, d, f = _float_offsets(xs, ys, ws, px, py)
-    step = residual = math.inf
-    visited = set()
-    not_optimal = set()
-    for it in range(max_iters + 1):
-        hit = d.index(min(d))
-        on_center = d[hit] < COINCIDENT_EPS
-        if on_center:
-            pull, pull_norm = at_center = _pull_at_center(centers, weights, hit)
-            if pull_norm <= ws[hit]:
-                return centers[hit].copy(), it, 0.0, hit, at_center
-        else:
-            # the gradient and the Hessian's three entries in one pass
-            gx = gy = h_xx = h_yy = h_xy = 0.0
-            for w, a, b, di in zip(ws, dx, dy, d):
-                ex, ey, k = a / di, b / di, w / di
-                gx += w * ex
-                gy += w * ey
-                h_xx += k * (1.0 - ex * ex)
-                h_yy += k * (1.0 - ey * ey)
-                h_xy += k * (ex * ey)
-            gx, gy = -gx, -gy
-            residual = math.hypot(gx, gy)
-            if step < tol and residual < 10.0 * tol:
-                return np.array([px, py]), it, residual, hit, None
-        if (px, py) in visited:
-            raise NonConvergence(_revisit_message(it, tol, step, residual))
-        visited.add((px, py))
-        if it == max_iters:
-            break
-        accepted = None
-        if on_center:
-            inv = 0.0
-            for j, (w, di) in enumerate(zip(ws, d)):
-                if j != hit:
-                    inv += w / di
-            scale = 1.0 - ws[hit] / pull_norm
-            ux, uy = pull.tolist()
-            nx, ny = xs[hit] + scale * ux / inv, ys[hit] + scale * uy / inv
-        else:
-            accepted = _newton_step_floats(
-                px, py, f, gx, gy, h_xx, h_yy, -h_xy, residual, d[hit], hit, xs, ys, ws
-            )
-            if accepted is None:
-                if hit not in not_optimal:
-                    at_center = _pull_at_center(centers, weights, hit)
-                    if at_center[1] <= ws[hit]:
-                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
-                    not_optimal.add(hit)
-                inv = nx = ny = 0.0
-                for w, di, x, y in zip(ws, d, xs, ys):
-                    k = w / di
-                    inv += k
-                    nx += k * x
-                    ny += k * y
-                nx, ny = nx / inv, ny / inv
-            else:
-                nx, ny, dx, dy, d, f = accepted
-        step = math.hypot(nx - px, ny - py)
-        px, py = nx, ny
-        if accepted is None:
-            dx, dy, d, f = _float_offsets(xs, ys, ws, px, py)
-    raise NonConvergence(_budget_message(max_iters, tol, residual))
-
-
-def _offsets(centers: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``centers - p`` and its row lengths."""
-    diff = centers - p
-    return diff, np.hypot(diff[:, 0], diff[:, 1])
-
-
-def _newton_step(p, d, e, grad, residual, hit, centers, weights):
-    """Damped Newton point from p on the closed-form 2x2 Hessian, or None.
-
-    A candidate is accepted when it does not raise the objective, or when it
-    lowers the gradient norm and raises the objective by no more than the
-    rounding error of its sum. When the full step reaches the nearest
-    center ``hit``, where the objective has a kink the Newton model cannot
-    see, the center itself is tried first. ``grad`` is the gradient at p as
-    two floats. Returns the accepted point with its ``centers - point`` and
-    distances, which the next step reuses, or None when backtracking
-    accepted nothing.
-    """
-    k = weights / d
-    ex, ey = e.T
-    h_xx = float(k @ (1.0 - ex ** 2))
-    h_yy = float(k @ (1.0 - ey ** 2))
-    h_xy = -float(k @ (ex * ey))
-    det = h_xx * h_yy - h_xy * h_xy
-    if det <= 0.0:
-        return None
-    gx, gy = grad
-    delta_x = (-gx * h_yy + gy * h_xy) / det
-    delta_y = (-gy * h_xx + gx * h_xy) / det
-    f = float(weights @ d)
-    if math.hypot(delta_x, delta_y) >= d[hit]:
-        diff, d_cand = _offsets(centers, centers[hit])
-        if weights @ d_cand <= f:
-            return centers[hit], diff, d_cand
-    slack = len(d) * _EPS * f
-    delta = np.array([delta_x, delta_y])
-    t = 1.0
-    for _ in range(40):
-        cand = p + t * delta
-        diff, d_cand = _offsets(centers, cand)
-        f_cand = float(weights @ d_cand)
-        if f_cand <= f:
-            return cand, diff, d_cand
-        if f_cand - f <= slack and d_cand.min() >= COINCIDENT_EPS:
-            g = weights @ (diff / d_cand[:, None])
-            if math.hypot(g[0], g[1]) < residual:
-                return cand, diff, d_cand
-        t *= 0.5
-    return None
-
-
-def _float_offsets(xs, ys, ws, px, py):
-    """``_offsets`` on lists, and the objective ``sum w_i d_i`` at ``(px, py)``."""
-    dx = [x - px for x in xs]
-    dy = [y - py for y in ys]
-    d = list(map(math.hypot, dx, dy))
-    f = 0.0
-    for w, di in zip(ws, d):
-        f += w * di
-    return dx, dy, d, f
-
-
-def _newton_step_floats(px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, d_hit, hit, xs, ys, ws):
-    """``_newton_step`` on floats: the accepted ``(x, y, dx, dy, d, f)``, or None.
+def _newton_step(arith, px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, hit, d_hit):
+    """Damped Newton point from ``(px, py)`` on the closed-form 2x2 Hessian, or None.
 
     ``f``, the gradient and the Hessian entries are those at ``(px, py)``,
-    and ``d_hit`` its distance to the nearest center ``hit``.
+    and ``d_hit`` its distance to the nearest center ``hit``. A candidate
+    is accepted when it does not raise the objective, or when it lowers
+    the gradient norm and raises the objective by no more than the rounding
+    error of its sum. When the full step reaches the nearest center, where
+    the objective has a kink the Newton model cannot see, the center itself
+    is tried first. Returns the accepted ``(x, y, arith.at(x, y))``, whose
+    evaluation the next step reuses, or None when backtracking accepted
+    nothing.
     """
     det = h_xx * h_yy - h_xy * h_xy
     if det <= 0.0:
@@ -425,26 +246,169 @@ def _newton_step_floats(px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, d_hit, hi
     delta_x = (-gx * h_yy + gy * h_xy) / det
     delta_y = (-gy * h_xx + gx * h_xy) / det
     if math.hypot(delta_x, delta_y) >= d_hit:
-        cand = _float_offsets(xs, ys, ws, xs[hit], ys[hit])
-        if cand[3] <= f:
-            return (xs[hit], ys[hit], *cand)
-    slack = len(ws) * _EPS * f
+        cx, cy = arith.centers[hit].tolist()
+        evaluated = arith.at(cx, cy)
+        if evaluated[0] <= f:
+            return cx, cy, evaluated
+    slack = len(arith.weights) * _EPS * f
     t = 1.0
     for _ in range(40):
         cx, cy = px + t * delta_x, py + t * delta_y
-        cand = _float_offsets(xs, ys, ws, cx, cy)
-        cdx, cdy, cd, f_cand = cand
+        evaluated = arith.at(cx, cy)
+        f_cand, _, d_near, there = evaluated
         if f_cand <= f:
-            return (cx, cy, *cand)
-        if f_cand - f <= slack and min(cd) >= COINCIDENT_EPS:
-            g0 = g1 = 0.0
-            for w, a, b, di in zip(ws, cdx, cdy, cd):
-                g0 += w * (a / di)
-                g1 += w * (b / di)
-            if math.hypot(g0, g1) < residual:
-                return (cx, cy, *cand)
+            return cx, cy, evaluated
+        if f_cand - f <= slack and d_near >= COINCIDENT_EPS:
+            g_x, g_y = arith.gradient(there)[:2]
+            if math.hypot(g_x, g_y) < residual:
+                return cx, cy, evaluated
         t *= 0.5
     return None
+
+
+def _arithmetic(centers: np.ndarray, weights: np.ndarray) -> "_Floats | _Arrays":
+    """The sums of the solver loop on these centers: on Python floats below
+    ``_SMALL_N`` centers, where each numpy call costs more than its
+    arithmetic, and on numpy arrays from there up."""
+    return (_Floats if len(weights) < _SMALL_N else _Arrays)(centers, weights)
+
+
+class _Arrays:
+    """The sums over the centers that ``_minimize`` needs, on numpy arrays.
+
+    ``at`` returns the objective at a point, the nearest center and its
+    distance, and the evaluation ``here`` that the other methods take:
+    ``centers - point`` and its row lengths.
+    """
+
+    __slots__ = ("centers", "weights")
+
+    def __init__(self, centers: np.ndarray, weights: np.ndarray):
+        self.centers = centers
+        self.weights = weights
+
+    def centroid(self):
+        w = self.weights
+        return ((w[:, None] * self.centers).sum(axis=0) / w.sum()).tolist()
+
+    def at(self, x, y):
+        diff = self.centers - (x, y)
+        d = np.hypot(diff[:, 0], diff[:, 1])
+        hit = int(d.argmin())
+        return float(self.weights @ d), hit, d[hit], (diff, d)
+
+    def gradient(self, here):
+        """The gradient and the Hessian's entries ``h_xx, h_yy, h_xy``."""
+        diff, d = here
+        e = diff / d[:, None]
+        gx, gy = (-(self.weights @ e)).tolist()
+        k = self.weights / d
+        ex, ey = e.T
+        h_xx = float(k @ (1.0 - ex ** 2))
+        h_yy = float(k @ (1.0 - ey ** 2))
+        return gx, gy, h_xx, h_yy, -float(k @ (ex * ey))
+
+    def weiszfeld(self, here):
+        inv = self.weights / here[1]
+        return ((inv @ self.centers) / inv.sum()).tolist()
+
+    def vardi_zhang(self, here, hit, pull, pull_norm):
+        """Step off center ``hit`` along its pull (Vardi & Zhang, 2001)."""
+        d = here[1]
+        rest = np.delete(np.arange(len(d)), hit)
+        inv = self.weights[rest] / d[rest]
+        scale = 1.0 - self.weights[hit] / pull_norm
+        return (self.centers[hit] + scale * pull / inv.sum()).tolist()
+
+    def pull(self, m):
+        """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
+        diff = self.centers - self.centers[m]
+        sq = diff * diff
+        d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
+        d[m] = np.inf  # center m's own term becomes 0
+        pull = (self.weights[:, None] * diff / d[:, None]).sum(axis=0)
+        return pull, float(np.linalg.norm(pull))
+
+
+class _Floats:
+    """``_Arrays`` on Python floats, for n < ``_SMALL_N``.
+
+    ``here`` is the lists ``dx, dy, d`` of ``centers - point`` and their
+    lengths. Each sum adds its terms in index order with ``+=``, several
+    sums to a pass (``sum`` on floats rounds differently from Python 3.12
+    on). The pull is summed in the same order and to the same bits as on
+    arrays; its norm is ``math.hypot``'s, which can differ from
+    ``np.linalg.norm``'s in the last bit.
+    """
+
+    __slots__ = ("centers", "weights", "xs", "ys", "ws")
+
+    def __init__(self, centers: np.ndarray, weights: np.ndarray):
+        self.centers = centers
+        self.weights = weights
+        self.xs, self.ys = centers.T.tolist()
+        self.ws = weights.tolist()
+
+    def centroid(self):
+        wsum = px = py = 0.0
+        for w, x, y in zip(self.ws, self.xs, self.ys):
+            wsum += w
+            px += w * x
+            py += w * y
+        return px / wsum, py / wsum
+
+    def at(self, x, y):
+        dx = [a - x for a in self.xs]
+        dy = [b - y for b in self.ys]
+        d = list(map(math.hypot, dx, dy))
+        f = 0.0
+        for w, di in zip(self.ws, d):
+            f += w * di
+        d_hit = min(d)
+        return f, d.index(d_hit), d_hit, (dx, dy, d)
+
+    def gradient(self, here):
+        # the gradient and the Hessian's three entries in one pass
+        dx, dy, d = here
+        gx = gy = h_xx = h_yy = h_xy = 0.0
+        for w, a, b, di in zip(self.ws, dx, dy, d):
+            ex, ey, k = a / di, b / di, w / di
+            gx += w * ex
+            gy += w * ey
+            h_xx += k * (1.0 - ex * ex)
+            h_yy += k * (1.0 - ey * ey)
+            h_xy += k * (ex * ey)
+        return -gx, -gy, h_xx, h_yy, -h_xy
+
+    def weiszfeld(self, here):
+        inv = nx = ny = 0.0
+        for w, di, x, y in zip(self.ws, here[2], self.xs, self.ys):
+            k = w / di
+            inv += k
+            nx += k * x
+            ny += k * y
+        return nx / inv, ny / inv
+
+    def vardi_zhang(self, here, hit, pull, pull_norm):
+        inv = 0.0
+        for j, (w, di) in enumerate(zip(self.ws, here[2])):
+            if j != hit:
+                inv += w / di
+        scale = 1.0 - self.ws[hit] / pull_norm
+        ux, uy = pull.tolist()
+        return self.xs[hit] + scale * ux / inv, self.ys[hit] + scale * uy / inv
+
+    def pull(self, m):
+        xs, ys = self.xs, self.ys
+        ax, ay = xs[m], ys[m]
+        px = py = 0.0
+        for j, (x, y, w) in enumerate(zip(xs, ys, self.ws)):
+            if j != m:
+                dx, dy = x - ax, y - ay
+                dj = math.sqrt(dx * dx + dy * dy)
+                px += w * dx / dj
+                py += w * dy / dj
+        return np.array([px, py]), math.hypot(px, py)
 
 
 def solve(config: Configuration) -> SolveResult:
@@ -494,7 +458,7 @@ def _solve(config: Configuration) -> SolveResult:
     else:
         # projection of the center onto its own circle is not unique; report
         # the circle point in the pull direction, a unit offset along it
-        pull, pull_norm = at_center or _pull_at_center(centers, weights, m)
+        pull, pull_norm = at_center or _arithmetic(centers, weights).pull(m)
         offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
         d[m] = 1.0
         residual = 0.0

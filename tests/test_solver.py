@@ -99,16 +99,31 @@ def reference_case(config):
 
 
 def each_loop(monkeypatch):
-    """Runs the body of ``for _ in each_loop(...)`` once per solver loop.
+    """Runs the body of ``for _ in each_loop(...)`` once per arithmetic back end.
 
-    The first pass runs the float loop at every n, the second the array
-    loop. Build configurations inside the body: a solved configuration
-    keeps its result, so a second solve would not run the loop again.
+    The first pass runs the solver loop and the pull test on Python floats
+    at every n, the second on arrays. Build configurations inside the body:
+    a solved configuration keeps its result, so a second solve would not
+    run the loop again.
     """
     for small_n in (math.inf, 0):
         with monkeypatch.context() as patch:
             patch.setattr(solver_module, "_SMALL_N", small_n)
             yield
+
+
+def back_end_calls(monkeypatch, method):
+    """Records ``(back end, *args)`` for each call of ``method`` on either
+    arithmetic back end, in a list that the caller reads and clears."""
+    calls = []
+    for cls in (solver_module._Floats, solver_module._Arrays):
+
+        def recording(self, *args, real=getattr(cls, method)):
+            calls.append((type(self).__name__, *args))
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, method, recording)
+    return calls
 
 
 def _line(xs, weights):
@@ -162,17 +177,13 @@ class TestClassifyFromMinimizer:
     def test_one_pull_evaluation_per_solve(self, monkeypatch):
         # an absorbed solve reuses the test the loop ran on the center; a
         # floating one tests only the center nearest to its point
-        calls = []
-        real = solver_module._pull_at_center
-        monkeypatch.setattr(
-            solver_module, "_pull_at_center", lambda *args: calls.append(args[2]) or real(*args)
-        )
+        calls = back_end_calls(monkeypatch, "pull")
         for _ in each_loop(monkeypatch):
             absorbed = random_dominated_config(5, seed=3, dominant=2)
             floating = random_floating_config(5, seed=3)
             calls.clear()
             assert solve(absorbed).case == CaseTag.absorbed(2)
-            assert calls == [2]
+            assert [m for _, m in calls] == [2]
             calls.clear()
             assert solve(floating).case.is_floating
             assert len(calls) == 1
@@ -225,18 +236,15 @@ class TestClassifyFromMinimizer:
         # and the weighted centroid lies 5e-4 from it. Weiszfeld steps alone
         # would close that gap by a factor of about 0.999 each and exhaust
         # the budget; the test before the first one finds the center.
-        tested = []
-        real = solver_module._pull_at_center
-        monkeypatch.setattr(
-            solver_module, "_pull_at_center", lambda *args: tested.append(args[2]) or real(*args)
-        )
+        calls = back_end_calls(monkeypatch, "pull")
         for _ in each_loop(monkeypatch):
             config = _line((0, 1, 2), (1.0, 0.001, 1.000999))
             assert reference_case(config) == CaseTag.absorbed(1)
-            tested.clear()
+            calls.clear()
             p, steps, _, nearest, _ = solver_module._minimize(
                 config.centers_array(), config.weights_array(), config.tolerance, 1
             )
+            tested = [m for _, m in calls]
             assert (p.tolist(), steps, nearest, tested) == ([1.0, 0.0], 1, 1, [1])
             result = solve(config)
             assert result.case == CaseTag.absorbed(1) and result.iterations == 0
@@ -245,16 +253,12 @@ class TestClassifyFromMinimizer:
         # five collinear centers, minimizer at the heavy end: every step is a
         # Weiszfeld step. The centroid is nearest to A_3, which fails the test
         # once and is not tested again until the iterate is nearest to A_4
-        tested = []
-        real = solver_module._pull_at_center
-        monkeypatch.setattr(
-            solver_module, "_pull_at_center", lambda *args: tested.append(args[2]) or real(*args)
-        )
+        calls = back_end_calls(monkeypatch, "pull")
         for _ in each_loop(monkeypatch):
             config = _line((0, 1, 2, 3, 4), (1.0, 1.0, 1.0, 1.0, 4.5))
-            tested.clear()
+            calls.clear()
             assert solve(config).case == reference_case(config) == CaseTag.absorbed(4)
-            assert tested == [3, 4]
+            assert [m for _, m in calls] == [3, 4]
 
     def test_exact_tie_absorbs(self):
         # pull at center 0 is (1,0) + (0,1) + (-1,0) = (0,1): norm 1 == w_0
@@ -262,7 +266,8 @@ class TestClassifyFromMinimizer:
             tuple(Circle(Point2(*c), 0.2) for c in ((0, 0), (1, 0), (0, 1), (-1, 0))),
             (1.0, 1.0, 1.0, 1.0),
         )
-        pull, norm = solver_module._pull_at_center(config.centers_array(), config.weights_array(), 0)
+        arithmetic = solver_module._arithmetic(config.centers_array(), config.weights_array())
+        pull, norm = arithmetic.pull(0)
         assert pull.tolist() == [0.0, 1.0] and norm == 1.0
         assert resultant_norms(config)[0] == 1.0
         result = solve(config)
@@ -474,7 +479,7 @@ class TestFloatingSolve:
 
     def test_cycle_of_any_period_fails_fast(self, monkeypatch):
         # margin 2.4e-8 from absorption: the iterates enter a cycle of three
-        # points (array loop) or four (float loop), which a test against the
+        # points (on arrays) or four (on floats), which a test against the
         # previous two alone never sees
         centers = [
             ("0x1.3a23fd7cb43eap+1", "0x1.cad4d93baacd8p-2"),
@@ -537,7 +542,7 @@ def _pinned_scenes():
 
 
 def _loop_outputs(monkeypatch):
-    """Name -> the output of ``_minimize`` on each loop, as ``solver_points.json`` holds it.
+    """Name -> ``_minimize``'s output on each back end, as ``solver_points.json`` holds it.
 
     An output is ``[x, y, steps, residual, nearest, pull]`` with the floats
     as ``float.hex`` and ``pull`` as ``[x, y, norm]`` or None, or the
@@ -563,10 +568,11 @@ def _loop_outputs(monkeypatch):
 
 
 class TestBothLoops:
-    """The float loop (n < ``_SMALL_N``) and the array loop take the same steps."""
+    """The solver loop takes the same steps on both arithmetic back ends:
+    Python floats (n < ``_SMALL_N``) and arrays."""
 
     def test_points_agree_to_rounding(self, monkeypatch):
-        # the loops sum in different orders, so points may differ by
+        # the back ends sum in different orders, so points may differ by
         # rounding, not in the case or the error; the nearest center is the
         # same unless two centers are equally near up to rounding (at the
         # center of a regular polygon, all are)
@@ -594,21 +600,23 @@ class TestBothLoops:
         assert sizes == {False, True}
 
     def test_outputs_match_pinned(self, monkeypatch):
-        # each loop's output, bit for bit, on every scene: a change to the
-        # loop that is meant to keep its arithmetic must leave this file as it is
+        # the loop's output on each back end, bit for bit, on every scene: a
+        # change that is meant to keep the arithmetic leaves this file as it is
         pinned = json.loads(SOLVER_POINTS.read_text())
         outputs = _loop_outputs(monkeypatch)
         assert sorted(pinned) == sorted(outputs)
         assert [name for name in outputs if outputs[name] != pinned[name]] == []
 
-    def test_small_n_runs_the_float_loop(self, monkeypatch):
-        ran = []
-        for name in ("_minimize_floats", "_minimize_arrays"):
-            monkeypatch.setattr(solver_module, name, lambda *args, name=name: ran.append(name))
-        small = solver_module._SMALL_N
-        for n in (3, small - 1, small, 200):
-            solver_module._minimize(np.zeros((n, 2)), np.ones(n), 1e-10)
-        assert ran == ["_minimize_floats"] * 2 + ["_minimize_arrays"] * 2
+    def test_back_end_by_size(self, monkeypatch):
+        # the loop (its start is the centroid) and classify_case's pull test
+        # at the nearest center run on floats below _SMALL_N, on arrays from it up
+        starts = back_end_calls(monkeypatch, "centroid")
+        pulls = back_end_calls(monkeypatch, "pull")
+        for n in (3, 31, 32, 200):
+            assert classify_case(regular_polygon_config(n, circumradius=float(n))).is_floating
+        expected = ["_Floats", "_Floats", "_Arrays", "_Arrays"]
+        assert [back_end for back_end, in starts] == expected
+        assert [back_end for back_end, _ in pulls] == expected
 
 
 def _rebuilt(config, centers, order):
