@@ -193,12 +193,13 @@ def _minimize(
             residual = math.hypot(gx, gy)
             if step < tol and residual < 10.0 * tol:
                 return np.array([px, py]), it, residual, hit, None
-        if (px, py) in visited:
+        xy = (px, py)
+        if xy in visited:
             raise NonConvergence(
                 f"iteration revisits a point after {it} steps without reaching "
                 f"tolerance {tol} (step {step:.3e}, residual {residual:.3e})"
             )
-        visited.add((px, py))
+        visited.add(xy)
         if it == max_iters:
             break
         if on_center:
