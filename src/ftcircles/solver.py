@@ -267,7 +267,7 @@ def _newton_step(arith, px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, hit, d_hi
     return None
 
 
-def _arithmetic(centers: np.ndarray, weights: np.ndarray) -> "_Floats | _Arrays":
+def _arithmetic(centers: np.ndarray, weights: np.ndarray) -> _Floats | _Arrays:
     """The sums of the solver loop on these centers: on Python floats below
     ``_SMALL_N`` centers, where each numpy call costs more than its
     arithmetic, and on numpy arrays from there up."""
