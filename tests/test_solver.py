@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import pickle
@@ -19,6 +20,7 @@ from ftcircles import (
     Circle,
     Configuration,
     DistanceMode,
+    FTCirclesError,
     InvalidConfiguration,
     NonConvergence,
     Point2,
@@ -48,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
 
 SOLVER_POINTS = Path(__file__).with_name("solver_points.json")
+SOLVE_POINTS = Path(__file__).with_name("solve_points.json")
 
 
 class TestClassify:
@@ -541,6 +544,27 @@ def _pinned_scenes():
     return scenes
 
 
+def _loop_runs():
+    """Name -> (configuration, start) of each pinned loop run.
+
+    Every scene of ``_pinned_scenes`` runs from its weighted centroid (start
+    None). The generated scenes with n <= 8 and seed <= 2 also run from
+    each of their centers (start k, named ``...-from-k``): a start on a
+    center that does not absorb takes the Vardi-Zhang step off it, which
+    runs from the centroid rarely reach.
+    """
+    runs = {name: (config, None) for name, config in _pinned_scenes().items()}
+    scenes = _loop_scenes()
+    for kind in ("floating", "dominated"):
+        for mode in DistanceMode:
+            for n in range(3, 9):
+                for seed in range(3):
+                    name = f"{kind}-{mode.name}-{n}-{seed}"
+                    for k in range(n):
+                        runs[f"{name}-from-{k}"] = (scenes[name], k)
+    return runs
+
+
 def _loop_outputs(monkeypatch):
     """Name -> ``_minimize``'s output on each back end, as ``solver_points.json`` holds it.
 
@@ -549,13 +573,14 @@ def _loop_outputs(monkeypatch):
     message of the NonConvergence raised.
     """
     outputs = {}
-    for name, config in _pinned_scenes().items():
+    for name, (config, start) in _loop_runs().items():
         centers, weights = config.centers_array(), config.weights_array()
+        initial = None if start is None else centers[start]
         outputs[name] = []
         for _ in each_loop(monkeypatch):
             try:
                 p, steps, residual, nearest, pull = solver_module._minimize(
-                    centers, weights, config.tolerance
+                    centers, weights, config.tolerance, initial=initial
                 )
             except NonConvergence as err:
                 outputs[name].append(str(err))
@@ -841,7 +866,53 @@ def _assembly_scenes():
                 yield random_dominated_config(n, seed=seed, dominant=seed % n, distance_mode=mode)
 
 
+def _solve_outputs():
+    """Name -> ``solve``'s result on each scene of ``_pinned_scenes``, as
+    ``solve_points.json`` holds it.
+
+    An output is ``[case, digest]``: the case as text and the SHA-256 of
+    every other ``SolveResult`` field written out, floats as ``float.hex``.
+    A failing solve gives ``"ErrorType: message"``. Each scene is solved as
+    a fresh copy, so the shared scenes keep no stored result.
+    """
+    outputs = {}
+    for name, config in _pinned_scenes().items():
+        try:
+            result = solve(copy.copy(config))
+        except FTCirclesError as err:
+            outputs[name] = f"{type(err).__name__}: {err}"
+            continue
+        text = [
+            f"{field.name}: {_hex_text(getattr(result, field.name))}"
+            for field in dataclasses.fields(result)
+            if field.name != "case"
+        ]
+        digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+        outputs[name] = [str(result.case), digest]
+    return outputs
+
+
+def _hex_text(value):
+    """``value`` as text, with every float in it written as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Point2):
+        return _hex_text((value.x, value.y))
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_hex_text, value)) + ")"
+    return repr(value)
+
+
 class TestAssembly:
+    def test_results_match_pinned(self):
+        # every SolveResult field, bit for bit, and every error on the pinned
+        # scenes: a change that is meant to keep the results leaves this file
+        # as it is
+        pinned = json.loads(SOLVE_POINTS.read_text())
+        outputs = _solve_outputs()
+        assert sorted(pinned) == sorted(outputs)
+        assert [name for name in outputs if outputs[name] != pinned[name]] == []
+
     def test_matches_per_circle_geometry(self):
         # the one-pass assembly reports what the per-circle functions give
         for config in _assembly_scenes():
@@ -916,10 +987,14 @@ class TestSolveResultValue:
                 assert projections[i] == project_onto_circle(result.point, c)
 
 
+def _write_pins(path, outputs):
+    lines = [f"{json.dumps(name)}: {json.dumps(out)}" for name, out in outputs.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_solver.py rewrites the pinned loop
-    # outputs from the current code
+    # and solve outputs from the current code
     with pytest.MonkeyPatch.context() as patch:
-        outputs = _loop_outputs(patch)
-    lines = [f"{json.dumps(name)}: {json.dumps(out)}" for name, out in outputs.items()]
-    SOLVER_POINTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        _write_pins(SOLVER_POINTS, _loop_outputs(patch))
+    _write_pins(SOLVE_POINTS, _solve_outputs())
