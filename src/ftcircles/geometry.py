@@ -7,6 +7,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -219,8 +220,8 @@ def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndar
     return np.maximum(gap, 0.0)
 
 
-def azimuths_at(apex: Point2, points) -> np.ndarray:
-    """Polar angles (atan2, in [-pi, pi]) of the rows of an (n, 2) point array seen from apex.
+def azimuths_at(apex: Point2, points) -> list[float]:
+    """Polar angles (atan2, in [-pi, pi]) of the ``(x, y)`` points seen from apex.
 
     These are the ray azimuths every angle certificate derives from. They
     use ``math.atan2``: numpy's SIMD ``arctan2`` can differ from it in the
@@ -228,12 +229,12 @@ def azimuths_at(apex: Point2, points) -> np.ndarray:
     """
     ax, ay = apex.x, apex.y
     out = []
-    for k, (x, y) in enumerate(np.asarray(points, dtype=float).tolist()):
+    for k, (x, y) in enumerate(points):
         dx, dy = x - ax, y - ay
         if math.hypot(dx, dy) < COINCIDENT_EPS:
             raise DegenerateAngle(f"point {k} coincides with apex")
         out.append(math.atan2(dy, dx))
-    return np.array(out, dtype=float)
+    return out
 
 
 def wrap_angle(x) -> np.ndarray:
@@ -248,21 +249,22 @@ def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float,
     """Cyclic order of rays with the given azimuths and their sector angles.
 
     Returns (order, sectors): ``order`` lists the ray indices sorted by
-    ascending azimuth wrapped to (-pi, pi], and ``sectors[k]`` is the
+    ascending azimuth wrapped to (-pi, pi] (a stable sort, so equal
+    azimuths keep their input order), and ``sectors[k]`` is the
     counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
     the end). The sectors sum to 2*pi.
     """
-    az = np.array(azimuths, dtype=float)
-    if np.abs(az).max() > math.pi:
-        az = wrap_angle(az)
-    else:
-        az[az == -math.pi] = math.pi  # the one value in [-pi, pi] that wrap_angle moves
-    order = np.argsort(az, kind="stable")
-    sorted_az = az[order]
-    sectors = np.empty(len(az))
-    np.subtract(sorted_az[1:], sorted_az[:-1], out=sectors[:-1])
-    sectors[-1] = 2.0 * math.pi - (sorted_az[-1] - sorted_az[0])
-    return tuple(order.tolist()), tuple(sectors.tolist())
+    az = list(map(float, azimuths))
+    if max(az) > math.pi or min(az) < -math.pi:
+        az = wrap_angle(az).tolist()
+    elif -math.pi in az:
+        # the one value in [-pi, pi] that wrap_angle moves
+        az = [math.pi if a == -math.pi else a for a in az]
+    order = sorted(range(len(az)), key=az.__getitem__)
+    ordered = list(map(az.__getitem__, order))
+    sectors = list(map(operator.sub, ordered[1:], ordered))
+    sectors.append(2.0 * math.pi - (ordered[-1] - ordered[0]))
+    return tuple(order), tuple(sectors)
 
 
 def cosine_matrix(azimuths: Sequence[float]) -> np.ndarray:

@@ -443,33 +443,48 @@ def solve(config: Configuration) -> SolveResult:
 
 def _solve(config: Configuration) -> SolveResult:
     centers = config.centers_array()
+    radii = config.radii_array()
     weights = config.weights_array()
     p, iters, residual, nearest, at_center = _minimize(centers, weights, config.tolerance)
     point = Point2.from_array(p)
     case = classify_case(config, point, nearest)
     floating, m = case.is_floating, case.index
     if not floating:
-        point, p = config.circles[m].center, centers[m]
-    offsets, d = _point_offsets(config, p)
-    distances = distances_to_circles(d, config.radii_array(), config.distance_mode)
-    if floating:
-        inside = np.flatnonzero(d < config.radii_array())
-        if inside.size:
-            raise SolutionInsideDisk(int(inside[0]))
-    else:
-        # projection of the center onto its own circle is not unique; report
-        # the circle point in the pull direction, a unit offset along it
+        point = config.circles[m].center
         pull, pull_norm = at_center or _arithmetic(centers, weights).pull(m)
-        offsets[m] = pull / pull_norm if pull_norm > 0 else (1.0, 0.0)
-        d[m] = 1.0
+        ux, uy = (pull / pull_norm).tolist() if pull_norm > 0 else (1.0, 0.0)
         residual = 0.0
         iters = 0
-    projections = _projections(config, offsets, d)
-    azimuths = azimuths_at(point, projections) if floating else np.empty(0)
+    # one pass over the circles: the distance from the point to each center
+    # (math.hypot, as Point2.distance_to) and the projection onto each circle
+    # (as project_onto_circle)
+    px, py = point.x, point.y
+    xs, ys = centers.T.tolist()
+    d, projection_xy = [], []
+    for i, (cx, cy, r) in enumerate(zip(xs, ys, radii.tolist())):
+        ox, oy = px - cx, py - cy
+        di = math.hypot(ox, oy)
+        if di < r:
+            if floating:
+                raise SolutionInsideDisk(i)
+            if i == m:
+                # projection of the center onto its own circle is not unique;
+                # report the circle point in the pull direction, a unit
+                # offset along it
+                ox, oy, di = ux, uy, 1.0
+        d.append(di)
+        k = r / di
+        projection_xy.append((cx + k * ox, cy + k * oy))
+    if min(d) < COINCIDENT_EPS:
+        raise DegenerateProjection("projection of the center onto its circle is not unique")
+    if not floating:
+        d[m] = 0.0  # the absorbed point is center m
+    distances = distances_to_circles(np.array(d), radii, config.distance_mode)
+    azimuths = azimuths_at(point, projection_xy) if floating else []
     order, sectors = sectors_of(azimuths) if floating else ((), ())
     return SolveResult(
         point=point,
-        projection_xy=_pairs(projections),
+        projection_xy=tuple(projection_xy),
         distances=tuple(distances.tolist()),
         sector_angles=sectors,
         sector_order=order,
@@ -477,36 +492,8 @@ def _solve(config: Configuration) -> SolveResult:
         case=case,
         equilibrium_residual=residual,
         iterations=iters,
-        ray_azimuths=tuple(azimuths.tolist()),
+        ray_azimuths=tuple(azimuths),
     )
-
-
-def _point_offsets(config: Configuration, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets ``p - center`` of every circle, as an (n, 2) array, and their lengths.
-
-    The lengths use ``math.hypot``, as ``Point2.distance_to`` does: numpy's
-    ``hypot`` can differ from it in the last bit, which would move the
-    reported distances and objective.
-    """
-    offsets = p - config.centers_array()
-    return offsets, np.array([math.hypot(x, y) for x, y in offsets.tolist()])
-
-
-def _projections(config: Configuration, offsets: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Each circle's point at its radius along ``offsets`` (of lengths ``d``), as an (n, 2) array.
-
-    For the offsets of a point these are its projections onto the circles,
-    computed as ``project_onto_circle`` does.
-    """
-    if d.min() < COINCIDENT_EPS:
-        raise DegenerateProjection("projection of the center onto its circle is not unique")
-    return config.centers_array() + (config.radii_array() / d)[:, None] * offsets
-
-
-def _pairs(points: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Rows of an (n, 2) array as ``(x, y)`` float pairs."""
-    xs, ys = points.T.tolist()
-    return tuple(zip(xs, ys))
 
 
 def certificate_residuals(result: SolveResult, config: Configuration) -> list[float]:

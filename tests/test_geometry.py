@@ -139,8 +139,8 @@ class TestSectorDecomposition:
         apex = Point2(0.3, -0.1)
         pts = [Point2(1.0, 0.2), Point2(-0.5, 1.0), Point2(-0.3, -1.2)]
         az = azimuths_at(apex, np.array([[p.x, p.y] for p in pts]))
-        assert az.tolist() == [math.atan2(p.y - apex.y, p.x - apex.x) for p in pts]
-        assert SectorAngles.from_points(apex, pts).azimuths.tolist() == az.tolist()
+        assert az == [math.atan2(p.y - apex.y, p.x - apex.x) for p in pts]
+        assert SectorAngles.from_points(apex, pts).azimuths.tolist() == az
 
     def test_row_at_apex_is_named(self):
         with pytest.raises(DegenerateAngle, match="point 1 coincides with apex"):

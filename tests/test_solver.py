@@ -864,6 +864,10 @@ def _assembly_scenes():
         for seed in range(10):
             for mode in DistanceMode:
                 yield random_dominated_config(n, seed=seed, dominant=seed % n, distance_mode=mode)
+    for n in (32, 40):
+        yield regular_polygon_config(n, circumradius=float(n))
+    for scene in WORKLOADS["large-n"].make(1):
+        yield scene.configuration()
 
 
 def _solve_outputs():
@@ -926,6 +930,18 @@ class TestAssembly:
             f = objective(config, point.as_array())
             assert abs(result.objective - f) <= 1e-15 * f
             if own is None:
+                # the rays to the projections, and their order and sectors
+                # from a stable sort on azimuths wrapped to (-pi, pi]
+                assert list(result.ray_azimuths) == [
+                    math.atan2(y - point.y, x - point.x) for x, y in result.projection_xy
+                ]
+                az = [math.pi if a == -math.pi else a for a in result.ray_azimuths]
+                order = sorted(range(config.n), key=lambda i: (az[i], i))
+                ordered = [az[i] for i in order]
+                sectors = [b - a for a, b in zip(ordered, ordered[1:])]
+                sectors.append(2.0 * math.pi - (ordered[-1] - ordered[0]))
+                assert result.sector_order == tuple(order)
+                assert result.sector_angles == tuple(sectors)
                 continue
             # the absorbing center projects along the pull of the others
             centers = config.centers_array()
