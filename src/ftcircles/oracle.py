@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, PreconditionViolated
+from .errors import FTCirclesError, InvalidConfiguration, PreconditionViolated
 from .geometry import (
     Circle,
     Configuration,
@@ -289,7 +289,11 @@ def random_dominated_config(
     The dominant weight exceeds the sum of all others, which bounds the pull
     at its center below its own weight. Every radius is 1e-4, so the whole
     disk of the absorbing circle stays within oracle tolerance of its center.
+    Raises InvalidConfiguration for n < 3 or a ``dominant`` outside 0..n-1.
     """
+    # n < 3 is rejected by _sample_centers, with Configuration's message
+    if n >= 3 and not 0 <= dominant < n:
+        raise InvalidConfiguration(f"dominant must be a circle index in 0..{n - 1}, got {dominant}")
     rng = np.random.default_rng(seed)
     centers = _sample_centers(rng, n)
     weights = rng.uniform(0.5, 1.5, size=n)
@@ -327,7 +331,10 @@ def _sample_centers(rng, n: int) -> np.ndarray:
     s is 4 up to n = 7 and 0.65 n above. A side proportional to n keeps
     the expected number of pairs closer than 1.2 in one draw constant, and
     0.65 n accepts a draw more often than the side 4 does at n = 7.
+    Raises InvalidConfiguration for n < 3, before any draw.
     """
+    if n < 3:
+        raise InvalidConfiguration(f"need at least 3 circles, got {n}")
     side = 4.0 if n <= 7 else 0.65 * n
     for _ in range(5000):
         pts = rng.uniform(0.0, side, size=(n, 2))

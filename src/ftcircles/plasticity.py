@@ -190,11 +190,15 @@ def transfer_coefficients(
     a[2, j] = r3 * (a[0, j] - q2[j])
     const   = total / (1 + r2 + r3) * (1, r2, r3)
 
-    Raises InvalidConfiguration if a required sub-triangle ratio is absent
-    and SingularSystem when the three-ray solution itself degenerates.
+    ``n`` must be the number of rays of ``ratios``. Raises
+    InvalidConfiguration when it is not, or when a required sub-triangle
+    ratio is absent, and SingularSystem when the three-ray solution itself
+    degenerates.
     """
     if n < 4:
         raise InvalidConfiguration("transfer coefficients need n >= 4")
+    if n != ratios.n:
+        raise InvalidConfiguration(f"ratios of {ratios.n} rays, but n = {n}")
     den = 1.0 + ratios.r2 + ratios.r3
     if abs(den) < _MIN_SINE:
         raise SingularSystem("three-ray subproblem has zero total weight")

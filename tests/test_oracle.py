@@ -20,6 +20,7 @@ from ftcircles import (
     Circle,
     Configuration,
     DistanceMode,
+    InvalidConfiguration,
     Point2,
     PreconditionViolated,
     classify_case,
@@ -358,6 +359,17 @@ class TestGenerators:
         for seed in range(5):
             config = random_dominated_config(4, seed=seed, dominant=1)
             assert classify_case(config).index == 1
+
+    @pytest.mark.parametrize("n", [2, 0, -1])
+    @pytest.mark.parametrize("generator", [random_floating_config, random_dominated_config])
+    def test_too_few_circles_are_rejected(self, generator, n):
+        with pytest.raises(InvalidConfiguration, match=f"need at least 3 circles, got {n}$"):
+            generator(n, 0)
+
+    @pytest.mark.parametrize("dominant", [4, 7, -1])
+    def test_dominant_outside_the_circles_is_rejected(self, dominant):
+        with pytest.raises(InvalidConfiguration, match=rf"0\.\.3, got {dominant}$"):
+            random_dominated_config(4, 0, dominant=dominant)
 
 
 class TestConvexity:

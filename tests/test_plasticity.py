@@ -235,6 +235,13 @@ class TestTransferCoefficients:
         with pytest.raises(InvalidConfiguration):
             transfer_coefficients(truncated, n=5)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_n_must_match_the_ratios(self, n):
+        # with n = 4 the ratios of ray 4 would be silently left out
+        _, angles = solved_angles(5, seed=10)
+        with pytest.raises(InvalidConfiguration, match=f"ratios of 5 rays, but n = {n}"):
+            transfer_coefficients(TriangleRatios.from_angles(angles), n=n)
+
 
 class TestPlasticityN:
     def test_zero_free_ratios_triangle(self):
