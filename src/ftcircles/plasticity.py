@@ -195,10 +195,8 @@ def transfer_coefficients(
     ratio is absent, and SingularSystem when the three-ray solution itself
     degenerates.
     """
-    if n < 4:
-        raise InvalidConfiguration("transfer coefficients need n >= 4")
-    if n != ratios.n:
-        raise InvalidConfiguration(f"ratios of {ratios.n} rays, but n = {n}")
+    if n != ratios.n or n < 4:
+        raise InvalidConfiguration(f"need n = ratios.n >= 4, got n = {n} for {ratios.n}-ray ratios")
     den = 1.0 + ratios.r2 + ratios.r3
     if abs(den) < _MIN_SINE:
         raise SingularSystem("three-ray subproblem has zero total weight")
@@ -291,14 +289,7 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     k = angles.cyclic_order().index(0)
     b = angles.sectors()[k:] + angles.sectors()[:k]
     b1, b2, b3, b4 = b if turn > 0 else b[::-1]
-    limit = math.pi - _MIN_SINE
-    return (
-        b1 < limit
-        and b2 < limit
-        and b4 < limit
-        and b2 + b3 < limit
-        and b3 + b4 < limit
-    )
+    return max(b1, b2, b4, b2 + b3, b3 + b4) < math.pi - _MIN_SINE
 
 
 def shifted_configuration(

@@ -239,7 +239,7 @@ class TestTransferCoefficients:
     def test_n_must_match_the_ratios(self, n):
         # with n = 4 the ratios of ray 4 would be silently left out
         _, angles = solved_angles(5, seed=10)
-        with pytest.raises(InvalidConfiguration, match=f"ratios of 5 rays, but n = {n}"):
+        with pytest.raises(InvalidConfiguration, match=f"got n = {n} for 5-ray ratios"):
             transfer_coefficients(TriangleRatios.from_angles(angles), n=n)
 
 
