@@ -456,8 +456,8 @@ def _solve(config: Configuration) -> SolveResult:
         residual = 0.0
         iters = 0
     # one pass over the circles: the distance from the point to each center
-    # (math.hypot, as Point2.distance_to) and the projection onto each circle
-    # (as project_onto_circle)
+    # with math.hypot, as Point2.distance_to (numpy's hypot can differ in the
+    # last bit), and the projection onto each circle, as project_onto_circle
     px, py = point.x, point.y
     xs, ys = centers.T.tolist()
     d, projection_xy = [], []
