@@ -31,13 +31,18 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfiguration, PreconditionViolated
-from .geometry import Configuration, Point2, first_touching_pair, pair_distances
-from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
+from .geometry import Configuration, Point2, pair_distances
+from .plasticity import (
+    PlasticityCoefficients,
+    SectorAngles,
+    TriangleRatios,
+    transfer_coefficients,
+)
 from .solver import solve
 
 #: Weight changes smaller than this (relative to the total) count as unchanged.
@@ -98,35 +103,55 @@ def _default_schedule(config: Configuration, steps: int) -> list[float]:
     return [0.01 * total * 0.9**k for k in range(steps)]
 
 
-def _default_scale(config: Configuration) -> float:
-    """Scale making the largest initial radius 10% of the closest center pair."""
-    dmin = float(pair_distances(config.centers_array()).min())
-    return 0.1 * dmin / max(config.weights)
-
-
 def compose_rays(
     w_a: float, dir_a: Sequence[float], w_b: float, dir_b: Sequence[float]
 ) -> tuple[float, np.ndarray]:
     """Magnitude and direction of the weighted vector sum of two unit rays.
 
-    Opposite collinear rays give magnitude |w_a - w_b|; the direction is
-    undefined at zero magnitude and (1, 0) is returned then.
+    Opposite collinear rays give magnitude |w_a - w_b|. The rays cancel
+    when the magnitude is at most 1e-15 of its largest value |w_a| + |w_b|,
+    so the test does not depend on the weight scale; the direction is
+    undefined then and (1, 0) is returned with magnitude 0.
     """
     v = float(w_a) * np.asarray(dir_a, float) + float(w_b) * np.asarray(dir_b, float)
     m = float(np.linalg.norm(v))
-    if m < 1e-15:
+    if m <= 1e-15 * (abs(float(w_a)) + abs(float(w_b))):
         return 0.0, np.array([1.0, 0.0])
     return m, v / m
 
 
-def _pattern(prev: list[float], new: list[float], total: float) -> tuple[WeightChange, ...]:
-    eps = _CHANGE_EPS * total
-    return tuple(
-        WeightChange.INCREASED if b - a > eps
-        else WeightChange.DECREASED if a - b > eps
-        else WeightChange.UNCHANGED
-        for a, b in zip(prev, new)
-    )
+def _head_update(coeffs: PlasticityCoefficients) -> Callable[[list[float]], list[float]]:
+    """The three triangle weights from the free ones, bit for bit as ``coeffs.apply``.
+
+    One free weight gives each a product and an add on floats, as numpy
+    rounds them. Two or more keep numpy's product: its gemv may fuse
+    multiply-adds, which a float sum would round differently.
+    """
+    a, const = coeffs.a, coeffs.const.tolist()
+    if coeffs.n == 4:
+        column = a[:, 0].tolist()
+        return lambda free: [x * free[0] + c for x, c in zip(column, const)]
+    return lambda free: [x + c for x, c in zip((a @ free).tolist(), const)]
+
+
+def _checked_schedule(values: Iterable, pairs: bool) -> list:
+    """The schedule as a list of finite numbers, or of pairs of them.
+
+    Raises InvalidConfiguration, before any step runs, on an entry that is
+    not a finite number or, with ``pairs``, not a pair of them.
+    """
+    checked = []
+    for k, value in enumerate(values):
+        try:
+            entry = tuple(value) if pairs else (value,)
+            fits = len(entry) == (2 if pairs else 1) and all(map(math.isfinite, entry))
+        except TypeError:
+            fits = False
+        if not fits:
+            what = "a pair of finite numbers" if pairs else "a finite number"
+            raise InvalidConfiguration(f"schedule entry {k} must be {what}, got {value!r}")
+        checked.append(entry if pairs else value)
+    return checked
 
 
 def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
@@ -161,42 +186,55 @@ def _evolve(
 ) -> EvolutionTrace:
     """Step the reduced weights ``r`` through ``moves``; see the module docstring.
 
-    A move is ``(increments, coefficients, layout, label)``, and the circle
-    weights are ``r[source] * factor``.
+    A move is ``(increments, head_update, layout, label)``, where
+    ``head_update`` is a :func:`_head_update`, and the circle weights are
+    ``r[source] * factor``.
+
+    The centers never move, so their distances are computed once, from the
+    matrix that also sets the default scale. A step overlaps when some
+    distance is at most ``r_i + r_j``: the decision of
+    ``first_touching_pair``, which compares the same ``np.hypot`` values.
     """
+    dist = pair_distances(config.centers_array())
     if scale is None:
-        scale = _default_scale(config)
+        # the largest initial radius is 10% of the closest center pair
+        scale = 0.1 * float(dist.min()) / max(config.weights)
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidConfiguration(f"radius scale must be finite and > 0, got {scale}")
+    pairs = [(i, j, d) for i, row in enumerate(dist.tolist()) for j, d in enumerate(row) if i < j]
     composite = type_tag is EvolutionType.TYPE_B
     expected = "the expected quadrilateral response" if composite else "-+-++"
     total = reduce(add, r)
-    centers = config.centers_array()
+    eps = _CHANGE_EPS * total
+    up, down, same = WeightChange.INCREASED, WeightChange.DECREASED, WeightChange.UNCHANGED
+
+    def pattern_of(prev: list[float], new: list[float]) -> tuple[WeightChange, ...]:
+        return tuple(up if b - a > eps else down if a - b > eps else same for a, b in zip(prev, new))
+
     weights = config.weights_array().tolist()
-    unchanged = (WeightChange.UNCHANGED,) * 5
     radii = [scale * x for x in weights]
     c = r[3] if composite else None
-    steps = [EvolutionStep(0, tuple(weights), tuple(radii), "initial", unchanged, total, c)]
+    steps = [EvolutionStep(0, tuple(weights), tuple(radii), "initial", (same,) * 5, total, c)]
     termination = TerminationReason.SCHEDULE_EXHAUSTED
     violations: list[str] = []
-    for k, (increments, coeffs, layout, label) in enumerate(moves, start=1):
+    for k, (increments, head_update, layout, label) in enumerate(moves, start=1):
         head, free = layout[:3], layout[3:]
         new_r = r[:]
         for i, d in zip(free, increments):
             new_r[i] += d
-        for i, x in zip(head, coeffs.apply([new_r[i] for i in free]).tolist()):
+        for i, x in zip(head, head_update([new_r[i] for i in free])):
             new_r[i] = x
         new_w = [new_r[i] * f for i, f in zip(source, factor)]
         if any(x <= 0.0 for x in new_w):
             termination = TerminationReason.NONPOSITIVE_WEIGHT
             break
         radii = [scale * x for x in new_w]
-        if first_touching_pair(centers, radii) is not None:
+        if any(d <= radii[i] + radii[j] for i, j, d in pairs):
             termination = TerminationReason.OVERLAP
             break
-        pattern = _pattern(weights, new_w, total)
+        pattern = pattern_of(weights, new_w)
         if any(d > 0.0 for d in increments):
-            response = _pattern([r[i] for i in head], [new_r[i] for i in head], total)
+            response = pattern_of([r[i] for i in head], [new_r[i] for i in head])
             if response != _RESPONSE:
                 violations.append(
                     f"step {k}: pattern {''.join(p.value for p in pattern)} "
@@ -231,14 +269,18 @@ def evolve_type_a(
     the five-weight total is conserved exactly. Expected response: weight 1
     up, weights 0 and 2 down.
     """
+    if increments is not None:
+        increments = _checked_schedule(increments, pairs=True)
     point, layout, _ = _prepare(config)
     if increments is None:
         increments = [(d, d) for d in _default_schedule(config, steps)]
     r = config.weights_array().tolist()
-    coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
+    update = _head_update(
+        transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
+    )
     labels = [0, 1, 2, 3, 4]
     moves = (
-        ((d3, d4), coeffs, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
+        ((d3, d4), update, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
         for d3, d4 in increments
     )
     return _evolve(EvolutionType.TYPE_A, config, point, scale, r, labels, [1.0] * 5, moves)
@@ -259,6 +301,8 @@ def evolve_type_b(
     reduced sum w0 + w1 + w2 + m is conserved exactly. Expected response:
     weights 0 and 2 down, weight 1 and the composite up.
     """
+    if schedule is not None:
+        schedule = _checked_schedule(schedule, pairs=False)
     point, layout, rays = _prepare(config)
     if schedule is None:
         schedule = _default_schedule(config, steps)
@@ -276,16 +320,18 @@ def evolve_type_b(
     # reduced rays: 0, 1, 2 and the composite as 3; triangle labels first
     azimuths = np.append(layout.azimuths[:3], math.atan2(u_c[1], u_c[0]))
     grow_c, grow_1 = [0, 1, 2, 3], [0, 3, 2, 1]
-    coeffs_c, coeffs_1 = (
-        transfer_coefficients(
-            TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
+    update_c, update_1 = (
+        _head_update(
+            transfer_coefficients(
+                TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
+            )
         )
         for labels in (grow_c, grow_1)
     )
     moves = (
-        ((d,), coeffs_c, grow_c, f"composite(3,4) +{d:.6g}")
+        ((d,), update_c, grow_c, f"composite(3,4) +{d:.6g}")
         if k % 2 == 0
-        else ((d,), coeffs_1, grow_1, f"branch 1 +{d:.6g}")
+        else ((d,), update_1, grow_1, f"branch 1 +{d:.6g}")
         for k, d in enumerate(schedule)
     )
     factor = [1.0, 1.0, 1.0, *split.tolist()]

@@ -53,10 +53,9 @@ _MIN_SINE = 1e-12
 class SectorAngles:
     """Pairwise ray angles at the branching point.
 
-    Holds the ray azimuths and exposes unsigned pairwise angles, signed
-    sines of azimuth differences, and the cyclic order of the rays with
-    their sector angles. Built from azimuths or from geometry
-    (:meth:`from_result`, :meth:`from_points`).
+    Holds the ray azimuths and exposes unsigned pairwise angles and the
+    cyclic order of the rays with their sector angles. Built from azimuths
+    or from geometry (:meth:`from_result`, :meth:`from_points`).
     """
 
     __slots__ = ("n", "azimuths", "_order", "_sectors")
@@ -99,10 +98,6 @@ class SectorAngles:
         """Unsigned angle in [0, pi] between rays i and j."""
         return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
 
-    def signed_sin(self, i: int, j: int) -> float:
-        """sin of the signed rotation from ray i to ray j."""
-        return math.sin(self.azimuths[j] - self.azimuths[i])
-
     def cyclic_order(self) -> tuple[int, ...]:
         return self._order
 
@@ -143,7 +138,12 @@ class TriangleRatios:
         n = angles.n
         if n < 4:
             raise InvalidConfiguration("triangle ratios need n >= 4 rays")
-        s = angles.signed_sin
+        az = angles.azimuths.tolist()
+
+        def s(i: int, j: int) -> float:
+            """sin of the signed rotation from ray i to ray j."""
+            return math.sin(az[j] - az[i])
+
         for i, j in ((2, 1), (2, 0), (1, 0)):
             if abs(s(i, j)) < _MIN_SINE:
                 raise PreconditionViolated(f"rays {i} and {j} are collinear")
@@ -200,16 +200,23 @@ def transfer_coefficients(
     den = 1.0 + ratios.r2 + ratios.r3
     if abs(den) < _MIN_SINE:
         raise SingularSystem("three-ray subproblem has zero total weight")
-    a = np.zeros((3, n - 3))
-    for k, j in enumerate(range(3, n)):
+    r2, r3 = ratios.r2, ratios.r3
+    rows: tuple[list[float], ...] = ([], [], [])
+    for j in range(3, n):
         if j not in ratios.q3 or j not in ratios.q2:
             raise InvalidConfiguration(f"missing sub-triangle ratios for ray {j}")
-        a1 = (ratios.q3[j] * ratios.r2 + ratios.q2[j] * ratios.r3 - 1.0) / den
-        a[0, k] = a1
-        a[1, k] = ratios.r2 * (a1 - ratios.q3[j])
-        a[2, k] = ratios.r3 * (a1 - ratios.q2[j])
-    const = (total / den) * np.array([1.0, ratios.r2, ratios.r3])
-    return PlasticityCoefficients(n=n, total=float(total), a=a, const=const)
+        q3, q2 = ratios.q3[j], ratios.q2[j]
+        a1 = (q3 * r2 + q2 * r3 - 1.0) / den
+        rows[0].append(a1)
+        rows[1].append(r2 * (a1 - q3))
+        rows[2].append(r3 * (a1 - q2))
+    scale = total / den
+    return PlasticityCoefficients(
+        n=n,
+        total=float(total),
+        a=np.array(rows),
+        const=np.array([scale, scale * r2, scale * r3]),
+    )
 
 
 def cosine_system_weights(angles: SectorAngles) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from ftcircles import (
     Configuration,
     InvalidConfiguration,
+    NonConvergence,
     PreconditionViolated,
     SectorAngles,
     TerminationReason,
@@ -22,6 +23,7 @@ from ftcircles import (
     regular_polygon_config,
     solve,
 )
+from ftcircles.geometry import first_touching_pair
 from ftcircles.scene import load_scene
 
 from conftest import assert_close
@@ -281,6 +283,91 @@ class TestPinnedTraces:
 def test_bad_scale_rejected(pentagon, evolve, scale):
     with pytest.raises(InvalidConfiguration, match="scale"):
         evolve(pentagon, scale=scale, steps=2)
+
+
+@pytest.mark.parametrize(
+    "evolve, schedule",
+    [
+        (evolve_type_a, {"increments": [(math.nan, 0.0)]}),
+        (evolve_type_a, {"increments": [(math.inf, 0.0)]}),
+        (evolve_type_a, {"increments": [(0.01, 0.01), (0.0, -math.inf)]}),
+        (evolve_type_a, {"increments": [(0.1,)]}),
+        (evolve_type_a, {"increments": [(0.1, 0.1, 0.1)]}),
+        (evolve_type_a, {"increments": [0.1]}),
+        (evolve_type_a, {"increments": [("0.1", "0.1")]}),
+        (evolve_type_b, {"schedule": [math.nan]}),
+        (evolve_type_b, {"schedule": [0.01, math.inf]}),
+        (evolve_type_b, {"schedule": [(0.1,)]}),
+        (evolve_type_b, {"schedule": ["0.1"]}),
+    ],
+)
+def test_bad_schedule_rejected(pentagon, evolve, schedule):
+    with pytest.raises(InvalidConfiguration, match="schedule entry"):
+        evolve(pentagon, **schedule)
+
+
+@pytest.mark.parametrize(
+    "weight_scale",
+    [
+        1e-20,
+        1e-16,
+        1.0,
+        pytest.param(
+            1e16,
+            marks=pytest.mark.xfail(
+                raises=NonConvergence,
+                strict=True,
+                reason="solve compares the residual, in weight units, with an absolute tolerance",
+            ),
+        ),
+    ],
+)
+def test_type_b_patterns_do_not_depend_on_weight_scale(pentagon, weight_scale):
+    scaled = Configuration(pentagon.circles, tuple(w * weight_scale for w in pentagon.weights))
+    patterns = [s.pattern_string() for s in evolve_type_b(scaled, steps=10).steps]
+    assert patterns == [s.pattern_string() for s in evolve_type_b(pentagon, steps=10).steps]
+
+
+def reference_overlap_step(config, steps, scale):
+    """First step after step 0 whose scaled radii touch by ``first_touching_pair``, or None."""
+    centers = config.centers_array()
+    for s in steps[1:]:
+        if first_touching_pair(centers, [scale * w for w in s.weights]) is not None:
+            return s.step
+    return None
+
+
+@pytest.mark.parametrize("evolve", [evolve_type_a, evolve_type_b])
+@pytest.mark.parametrize("scene", ["regular", "demo"])
+def test_overlap_stop_matches_first_touching_pair(pentagon, evolve, scene):
+    # at each pair's exact touching scale for the weights of some step, and
+    # 1 and 2 ulp either side, the trace stops where first_touching_pair does
+    config = pentagon if scene == "regular" else load_scene(DEMO_PENTAGON)[0]
+    free = evolve(config, steps=10, scale=1e-9).steps  # weights do not depend on the scale
+    assert len(free) == 11
+    (x, y), w = config.centers_array().T.tolist(), [s.weights for s in free]
+    flips = outcomes = 0
+    for i in range(5):
+        for j in range(i + 1, 5):
+            d = float(np.hypot(x[i] - x[j], y[i] - y[j]))
+            for t in (0, 1, 5, 10):
+                exact = d / (w[t][i] + w[t][j])
+                below = math.nextafter(exact, 0.0)
+                above = math.nextafter(exact, math.inf)
+                scales = (math.nextafter(below, 0.0), below, exact, above, math.nextafter(above, math.inf))
+                expected = [reference_overlap_step(config, free, scale) for scale in scales]
+                flips += len(set(expected)) > 1
+                for scale, k in zip(scales, expected):
+                    trace = evolve(config, steps=10, scale=scale)
+                    if k is None:
+                        assert trace.termination is TerminationReason.SCHEDULE_EXHAUSTED
+                        assert len(trace.steps) == 11
+                    else:
+                        assert trace.termination is TerminationReason.OVERLAP, (i, j, t, scale)
+                        assert trace.steps[-1].step == k - 1, (i, j, t, scale)
+                        outcomes += 1
+    # some scale lies on a touching boundary, and some trace stops there
+    assert flips > 0 and outcomes > 0
 
 
 if __name__ == "__main__":
