@@ -31,18 +31,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfiguration, PreconditionViolated
 from .geometry import Configuration, Point2, pair_distances
-from .plasticity import (
-    PlasticityCoefficients,
-    SectorAngles,
-    TriangleRatios,
-    transfer_coefficients,
-)
+from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
 from .solver import solve
 
 #: Weight changes smaller than this (relative to the total) count as unchanged.
@@ -120,20 +115,6 @@ def compose_rays(
     return m, v / m
 
 
-def _head_update(coeffs: PlasticityCoefficients) -> Callable[[list[float]], list[float]]:
-    """The three triangle weights from the free ones, bit for bit as ``coeffs.apply``.
-
-    One free weight gives each a product and an add on floats, as numpy
-    rounds them. Two or more keep numpy's product: its gemv may fuse
-    multiply-adds, which a float sum would round differently.
-    """
-    a, const = coeffs.a, coeffs.const.tolist()
-    if coeffs.n == 4:
-        column = a[:, 0].tolist()
-        return lambda free: [x * free[0] + c for x, c in zip(column, const)]
-    return lambda free: [x + c for x, c in zip((a @ free).tolist(), const)]
-
-
 def _checked_schedule(values: Iterable, pairs: bool) -> list:
     """The schedule as a list of finite numbers, or of pairs of them.
 
@@ -186,9 +167,8 @@ def _evolve(
 ) -> EvolutionTrace:
     """Step the reduced weights ``r`` through ``moves``; see the module docstring.
 
-    A move is ``(increments, head_update, layout, label)``, where
-    ``head_update`` is a :func:`_head_update`, and the circle weights are
-    ``r[source] * factor``.
+    A move is ``(increments, coefficients, layout, label)``, and the circle
+    weights are ``r[source] * factor``.
 
     The centers never move, so their distances are computed once, from the
     matrix that also sets the default scale. A step overlaps when some
@@ -217,12 +197,12 @@ def _evolve(
     steps = [EvolutionStep(0, tuple(weights), tuple(radii), "initial", (same,) * 5, total, c)]
     termination = TerminationReason.SCHEDULE_EXHAUSTED
     violations: list[str] = []
-    for k, (increments, head_update, layout, label) in enumerate(moves, start=1):
+    for k, (increments, coeffs, layout, label) in enumerate(moves, start=1):
         head, free = layout[:3], layout[3:]
         new_r = r[:]
         for i, d in zip(free, increments):
             new_r[i] += d
-        for i, x in zip(head, head_update([new_r[i] for i in free])):
+        for i, x in zip(head, coeffs.triangle_weights([new_r[i] for i in free])):
             new_r[i] = x
         new_w = [new_r[i] * f for i, f in zip(source, factor)]
         if any(x <= 0.0 for x in new_w):
@@ -275,12 +255,10 @@ def evolve_type_a(
     if increments is None:
         increments = [(d, d) for d in _default_schedule(config, steps)]
     r = config.weights_array().tolist()
-    update = _head_update(
-        transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
-    )
+    coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
     labels = [0, 1, 2, 3, 4]
     moves = (
-        ((d3, d4), update, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
+        ((d3, d4), coeffs, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
         for d3, d4 in increments
     )
     return _evolve(EvolutionType.TYPE_A, config, point, scale, r, labels, [1.0] * 5, moves)
@@ -320,18 +298,16 @@ def evolve_type_b(
     # reduced rays: 0, 1, 2 and the composite as 3; triangle labels first
     azimuths = np.append(layout.azimuths[:3], math.atan2(u_c[1], u_c[0]))
     grow_c, grow_1 = [0, 1, 2, 3], [0, 3, 2, 1]
-    update_c, update_1 = (
-        _head_update(
-            transfer_coefficients(
-                TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
-            )
+    coeffs_c, coeffs_1 = (
+        transfer_coefficients(
+            TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
         )
         for labels in (grow_c, grow_1)
     )
     moves = (
-        ((d,), update_c, grow_c, f"composite(3,4) +{d:.6g}")
+        ((d,), coeffs_c, grow_c, f"composite(3,4) +{d:.6g}")
         if k % 2 == 0
-        else ((d,), update_1, grow_1, f"branch 1 +{d:.6g}")
+        else ((d,), coeffs_1, grow_1, f"branch 1 +{d:.6g}")
         for k, d in enumerate(schedule)
     )
     factor = [1.0, 1.0, 1.0, *split.tolist()]

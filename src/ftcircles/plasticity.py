@@ -53,9 +53,10 @@ _MIN_SINE = 1e-12
 class SectorAngles:
     """Pairwise ray angles at the branching point.
 
-    Holds the ray azimuths and exposes unsigned pairwise angles and the
-    cyclic order of the rays with their sector angles. Built from azimuths
-    or from geometry (:meth:`from_result`, :meth:`from_points`).
+    Holds the ray azimuths and exposes unsigned pairwise angles, signed
+    sines of azimuth differences, and the cyclic order of the rays with
+    their sector angles. Built from azimuths or from geometry
+    (:meth:`from_result`, :meth:`from_points`).
     """
 
     __slots__ = ("n", "azimuths", "_order", "_sectors")
@@ -97,6 +98,10 @@ class SectorAngles:
     def angle(self, i: int, j: int) -> float:
         """Unsigned angle in [0, pi] between rays i and j."""
         return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
+
+    def signed_sin(self, i: int, j: int) -> float:
+        """sin of the signed rotation from ray i to ray j."""
+        return math.sin(self.azimuths[j] - self.azimuths[i])
 
     def cyclic_order(self) -> tuple[int, ...]:
         return self._order
@@ -169,6 +174,15 @@ class PlasticityCoefficients:
     a: np.ndarray
     const: np.ndarray
 
+    def triangle_weights(self, free_weights: Sequence[float]) -> list[float]:
+        """The first three weights for the n - 3 free weights, as floats.
+
+        The sums ``a @ free + const`` round as numpy's array arithmetic does;
+        only the product is a numpy call, because its matrix-vector kernel
+        may fuse multiply-adds that a float sum would round differently.
+        """
+        return [x + c for x, c in zip((self.a @ free_weights).tolist(), self.const.tolist())]
+
     def apply(self, free_weights: Sequence[float]) -> np.ndarray:
         """Full weight vector for the given free weights."""
         free = np.asarray(free_weights, dtype=float)
@@ -176,8 +190,7 @@ class PlasticityCoefficients:
             raise InvalidConfiguration(
                 f"expected {self.n - 3} free weights, got {free.shape}"
             )
-        w123 = self.a @ free + self.const
-        return np.concatenate([w123, free])
+        return np.concatenate([self.triangle_weights(free), free])
 
 
 def transfer_coefficients(
