@@ -191,7 +191,7 @@ def _evolve(
     def pattern_of(prev: list[float], new: list[float]) -> tuple[WeightChange, ...]:
         return tuple(up if b - a > eps else down if a - b > eps else same for a, b in zip(prev, new))
 
-    weights = config.weights_array().tolist()
+    weights = list(config.weights)
     radii = [scale * x for x in weights]
     c = r[3] if composite else None
     steps = [EvolutionStep(0, tuple(weights), tuple(radii), "initial", (same,) * 5, total, c)]
@@ -254,7 +254,7 @@ def evolve_type_a(
     point, layout, _ = _prepare(config)
     if increments is None:
         increments = [(d, d) for d in _default_schedule(config, steps)]
-    r = config.weights_array().tolist()
+    r = list(config.weights)
     coeffs = transfer_coefficients(TriangleRatios.from_angles(layout), n=5, total=reduce(add, r))
     labels = [0, 1, 2, 3, 4]
     moves = (
@@ -284,7 +284,7 @@ def evolve_type_b(
     point, layout, rays = _prepare(config)
     if schedule is None:
         schedule = _default_schedule(config, steps)
-    w = config.weights_array()
+    w = config.weights
     m, u_c = compose_rays(w[3], rays[3], w[4], rays[4])
     if m <= 0.0:
         raise PreconditionViolated("rays 3 and 4 cancel exactly; composite undefined")
@@ -293,7 +293,7 @@ def evolve_type_b(
     if np.any(split <= 0.0):
         raise PreconditionViolated("composite direction leaves the cone of rays 3 and 4")
 
-    r = [float(w[0]), float(w[1]), float(w[2]), m]
+    r = [w[0], w[1], w[2], m]
     total = reduce(add, r)
     # reduced rays: 0, 1, 2 and the composite as 3; triangle labels first
     azimuths = np.append(layout.azimuths[:3], math.atan2(u_c[1], u_c[0]))

@@ -28,17 +28,32 @@ COINCIDENT_EPS = 1e-12
 _HYPOT_MARGIN = 1.0 + 1e-9
 _HYPOT_FLOOR = 1e-300
 
+# sets a field of a frozen dataclass; a module global is found faster than
+# the builtin ``object``
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Point2:
-    """A point in the plane. Coordinates must be finite."""
+    """A point in the plane. Coordinates must be finite numbers."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidConfiguration(f"coordinates must be finite, got ({self.x}, {self.y})")
+    # Point2 and Circle check their arguments in a hand-written __init__ and
+    # only then set the fields, which builds faster than the generated
+    # __init__ plus a __post_init__. The fields are set with _setattr:
+    # writing self.__dict__ directly would build faster still, but it makes
+    # every later attribute read slower.
+    def __init__(self, x: float, y: float):
+        try:
+            finite = math.isfinite(x) and math.isfinite(y)
+        except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidConfiguration(f"coordinates must be finite, got ({x}, {y})")
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -51,16 +66,22 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circle:
-    """A circle given by its center and a strictly positive radius."""
+    """A circle given by its center and a strictly positive finite radius."""
 
     center: Point2
     radius: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise InvalidConfiguration(f"radius must be positive and finite, got {self.radius}")
+    def __init__(self, center: Point2, radius: float):
+        try:
+            valid = math.isfinite(radius) and radius > 0.0
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
+            raise InvalidConfiguration(f"radius must be positive and finite, got {radius}")
+        _setattr(self, "center", center)
+        _setattr(self, "radius", radius)
 
 
 class DistanceMode(Enum):
@@ -77,54 +98,75 @@ class DistanceMode(Enum):
 
 @dataclass(frozen=True)
 class Configuration:
-    """A problem instance: n >= 3 pairwise non-overlapping weighted circles."""
+    """A problem instance: n >= 3 pairwise non-overlapping weighted circles.
+
+    Validation keeps the circles as three columns of Python floats, ``xs``,
+    ``ys`` and ``radii``, next to the ``weights`` tuple; the solver below
+    32 centers reads these. The read-only arrays of ``centers_array``,
+    ``radii_array`` and ``weights_array`` hold the same values and are
+    each built on first access.
+    """
 
     circles: tuple[Circle, ...]
     weights: tuple[float, ...]
     tolerance: float = 1e-10
     distance_mode: DistanceMode = DistanceMode.TO_CURVE
-    # read-only arrays, built once by __post_init__
-    _centers: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
-    _radii: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    radii: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # read-only arrays of the columns, each built on first access
+    _centers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _radii: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # result of the first successful ``solve``, which later calls return
     _solved: SolveResult | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "circles", tuple(self.circles))
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        n = len(self.circles)
+        try:
+            circles = tuple(self.circles)
+            xs = tuple([float(c.center.x) for c in circles])
+            ys = tuple([float(c.center.y) for c in circles])
+            radii = tuple([float(c.radius) for c in circles])
+        except (TypeError, AttributeError):
+            raise InvalidConfiguration(
+                _rejection("circle", self.circles, _circle_row, "a Circle with a Point2 center")
+            ) from None
+        try:
+            weights = tuple(map(float, self.weights))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfiguration(
+                _rejection("weight", self.weights, float, "a number in the float range")
+            ) from None
+        n = len(circles)
         if n < 3:
             raise InvalidConfiguration(f"need at least 3 circles, got {n}")
-        if len(self.weights) != n:
-            raise InvalidConfiguration(
-                f"{n} circles but {len(self.weights)} weights"
-            )
-        for i, w in enumerate(self.weights):
+        if len(weights) != n:
+            raise InvalidConfiguration(f"{n} circles but {len(weights)} weights")
+        for i, w in enumerate(weights):
             if not (math.isfinite(w) and w > 0.0):
                 raise InvalidConfiguration(f"weight {i} must be positive and finite, got {w}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise InvalidConfiguration(f"tolerance must be positive, got {self.tolerance}")
+        tol = self.tolerance
+        try:
+            valid = math.isfinite(tol) and tol > 0.0
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
+            raise InvalidConfiguration(f"tolerance must be positive, got {tol!r}")
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
-        # numpy converts a row of x and a row of y much faster than n pairs
-        xy = [[c.center.x for c in self.circles], [c.center.y for c in self.circles]]
-        for name, array in (
-            ("_centers", np.array(xy, dtype=float).T.copy()),
-            ("_radii", np.array([c.radius for c in self.circles], dtype=float)),
-            ("_weights", np.array(self.weights, dtype=float)),
-        ):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        pair = first_touching_pair(self._centers, self._radii)
+        pair = first_touching_pair(xs, ys, radii)
         if pair is not None:
             raise InvalidConfiguration(f"circles {pair[0]} and {pair[1]} overlap or touch")
+        for name, value in (
+            ("circles", circles), ("weights", weights), ("xs", xs), ("ys", ys), ("radii", radii)
+        ):
+            _setattr(self, name, value)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so a copy is
-        # validated, gets its own read-only arrays and no stored result
+        # validated, builds its own arrays and has no stored result
         return (
             Configuration,
             (self.circles, self.weights, self.tolerance, self.distance_mode),
@@ -135,13 +177,41 @@ class Configuration:
         return len(self.circles)
 
     def centers_array(self) -> np.ndarray:
+        if self._centers is None:
+            # numpy converts a row of x and a row of y much faster than n pairs
+            self._store("_centers", np.array([self.xs, self.ys]).T.copy())
         return self._centers
 
     def radii_array(self) -> np.ndarray:
+        if self._radii is None:
+            self._store("_radii", np.array(self.radii))
         return self._radii
 
     def weights_array(self) -> np.ndarray:
+        if self._weights is None:
+            self._store("_weights", np.array(self.weights))
         return self._weights
+
+    def _store(self, name: str, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        _setattr(self, name, array)
+
+
+def _circle_row(c: Circle) -> tuple[float, float, float]:
+    return float(c.center.x), float(c.center.y), float(c.radius)
+
+
+def _rejection(name: str, values, convert, expected: str) -> str:
+    """Error text naming the first of ``values`` that ``convert`` fails on, by index."""
+    try:
+        for i, value in enumerate(values):
+            try:
+                convert(value)
+            except (TypeError, ValueError, OverflowError, AttributeError):
+                return f"{name} {i} must be {expected}, got {value!r}"
+    except TypeError:  # not iterable
+        pass
+    return f"{name}s must be a sequence, got {values!r}"
 
 
 def pair_distances(points) -> np.ndarray:
@@ -155,10 +225,14 @@ def pair_distances(points) -> np.ndarray:
     return d
 
 
-def first_touching_pair(centers, radii) -> tuple[int, int] | None:
+def first_touching_pair(
+    xs: Sequence[float], ys: Sequence[float], radii: Sequence[float]
+) -> tuple[int, int] | None:
     """First pair ``(i, j)``, ``i < j``, of circles that overlap or touch, or None.
 
-    Circles i and j touch when ``np.hypot(x_i - x_j, y_i - y_j) <= r_i + r_j``;
+    The circles are given as columns of floats: center ``(xs[i], ys[i])``
+    and radius ``radii[i]``. Circles i and j touch when
+    ``np.hypot(x_i - x_j, y_i - y_j) <= r_i + r_j``;
     of all touching pairs the lexicographically first is returned. A
     sort-and-sweep on x (Shamos & Hoey 1976) tests only the pairs whose
     computed ``x_j - x_i`` is at most ``r_i + max(r)``: the others cannot
@@ -167,14 +241,12 @@ def first_touching_pair(centers, radii) -> tuple[int, int] | None:
     are clearly apart. ``math.hypot`` can differ from ``np.hypot`` in the
     last bit, so the remaining pairs are decided by ``np.hypot``.
     """
-    xs, ys = np.asarray(centers, dtype=float).T.tolist()
-    rs = np.asarray(radii, dtype=float).tolist()
     n = len(xs)
     order = sorted(range(n), key=xs.__getitem__)
-    r_max = max(rs)
+    r_max = max(radii)
     first = None
     for a, i in enumerate(order):
-        xi, yi, ri = xs[i], ys[i], rs[i]
+        xi, yi, ri = xs[i], ys[i], radii[i]
         reach = ri + r_max
         for b in range(a + 1, n):
             j = order[b]
@@ -182,7 +254,7 @@ def first_touching_pair(centers, radii) -> tuple[int, int] | None:
             if dx > reach:
                 break
             dy = ys[j] - yi
-            s = ri + rs[j]
+            s = ri + radii[j]
             if (
                 -s <= dy <= s
                 and math.hypot(dx, dy) <= s * _HYPOT_MARGIN + _HYPOT_FLOOR
@@ -209,15 +281,19 @@ def project_onto_circle(p: Point2, c: Circle) -> Point2:
     return Point2(c.center.x + k * dx, c.center.y + k * dy)
 
 
-def distances_to_circles(center_distances, radii, mode: DistanceMode) -> np.ndarray:
+def distances_to_circles(center_distances, radii, mode: DistanceMode):
     """Distances to the circles (TO_CURVE) or their disks (TO_SET), from the center distances.
 
-    ``radii`` broadcasts against ``center_distances`` along the last axis.
+    On arrays, ``radii`` broadcasts against ``center_distances`` along the
+    last axis. Two sequences of floats give a list of floats, with the
+    values the arrays would hold.
     """
-    gap = center_distances - radii
-    if mode is DistanceMode.TO_CURVE:
-        return np.abs(gap)
-    return np.maximum(gap, 0.0)
+    curve = mode is DistanceMode.TO_CURVE
+    if isinstance(center_distances, np.ndarray):
+        gap = center_distances - radii
+        return np.abs(gap) if curve else np.maximum(gap, 0.0)
+    gaps = map(operator.sub, center_distances, radii)
+    return list(map(abs, gaps)) if curve else [max(g, 0.0) for g in gaps]
 
 
 def azimuths_at(apex: Point2, points) -> list[float]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -121,29 +122,37 @@ def classify_case(
     """
     if point is None:
         return solve(config).case
-    centers = config.centers_array()
-    p = point.as_array()
-    m = nearest
+    return _case(_arithmetic(config), point.x, point.y, nearest)[0]
+
+
+def _case(arith, x, y, m=None):
+    """``classify_case`` on an arithmetic back end, with the pull it computed.
+
+    Returns the case at point ``(x, y)``, whose nearest center is ``m``
+    (found with ``arith.at`` when None), and the pull at center ``m`` with
+    its norm, or None when the point is on that center.
+    """
     if m is None:
-        diff = centers - p
-        m = int(np.hypot(diff[:, 0], diff[:, 1]).argmin())
-    if np.hypot(*(centers[m] - p)) < COINCIDENT_EPS:
-        return CaseTag.absorbed(m)
-    if _arithmetic(centers, config.weights_array()).pull(m)[1] <= config.weights[m]:
-        return CaseTag.absorbed(m)
-    return CaseTag.floating()
+        m = arith.at(x, y)[1]
+    if arith.distance(m, x, y) < COINCIDENT_EPS:
+        return CaseTag.absorbed(m), None
+    at_center = arith.pull(m)
+    if at_center[1] <= arith.weights[m]:
+        return CaseTag.absorbed(m), at_center
+    return CaseTag.floating(), at_center
 
 
 def _minimize(
-    centers: np.ndarray,
-    weights: np.ndarray,
+    arith: _Floats | _Arrays,
     tol: float,
     max_iters: int = DEFAULT_MAX_ITERS,
-    initial: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, int, tuple[np.ndarray, float] | None]:
+    initial: Sequence[float] | None = None,
+) -> tuple[tuple[float, float], int, float, int, tuple[tuple[float, float], float] | None]:
     """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
 
-    Returns (point, steps taken, residual, nearest center, pull). Each step
+    The centers and weights are those of the arithmetic back end ``arith``
+    (see ``_arithmetic``). Returns (point, steps taken, residual, nearest
+    center, pull), the point as a pair of floats. Each step
     is the damped Newton step, or the Weiszfeld map when backtracking
     accepts no Newton point. An iterate on a center gets the single-point
     optimality test: an optimal center is returned at once, with residual 0
@@ -165,17 +174,16 @@ def _minimize(
     test runs after the stop tests, so a converging run is unaffected.
 
     The iterate is a pair of floats; the sums over the centers come from
-    the arithmetic of ``_arithmetic``, on Python floats below ``_SMALL_N``
-    centers and on arrays from there up. Both give the same steps and
-    tests; their sums round in a different order, so their points agree to
-    about 1e-14 times the size of the scene rather than bit for bit.
+    ``arith``, on Python floats below ``_SMALL_N`` centers and on arrays
+    from there up. Both give the same steps and tests; their sums round in
+    a different order, so their points agree to about 1e-14 times the size
+    of the scene rather than bit for bit.
     """
-    arith = _arithmetic(centers, weights)
-    at, gradient = arith.at, arith.gradient
+    at, gradient, weights = arith.at, arith.gradient, arith.weights
     if initial is None:
         px, py = arith.centroid()
     else:
-        px, py = np.asarray(initial, dtype=float).tolist()
+        px, py = map(float, initial)
     evaluated = at(px, py)
     step = residual = math.inf
     visited = set()
@@ -187,12 +195,12 @@ def _minimize(
             pull, pull_norm = at_center = arith.pull(hit)
             if pull_norm <= weights[hit]:
                 # the center itself is the minimizer: absorbed there
-                return centers[hit].copy(), it, 0.0, hit, at_center
+                return arith.center(hit), it, 0.0, hit, at_center
         else:
             gx, gy, h_xx, h_yy, h_xy = gradient(here)
             residual = math.hypot(gx, gy)
             if step < tol and residual < 10.0 * tol:
-                return np.array([px, py]), it, residual, hit, None
+                return (px, py), it, residual, hit, None
         xy = (px, py)
         if xy in visited:
             raise NonConvergence(
@@ -213,7 +221,7 @@ def _minimize(
                 if hit not in not_optimal:
                     at_center = arith.pull(hit)
                     if at_center[1] <= weights[hit]:
-                        return centers[hit].copy(), it + 1, 0.0, hit, at_center
+                        return arith.center(hit), it + 1, 0.0, hit, at_center
                     not_optimal.add(hit)
                 nx, ny = arith.weiszfeld(here)
             else:
@@ -247,7 +255,7 @@ def _newton_step(arith, px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, hit, d_hi
     delta_x = (-gx * h_yy + gy * h_xy) / det
     delta_y = (-gy * h_xx + gx * h_xy) / det
     if math.hypot(delta_x, delta_y) >= d_hit:
-        cx, cy = arith.centers[hit].tolist()
+        cx, cy = arith.center(hit)
         evaluated = arith.at(cx, cy)
         if evaluated[0] <= f:
             return cx, cy, evaluated
@@ -267,11 +275,11 @@ def _newton_step(arith, px, py, f, gx, gy, h_xx, h_yy, h_xy, residual, hit, d_hi
     return None
 
 
-def _arithmetic(centers: np.ndarray, weights: np.ndarray) -> _Floats | _Arrays:
-    """The sums of the solver loop on these centers: on Python floats below
-    ``_SMALL_N`` centers, where each numpy call costs more than its
-    arithmetic, and on numpy arrays from there up."""
-    return (_Floats if len(weights) < _SMALL_N else _Arrays)(centers, weights)
+def _arithmetic(config: Configuration) -> _Floats | _Arrays:
+    """The sums of the solver loop on the configuration's centers: on its
+    float columns below ``_SMALL_N`` centers, where each numpy call costs
+    more than its arithmetic, and on its arrays from there up."""
+    return (_Floats if config.n < _SMALL_N else _Arrays)(config)
 
 
 class _Arrays:
@@ -279,14 +287,22 @@ class _Arrays:
 
     ``at`` returns the objective at a point, the nearest center and its
     distance, and the evaluation ``here`` that the other methods take:
-    ``centers - point`` and its row lengths.
+    ``centers - point`` and its row lengths. Points, centers and pulls
+    come back as pairs of floats.
     """
 
     __slots__ = ("centers", "weights")
 
-    def __init__(self, centers: np.ndarray, weights: np.ndarray):
-        self.centers = centers
-        self.weights = weights
+    def __init__(self, config: Configuration):
+        self.centers = config.centers_array()
+        self.weights = config.weights_array()
+
+    def center(self, m):
+        return tuple(self.centers[m].tolist())
+
+    def distance(self, m, x, y):
+        """Distance from center m to the point ``(x, y)``."""
+        return float(np.hypot(*(self.centers[m] - (x, y))))
 
     def centroid(self):
         w = self.weights
@@ -319,7 +335,7 @@ class _Arrays:
         rest = np.delete(np.arange(len(d)), hit)
         inv = self.weights[rest] / d[rest]
         scale = 1.0 - self.weights[hit] / pull_norm
-        return (self.centers[hit] + scale * pull / inv.sum()).tolist()
+        return (self.centers[hit] + scale * np.array(pull) / inv.sum()).tolist()
 
     def pull(self, m):
         """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
@@ -328,31 +344,35 @@ class _Arrays:
         d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
         d[m] = np.inf  # center m's own term becomes 0
         pull = (self.weights[:, None] * diff / d[:, None]).sum(axis=0)
-        return pull, float(np.linalg.norm(pull))
+        return tuple(pull.tolist()), float(np.linalg.norm(pull))
 
 
 class _Floats:
     """``_Arrays`` on Python floats, for n < ``_SMALL_N``.
 
-    ``here`` is the lists ``dx, dy, d`` of ``centers - point`` and their
-    lengths. Each sum adds its terms in index order with ``+=``, several
-    sums to a pass (``sum`` on floats rounds differently from Python 3.12
-    on). The pull is summed in the same order and to the same bits as on
-    arrays; its norm is ``math.hypot``'s, which can differ from
+    It reads the configuration's float columns, which hold the values of
+    its arrays. ``here`` is the lists ``dx, dy, d`` of ``centers - point``
+    and their lengths. Each sum adds its terms in index order with ``+=``,
+    several sums to a pass (``sum`` on floats rounds differently from
+    Python 3.12 on). The pull is summed in the same order and to the same
+    bits as on arrays; its norm is ``math.hypot``'s, which can differ from
     ``np.linalg.norm``'s in the last bit.
     """
 
-    __slots__ = ("centers", "weights", "xs", "ys", "ws")
+    __slots__ = ("xs", "ys", "weights")
 
-    def __init__(self, centers: np.ndarray, weights: np.ndarray):
-        self.centers = centers
-        self.weights = weights
-        self.xs, self.ys = centers.T.tolist()
-        self.ws = weights.tolist()
+    def __init__(self, config: Configuration):
+        self.xs, self.ys, self.weights = config.xs, config.ys, config.weights
+
+    def center(self, m):
+        return self.xs[m], self.ys[m]
+
+    def distance(self, m, x, y):
+        return math.hypot(self.xs[m] - x, self.ys[m] - y)
 
     def centroid(self):
         wsum = px = py = 0.0
-        for w, x, y in zip(self.ws, self.xs, self.ys):
+        for w, x, y in zip(self.weights, self.xs, self.ys):
             wsum += w
             px += w * x
             py += w * y
@@ -363,7 +383,7 @@ class _Floats:
         dy = [b - y for b in self.ys]
         d = list(map(math.hypot, dx, dy))
         f = 0.0
-        for w, di in zip(self.ws, d):
+        for w, di in zip(self.weights, d):
             f += w * di
         d_hit = min(d)
         return f, d.index(d_hit), d_hit, (dx, dy, d)
@@ -372,7 +392,7 @@ class _Floats:
         # the gradient and the Hessian's three entries in one pass
         dx, dy, d = here
         gx = gy = h_xx = h_yy = h_xy = 0.0
-        for w, a, b, di in zip(self.ws, dx, dy, d):
+        for w, a, b, di in zip(self.weights, dx, dy, d):
             ex, ey, k = a / di, b / di, w / di
             gx += w * ex
             gy += w * ey
@@ -383,7 +403,7 @@ class _Floats:
 
     def weiszfeld(self, here):
         inv = nx = ny = 0.0
-        for w, di, x, y in zip(self.ws, here[2], self.xs, self.ys):
+        for w, di, x, y in zip(self.weights, here[2], self.xs, self.ys):
             k = w / di
             inv += k
             nx += k * x
@@ -392,24 +412,24 @@ class _Floats:
 
     def vardi_zhang(self, here, hit, pull, pull_norm):
         inv = 0.0
-        for j, (w, di) in enumerate(zip(self.ws, here[2])):
+        for j, (w, di) in enumerate(zip(self.weights, here[2])):
             if j != hit:
                 inv += w / di
-        scale = 1.0 - self.ws[hit] / pull_norm
-        ux, uy = pull.tolist()
+        scale = 1.0 - self.weights[hit] / pull_norm
+        ux, uy = pull
         return self.xs[hit] + scale * ux / inv, self.ys[hit] + scale * uy / inv
 
     def pull(self, m):
         xs, ys = self.xs, self.ys
         ax, ay = xs[m], ys[m]
         px = py = 0.0
-        for j, (x, y, w) in enumerate(zip(xs, ys, self.ws)):
+        for j, (x, y, w) in enumerate(zip(xs, ys, self.weights)):
             if j != m:
                 dx, dy = x - ax, y - ay
                 dj = math.sqrt(dx * dx + dy * dy)
                 px += w * dx / dj
                 py += w * dy / dj
-        return np.array([px, py]), math.hypot(px, py)
+        return (px, py), math.hypot(px, py)
 
 
 def solve(config: Configuration) -> SolveResult:
@@ -442,26 +462,27 @@ def solve(config: Configuration) -> SolveResult:
 
 
 def _solve(config: Configuration) -> SolveResult:
-    centers = config.centers_array()
-    radii = config.radii_array()
-    weights = config.weights_array()
-    p, iters, residual, nearest, at_center = _minimize(centers, weights, config.tolerance)
-    point = Point2.from_array(p)
-    case = classify_case(config, point, nearest)
-    floating, m = case.is_floating, case.index
-    if not floating:
+    arith = _arithmetic(config)
+    (x, y), iters, residual, m, at_center = _minimize(arith, config.tolerance)
+    if at_center is None:
+        case, at_center = _case(arith, x, y, m)
+    else:
+        case = CaseTag.absorbed(m)  # the loop stopped on center m
+    floating = case.is_floating
+    if floating:
+        point = Point2(x, y)
+    else:
         point = config.circles[m].center
-        pull, pull_norm = at_center or _arithmetic(centers, weights).pull(m)
-        ux, uy = (pull / pull_norm).tolist() if pull_norm > 0 else (1.0, 0.0)
+        (ux, uy), pull_norm = at_center or arith.pull(m)
+        ux, uy = (ux / pull_norm, uy / pull_norm) if pull_norm > 0 else (1.0, 0.0)
         residual = 0.0
         iters = 0
     # one pass over the circles: the distance from the point to each center
     # with math.hypot, as Point2.distance_to (numpy's hypot can differ in the
     # last bit), and the projection onto each circle, as project_onto_circle
     px, py = point.x, point.y
-    xs, ys = centers.T.tolist()
     d, projection_xy = [], []
-    for i, (cx, cy, r) in enumerate(zip(xs, ys, radii.tolist())):
+    for i, (cx, cy, r) in enumerate(zip(config.xs, config.ys, config.radii)):
         ox, oy = px - cx, py - cy
         di = math.hypot(ox, oy)
         if di < r:
@@ -479,16 +500,17 @@ def _solve(config: Configuration) -> SolveResult:
         raise DegenerateProjection("projection of the center onto its circle is not unique")
     if not floating:
         d[m] = 0.0  # the absorbed point is center m
-    distances = distances_to_circles(np.array(d), radii, config.distance_mode)
+    distances = distances_to_circles(d, config.radii, config.distance_mode)
     azimuths = azimuths_at(point, projection_xy) if floating else []
     order, sectors = sectors_of(azimuths) if floating else ((), ())
     return SolveResult(
         point=point,
         projection_xy=tuple(projection_xy),
-        distances=tuple(distances.tolist()),
+        distances=tuple(distances),
         sector_angles=sectors,
         sector_order=order,
-        objective=float(np.dot(weights, distances)),
+        # numpy's dot: its rounding is part of the pinned results
+        objective=float(np.dot(config.weights, distances)),
         case=case,
         equilibrium_residual=residual,
         iterations=iters,
@@ -506,4 +528,4 @@ def certificate_residuals(result: SolveResult, config: Configuration) -> list[fl
     """
     if not result.case.is_floating:
         raise PreconditionViolated("cosine residuals require a floating solution")
-    return cosine_residuals(result.ray_azimuths, config.weights_array()).tolist()
+    return cosine_residuals(result.ray_azimuths, config.weights).tolist()

@@ -314,9 +314,8 @@ def test_type_b_patterns_do_not_depend_on_weight_scale(pentagon, weight_scale):
 
 def reference_overlap_step(config, steps, scale):
     """First step after step 0 whose scaled radii touch by ``first_touching_pair``, or None."""
-    centers = config.centers_array()
     for s in steps[1:]:
-        if first_touching_pair(centers, [scale * w for w in s.weights]) is not None:
+        if first_touching_pair(config.xs, config.ys, [scale * w for w in s.weights]) is not None:
             return s.step
     return None
 

@@ -1,6 +1,7 @@
 """Geometry primitive tests."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -19,12 +20,25 @@ from ftcircles import (
     Point2,
     SectorAngles,
     project_onto_circle,
+    solve,
 )
-from ftcircles.geometry import azimuths_at, first_touching_pair, pair_distances, sectors_of, wrap_angle
+from ftcircles.geometry import (
+    azimuths_at,
+    distances_to_circles,
+    first_touching_pair,
+    pair_distances,
+    sectors_of,
+    wrap_angle,
+)
 
 from conftest import angle_at, distance_to_circle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
+UNIT_TRIANGLE = (
+    Circle(Point2(0.0, 0.0), 0.1),
+    Circle(Point2(2.0, 0.0), 0.1),
+    Circle(Point2(0.0, 2.0), 0.1),
+)
 
 
 class TestProjection:
@@ -85,6 +99,18 @@ class TestDistance:
             return  # only claimed outside the disk
         proj = project_onto_circle(p, c)
         assert abs(p.distance_to(proj) - distance_to_circle(p, c)) < 1e-12
+
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    def test_float_rule_matches_the_array_rule(self, mode):
+        # the solver reads lists of floats, the oracle arrays: same values,
+        # bit for bit, on both sides of each circle and on it
+        rng = np.random.default_rng(5)
+        r = rng.uniform(0.1, 2.0, 200)
+        d = np.concatenate([r * rng.uniform(0.0, 3.0, 200), r])
+        r = np.concatenate([r, r])
+        as_floats = distances_to_circles(d.tolist(), r.tolist(), mode)
+        assert type(as_floats) is list and all(type(x) is float for x in as_floats)
+        assert as_floats == distances_to_circles(d, r, mode).tolist()
 
 
 class TestAngle:
@@ -235,6 +261,139 @@ class TestConfigurationValidation:
             assert c.radii_array().tolist() == [0.5, 0.25, 1.0]
             assert c.weights_array().tolist() == [1.0, 2.0, 3.0]
 
+    def test_point_and_circle_are_frozen_values(self):
+        p, c = Point2(1, 2.5), Circle(Point2(1, 2.5), 0.5)
+        assert repr(c) == "Circle(center=Point2(x=1, y=2.5), radius=0.5)"
+        for value in (p, c):
+            for other in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+                dataclasses.replace(value),
+            ):
+                assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
+        assert p == Point2(1.0, 2.5) and p != Point2(1.0, 2.0) and c != Circle(p, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.radius = 1.0
+
+    def test_columns_hold_the_validated_floats(self):
+        circles = (
+            Circle(Point2(0, 0), 1),
+            Circle(Point2(np.float64(3.0), 0.5), np.float32(0.25)),
+            Circle(Point2(-4, 4.5), 2),
+        )
+        config = Configuration(circles, (1, np.float64(2.0), 3))
+        assert config.xs == (0.0, 3.0, -4.0) and config.ys == (0.0, 0.5, 4.5)
+        assert config.radii == (1.0, 0.25, 2.0) and config.weights == (1.0, 2.0, 3.0)
+        for column in (config.xs, config.ys, config.radii, config.weights):
+            assert all(type(x) is float for x in column)
+
+    def test_arrays_built_once_equal_the_columns(self):
+        config = Configuration(
+            (
+                Circle(Point2(0, 0), 0.5),
+                Circle(Point2(2.0, 0), 0.25),
+                Circle(Point2(5, 5), 1.0),
+            ),
+            (1.0, 2.0, 3.0),
+        )
+        assert (config._centers, config._radii, config._weights) == (None, None, None)
+        centers = config.centers_array()
+        assert centers.flags.c_contiguous and centers.dtype == np.float64
+        assert centers[:, 0].tolist() == list(config.xs) and centers[:, 1].tolist() == list(config.ys)
+        assert config.radii_array().tolist() == list(config.radii)
+        assert config.weights_array().tolist() == list(config.weights)
+        for get in (config.centers_array, config.radii_array, config.weights_array):
+            assert get() is get() and not get().flags.writeable
+            with pytest.raises(ValueError):
+                get()[0] = 1.0
+
+    def test_built_arrays_do_not_change_equality(self):
+        def build():
+            return Configuration(
+                (
+                    Circle(Point2(0, 0), 0.5),
+                    Circle(Point2(2.0, 0), 0.25),
+                    Circle(Point2(5, 5), 1.0),
+                ),
+                (1.0, 2.0, 3.0),
+            )
+
+        plain, built = build(), build()
+        built.centers_array(), built.radii_array(), built.weights_array()
+        assert plain == built and hash(plain) == hash(built) and repr(plain) == repr(built)
+        assert {plain: 1}[built] == 1
+
+    @pytest.mark.parametrize("state", ["unsolved", "solved", "arrays built"])
+    @pytest.mark.parametrize(
+        "copier",
+        [
+            lambda c: pickle.loads(pickle.dumps(c)),
+            copy.copy,
+            copy.deepcopy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_copies_get_fresh_state(self, state, copier):
+        config = Configuration(
+            (
+                Circle(Point2(0, 0), 0.5),
+                Circle(Point2(2.0, 0), 0.25),
+                Circle(Point2(0.5, 2), 1.0),
+            ),
+            (1.0, 2.0, 3.0),
+        )
+        if state == "solved":
+            solve(config)
+        elif state == "arrays built":
+            config.centers_array(), config.radii_array(), config.weights_array()
+        other = copier(config)
+        assert other is not config and other == config and hash(other) == hash(config)
+        assert (other.xs, other.ys, other.radii) == (config.xs, config.ys, config.radii)
+        assert (other._solved, other._centers, other._radii, other._weights) == (None,) * 4
+        assert other.centers_array().tolist() == [[0.0, 0.0], [2.0, 0.0], [0.5, 2.0]]
+        assert not other.centers_array().flags.writeable
+        assert solve(other) == solve(config)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Point2("a", 0), r"^coordinates must be finite, got \(a, 0\)$"),
+            (lambda: Point2(10**400, 0), r"^coordinates must be finite, got \(1000"),
+            (lambda: Circle(Point2(0, 0), 10**400), "^radius must be positive and finite, got 1000"),
+            (lambda: Circle(Point2(0, 0), None), "^radius must be positive and finite, got None$"),
+            (
+                lambda: Configuration((1, 2, 3), (1, 1, 1)),
+                "^circle 0 must be a Circle with a Point2 center, got 1$",
+            ),
+            (
+                lambda: Configuration(UNIT_TRIANGLE + (Circle((9, 9), 0.1),), (1, 1, 1, 1)),
+                r"^circle 3 must be a Circle with a Point2 center, got Circle\(center=\(9, 9\)",
+            ),
+            (lambda: Configuration(None, (1, 1, 1)), "^circles must be a sequence, got None$"),
+            (
+                lambda: Configuration(UNIT_TRIANGLE, ("a", 1, 1)),
+                "^weight 0 must be a number in the float range, got 'a'$",
+            ),
+            (
+                lambda: Configuration(UNIT_TRIANGLE, (1, 1, 10**400)),
+                "^weight 2 must be a number in the float range, got 1000",
+            ),
+            (lambda: Configuration(UNIT_TRIANGLE, 3), "^weights must be a sequence, got 3$"),
+            (
+                lambda: Configuration(UNIT_TRIANGLE, (1, 1, 1), "x"),
+                "^tolerance must be positive, got 'x'$",
+            ),
+        ],
+    )
+    def test_bad_arguments_raise_invalid_configuration(self, build, message):
+        # not TypeError, OverflowError, AttributeError or a bare ValueError
+        with pytest.raises(InvalidConfiguration, match=message):
+            build()
+
     def test_weight_count_mismatch(self):
         with pytest.raises(InvalidConfiguration):
             Configuration(
@@ -295,6 +454,11 @@ def reference_first_touching_pair(centers, radii):
     return int(i), int(j)
 
 
+def swept(centers, radii):
+    """``first_touching_pair`` on the columns of a center array and a radius array."""
+    return first_touching_pair(*centers.T.tolist(), radii.tolist())
+
+
 def fuzz_circles(rng):
     """Centers and radii for the overlap check: sparse, gridded, equal and exactly touching.
 
@@ -330,7 +494,7 @@ class TestTouchingPairs:
         for _ in range(20000):
             centers, radii = fuzz_circles(rng)
             expected = reference_first_touching_pair(centers, radii)
-            assert first_touching_pair(centers, radii) == expected, (centers.tolist(), radii.tolist())
+            assert swept(centers, radii) == expected, (centers.tolist(), radii.tolist())
             outcomes["none" if expected is None else "pair"] += 1
         # both outcomes are well represented
         assert min(outcomes.values()) > 5000, outcomes
@@ -342,9 +506,9 @@ class TestTouchingPairs:
             centers = np.array([[0.1, 0.7], [0.4, 0.3], [5.0, 5.0]]) * s + 1e3 * s
             d = float(np.hypot(*(centers[0] - centers[1])))
             radii = np.array([d / 2.0, d / 2.0, s])
-            assert first_touching_pair(centers, radii) == (0, 1)
+            assert swept(centers, radii) == (0, 1)
             radii[1] = np.nextafter(d / 2.0, 0.0)
-            assert first_touching_pair(centers, radii) == reference_first_touching_pair(centers, radii)
+            assert swept(centers, radii) == reference_first_touching_pair(centers, radii)
 
 
     def test_break_uses_the_computed_difference(self):
@@ -355,4 +519,4 @@ class TestTouchingPairs:
         radii = np.array([1.0, 1.0, 1.0])
         assert centers[0, 0] + 2.0 < centers[1, 0]
         assert reference_first_touching_pair(centers, radii) == (0, 1)
-        assert first_touching_pair(centers, radii) == (0, 1)
+        assert swept(centers, radii) == (0, 1)

@@ -115,6 +115,12 @@ def each_loop(monkeypatch):
             yield
 
 
+def minimize(config, max_iters=solver_module.DEFAULT_MAX_ITERS, initial=None):
+    """``_minimize`` on the configuration, on the back end that ``each_loop`` selects."""
+    arith = solver_module._arithmetic(config)
+    return solver_module._minimize(arith, config.tolerance, max_iters, initial)
+
+
 def back_end_calls(monkeypatch, method):
     """Records ``(back end, *args)`` for each call of ``method`` on either
     arithmetic back end, in a list that the caller reads and clears."""
@@ -222,8 +228,8 @@ class TestClassifyFromMinimizer:
             norms = resultant_norms(config)
             assert norms[1] == weights[1] and norms[2] == weights[2]
             assert (w @ centers / w.sum()).tolist() == [start_x, 0.0]
-            p, steps, _, nearest, pull = solver_module._minimize(centers, w, config.tolerance, 100)
-            assert p.tolist() == centers[index].tolist() and (steps, nearest) == (1, index)
+            p, steps, _, nearest, pull = minimize(config, 100)
+            assert list(p) == centers[index].tolist() and (steps, nearest) == (1, index)
             assert pull[1] == weights[index]
             result = solve(config)
             assert result.case == CaseTag.absorbed(index)
@@ -244,11 +250,9 @@ class TestClassifyFromMinimizer:
             config = _line((0, 1, 2), (1.0, 0.001, 1.000999))
             assert reference_case(config) == CaseTag.absorbed(1)
             calls.clear()
-            p, steps, _, nearest, _ = solver_module._minimize(
-                config.centers_array(), config.weights_array(), config.tolerance, 1
-            )
+            p, steps, _, nearest, _ = minimize(config, 1)
             tested = [m for _, m in calls]
-            assert (p.tolist(), steps, nearest, tested) == ([1.0, 0.0], 1, 1, [1])
+            assert (p, steps, nearest, tested) == ((1.0, 0.0), 1, 1, [1])
             result = solve(config)
             assert result.case == CaseTag.absorbed(1) and result.iterations == 0
 
@@ -269,9 +273,8 @@ class TestClassifyFromMinimizer:
             tuple(Circle(Point2(*c), 0.2) for c in ((0, 0), (1, 0), (0, 1), (-1, 0))),
             (1.0, 1.0, 1.0, 1.0),
         )
-        arithmetic = solver_module._arithmetic(config.centers_array(), config.weights_array())
-        pull, norm = arithmetic.pull(0)
-        assert pull.tolist() == [0.0, 1.0] and norm == 1.0
+        pull, norm = solver_module._arithmetic(config).pull(0)
+        assert pull == (0.0, 1.0) and norm == 1.0
         assert resultant_norms(config)[0] == 1.0
         result = solve(config)
         assert result.case == reference_case(config) == CaseTag.absorbed(0)
@@ -281,13 +284,12 @@ class TestClassifyFromMinimizer:
     def test_max_iters_limits_absorbed_scenes(self, monkeypatch):
         for _ in each_loop(monkeypatch):
             config = random_dominated_config(4, seed=0, dominant=1)
-            args = (config.centers_array(), config.weights_array(), config.tolerance)
-            steps = solver_module._minimize(*args, 100)[1]
+            steps = minimize(config, 100)[1]
             assert steps >= 1
             with pytest.raises(NonConvergence, match=f"in {steps - 1} steps"):
-                solver_module._minimize(*args, steps - 1)
-            p, _, _, nearest, _ = solver_module._minimize(*args, steps)
-            assert p.tolist() == config.centers_array()[1].tolist() and nearest == 1
+                minimize(config, steps - 1)
+            p, _, _, nearest, _ = minimize(config, steps)
+            assert list(p) == config.centers_array()[1].tolist() and nearest == 1
             result = solve(config)
             assert result.case == CaseTag.absorbed(1)
             assert result.iterations == 0
@@ -296,10 +298,8 @@ class TestClassifyFromMinimizer:
         config = random_dominated_config(4, seed=0, dominant=1)
         centers = config.centers_array()
         for _ in each_loop(monkeypatch):
-            p, steps, _, nearest, _ = solver_module._minimize(
-                centers, config.weights_array(), config.tolerance, 0, centers[1]
-            )
-            assert (p.tolist(), steps, nearest) == (centers[1].tolist(), 0, 1)
+            p, steps, _, nearest, _ = minimize(config, 0, centers[1])
+            assert (list(p), steps, nearest) == (centers[1].tolist(), 0, 1)
 
 
 class TestFloatingSolve:
@@ -337,10 +337,8 @@ class TestFloatingSolve:
             starts = [rng.uniform(lo, hi) for _ in range(10)]
             for _ in each_loop(monkeypatch):
                 for start in starts + list(centers):
-                    other = solver_module._minimize(
-                        centers, config.weights_array(), config.tolerance, initial=start
-                    )[0]
-                    assert np.hypot(*(other - base)) < 1e-6
+                    other = minimize(config, initial=start)[0]
+                    assert np.hypot(*np.subtract(other, base)) < 1e-6
 
     def test_local_minimality_probes(self):
         config = triangle_config(weights=(0.9, 1.2, 1.0))
@@ -434,9 +432,7 @@ class TestFloatingSolve:
         config = triangle_config(weights=(0.9, 1.2, 1.0))
         for _ in each_loop(monkeypatch):
             with pytest.raises(NonConvergence, match="in 1 steps"):
-                solver_module._minimize(
-                    config.centers_array(), config.weights_array(), config.tolerance, 1
-                )
+                minimize(config, 1)
 
     @pytest.mark.parametrize(
         "centers, radii, weights",
@@ -574,20 +570,17 @@ def _loop_outputs(monkeypatch):
     """
     outputs = {}
     for name, (config, start) in _loop_runs().items():
-        centers, weights = config.centers_array(), config.weights_array()
-        initial = None if start is None else centers[start]
+        initial = None if start is None else config.centers_array()[start]
         outputs[name] = []
         for _ in each_loop(monkeypatch):
             try:
-                p, steps, residual, nearest, pull = solver_module._minimize(
-                    centers, weights, config.tolerance, initial=initial
-                )
+                p, steps, residual, nearest, pull = minimize(config, initial=initial)
             except NonConvergence as err:
                 outputs[name].append(str(err))
                 continue
             if pull is not None:
-                pull = [*map(float.hex, pull[0].tolist()), float.hex(pull[1])]
-            x, y = map(float.hex, p.tolist())
+                pull = [*map(float.hex, pull[0]), float.hex(pull[1])]
+            x, y = map(float.hex, p)
             outputs[name].append([x, y, steps, float.hex(residual), nearest, pull])
     return outputs
 
@@ -603,13 +596,13 @@ class TestBothLoops:
         # center of a regular polygon, all are)
         sizes = set()
         for config in _loop_scenes().values():
-            centers, weights = config.centers_array(), config.weights_array()
+            centers = config.centers_array()
             size = float((centers.max(axis=0) - centers.min(axis=0)).max())
             sizes.add(config.n >= solver_module._SMALL_N)
             outcomes = []
             for _ in each_loop(monkeypatch):
                 try:
-                    p, _, _, nearest, _ = solver_module._minimize(centers, weights, config.tolerance)
+                    p, _, _, nearest, _ = minimize(config)
                 except NonConvergence:
                     outcomes.append(NonConvergence)
                     continue
@@ -619,7 +612,7 @@ class TestBothLoops:
                 assert floats == arrays, config
                 continue
             (p, i, case), (q, j, other) = floats, arrays
-            assert case == other and np.hypot(*(p - q)) <= 1e-14 * size, config
+            assert case == other and np.hypot(*np.subtract(p, q)) <= 1e-14 * size, config
             d = np.hypot(*(centers - p).T)
             assert i == j or abs(d[i] - d[j]) <= 1e-14 * size, config
         assert sizes == {False, True}
@@ -642,6 +635,24 @@ class TestBothLoops:
         expected = ["_Floats", "_Floats", "_Arrays", "_Arrays"]
         assert [back_end for back_end, in starts] == expected
         assert [back_end for back_end, _ in pulls] == expected
+
+    def test_small_solve_builds_no_arrays(self):
+        # below _SMALL_N the solve and its certificate read the float
+        # columns, so no array is built; from _SMALL_N up the back end
+        # builds the centers and weights on first access
+        small = [
+            random_floating_config(5, seed=3),
+            random_dominated_config(5, seed=3, dominant=2),
+            regular_polygon_config(31, circumradius=31.0),
+        ]
+        for config in small:
+            result = solve(config)
+            if result.case.is_floating:
+                certificate_residuals(result, config)
+            assert (config._centers, config._radii, config._weights) == (None, None, None)
+        large = regular_polygon_config(32, circumradius=32.0)
+        solve(large)
+        assert large._centers is not None and large._weights is not None
 
 
 def _rebuilt(config, centers, order):
