@@ -219,6 +219,17 @@ def _dirs(rng, n):
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+def three_circles():
+    return Configuration(
+        (
+            Circle(Point2(0, 0), 0.5),
+            Circle(Point2(2.0, 0), 0.25),
+            Circle(Point2(5, 5), 1.0),
+        ),
+        (1.0, 2.0, 3.0),
+    )
+
+
 class TestConfigurationValidation:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidConfiguration):
@@ -243,23 +254,23 @@ class TestConfigurationValidation:
             )
 
     def test_arrays_built_once_read_only(self):
-        config = Configuration(
-            (
-                Circle(Point2(0, 0), 0.5),
-                Circle(Point2(2.0, 0), 0.25),
-                Circle(Point2(5, 5), 1.0),
-            ),
-            (1.0, 2.0, 3.0),
-        )
+        config = three_circles()
+        assert (config._centers, config._radii, config._weights) == (None, None, None)
         # copies rebuild through the constructor, read-only arrays included
         for c in (config, pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
             assert c == config
             for get in (c.centers_array, c.radii_array, c.weights_array):
                 assert get() is get()
                 assert not get().flags.writeable
+                with pytest.raises(ValueError):
+                    get()[0] = 1.0
             assert c.centers_array().tolist() == [[0, 0], [2, 0], [5, 5]]
             assert c.radii_array().tolist() == [0.5, 0.25, 1.0]
             assert c.weights_array().tolist() == [1.0, 2.0, 3.0]
+            # the arrays hold the columns' values, centers as C-ordered rows
+            assert c.centers_array().flags.c_contiguous
+            assert c.centers_array().T.tolist() == [list(c.xs), list(c.ys)]
+            assert c.radii_array().tolist() == list(c.radii)
 
     def test_point_and_circle_are_frozen_values(self):
         p, c = Point2(1, 2.5), Circle(Point2(1, 2.5), 0.5)
@@ -290,38 +301,8 @@ class TestConfigurationValidation:
         for column in (config.xs, config.ys, config.radii, config.weights):
             assert all(type(x) is float for x in column)
 
-    def test_arrays_built_once_equal_the_columns(self):
-        config = Configuration(
-            (
-                Circle(Point2(0, 0), 0.5),
-                Circle(Point2(2.0, 0), 0.25),
-                Circle(Point2(5, 5), 1.0),
-            ),
-            (1.0, 2.0, 3.0),
-        )
-        assert (config._centers, config._radii, config._weights) == (None, None, None)
-        centers = config.centers_array()
-        assert centers.flags.c_contiguous and centers.dtype == np.float64
-        assert centers[:, 0].tolist() == list(config.xs) and centers[:, 1].tolist() == list(config.ys)
-        assert config.radii_array().tolist() == list(config.radii)
-        assert config.weights_array().tolist() == list(config.weights)
-        for get in (config.centers_array, config.radii_array, config.weights_array):
-            assert get() is get() and not get().flags.writeable
-            with pytest.raises(ValueError):
-                get()[0] = 1.0
-
     def test_built_arrays_do_not_change_equality(self):
-        def build():
-            return Configuration(
-                (
-                    Circle(Point2(0, 0), 0.5),
-                    Circle(Point2(2.0, 0), 0.25),
-                    Circle(Point2(5, 5), 1.0),
-                ),
-                (1.0, 2.0, 3.0),
-            )
-
-        plain, built = build(), build()
+        plain, built = three_circles(), three_circles()
         built.centers_array(), built.radii_array(), built.weights_array()
         assert plain == built and hash(plain) == hash(built) and repr(plain) == repr(built)
         assert {plain: 1}[built] == 1
@@ -338,14 +319,7 @@ class TestConfigurationValidation:
         ids=["pickle", "copy", "deepcopy", "replace"],
     )
     def test_copies_get_fresh_state(self, state, copier):
-        config = Configuration(
-            (
-                Circle(Point2(0, 0), 0.5),
-                Circle(Point2(2.0, 0), 0.25),
-                Circle(Point2(0.5, 2), 1.0),
-            ),
-            (1.0, 2.0, 3.0),
-        )
+        config = three_circles()
         if state == "solved":
             solve(config)
         elif state == "arrays built":
@@ -354,7 +328,7 @@ class TestConfigurationValidation:
         assert other is not config and other == config and hash(other) == hash(config)
         assert (other.xs, other.ys, other.radii) == (config.xs, config.ys, config.radii)
         assert (other._solved, other._centers, other._radii, other._weights) == (None,) * 4
-        assert other.centers_array().tolist() == [[0.0, 0.0], [2.0, 0.0], [0.5, 2.0]]
+        assert other.centers_array().tolist() == [[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]]
         assert not other.centers_array().flags.writeable
         assert solve(other) == solve(config)
 
