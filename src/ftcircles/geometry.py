@@ -28,32 +28,21 @@ COINCIDENT_EPS = 1e-12
 _HYPOT_MARGIN = 1.0 + 1e-9
 _HYPOT_FLOOR = 1e-300
 
-# sets a field of a frozen dataclass; a module global is found faster than
-# the builtin ``object``
-_setattr = object.__setattr__
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Point2:
     """A point in the plane. Coordinates must be finite numbers."""
 
     x: float
     y: float
 
-    # Point2 and Circle check their arguments in a hand-written __init__ and
-    # only then set the fields, which builds faster than the generated
-    # __init__ plus a __post_init__. The fields are set with _setattr:
-    # writing self.__dict__ directly would build faster still, but it makes
-    # every later attribute read slower.
-    def __init__(self, x: float, y: float):
+    def __post_init__(self):
         try:
-            finite = math.isfinite(x) and math.isfinite(y)
+            finite = math.isfinite(self.x) and math.isfinite(self.y)
         except (TypeError, OverflowError):  # not a number, or an int beyond the float range
             finite = False
         if not finite:
-            raise InvalidConfiguration(f"coordinates must be finite, got ({x}, {y})")
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
+            raise InvalidConfiguration(f"coordinates must be finite, got ({self.x}, {self.y})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -66,22 +55,20 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Circle:
     """A circle given by its center and a strictly positive finite radius."""
 
     center: Point2
     radius: float
 
-    def __init__(self, center: Point2, radius: float):
+    def __post_init__(self):
         try:
-            valid = math.isfinite(radius) and radius > 0.0
+            valid = math.isfinite(self.radius) and self.radius > 0.0
         except (TypeError, OverflowError):
             valid = False
         if not valid:
-            raise InvalidConfiguration(f"radius must be positive and finite, got {radius}")
-        _setattr(self, "center", center)
-        _setattr(self, "radius", radius)
+            raise InvalidConfiguration(f"radius must be positive and finite, got {self.radius}")
 
 
 class DistanceMode(Enum):
@@ -129,7 +116,7 @@ class Configuration:
             xs = tuple([float(c.center.x) for c in circles])
             ys = tuple([float(c.center.y) for c in circles])
             radii = tuple([float(c.radius) for c in circles])
-        except (TypeError, AttributeError):
+        except (TypeError, ValueError, OverflowError, AttributeError):
             raise InvalidConfiguration(
                 _rejection("circle", self.circles, _circle_row, "a Circle with a Point2 center")
             ) from None
@@ -162,7 +149,7 @@ class Configuration:
         for name, value in (
             ("circles", circles), ("weights", weights), ("xs", xs), ("ys", ys), ("radii", radii)
         ):
-            _setattr(self, name, value)
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so a copy is
@@ -194,7 +181,7 @@ class Configuration:
 
     def _store(self, name: str, array: np.ndarray) -> None:
         array.flags.writeable = False
-        _setattr(self, name, array)
+        object.__setattr__(self, name, array)
 
 
 def _circle_row(c: Circle) -> tuple[float, float, float]:
@@ -284,9 +271,10 @@ def project_onto_circle(p: Point2, c: Circle) -> Point2:
 def distances_to_circles(center_distances, radii, mode: DistanceMode):
     """Distances to the circles (TO_CURVE) or their disks (TO_SET), from the center distances.
 
-    On arrays, ``radii`` broadcasts against ``center_distances`` along the
-    last axis. Two sequences of floats give a list of floats, with the
-    values the arrays would hold.
+    On arrays, as the oracle passes them for a grid of points, ``radii``
+    broadcasts against ``center_distances`` along the last axis. Two
+    sequences of floats, as ``solve`` passes them for one point, give a
+    list of floats with the values the arrays would hold.
     """
     curve = mode is DistanceMode.TO_CURVE
     if isinstance(center_distances, np.ndarray):

@@ -122,24 +122,14 @@ def classify_case(
     """
     if point is None:
         return solve(config).case
-    return _case(_arithmetic(config), point.x, point.y, nearest)[0]
-
-
-def _case(arith, x, y, m=None):
-    """``classify_case`` on an arithmetic back end, with the pull it computed.
-
-    Returns the case at point ``(x, y)``, whose nearest center is ``m``
-    (found with ``arith.at`` when None), and the pull at center ``m`` with
-    its norm, or None when the point is on that center.
-    """
-    if m is None:
-        m = arith.at(x, y)[1]
+    arith = _arithmetic(config)
+    x, y = point.x, point.y
+    m = arith.at(x, y)[1] if nearest is None else nearest
     if arith.distance(m, x, y) < COINCIDENT_EPS:
-        return CaseTag.absorbed(m), None
-    at_center = arith.pull(m)
-    if at_center[1] <= arith.weights[m]:
-        return CaseTag.absorbed(m), at_center
-    return CaseTag.floating(), at_center
+        return CaseTag.absorbed(m)
+    if arith.pull(m)[1] <= arith.weights[m]:
+        return CaseTag.absorbed(m)
+    return CaseTag.floating()
 
 
 def _minimize(
@@ -147,12 +137,13 @@ def _minimize(
     tol: float,
     max_iters: int = DEFAULT_MAX_ITERS,
     initial: Sequence[float] | None = None,
-) -> tuple[tuple[float, float], int, float, int, tuple[tuple[float, float], float] | None]:
+) -> tuple[tuple[float, float], int, float, int, tuple[Sequence[float], float] | None]:
     """Minimize ``sum w_i |P - A_i|`` from the weighted centroid or ``initial``.
 
     The centers and weights are those of the arithmetic back end ``arith``
     (see ``_arithmetic``). Returns (point, steps taken, residual, nearest
-    center, pull), the point as a pair of floats. Each step
+    center, pull), the point as a pair of floats and the pull as ``arith``
+    returns it. Each step
     is the damped Newton step, or the Weiszfeld map when backtracking
     accepts no Newton point. An iterate on a center gets the single-point
     optimality test: an optimal center is returned at once, with residual 0
@@ -287,8 +278,8 @@ class _Arrays:
 
     ``at`` returns the objective at a point, the nearest center and its
     distance, and the evaluation ``here`` that the other methods take:
-    ``centers - point`` and its row lengths. Points, centers and pulls
-    come back as pairs of floats.
+    ``centers - point`` and its row lengths. Points and centers come back
+    as pairs of floats, a pull as an array.
     """
 
     __slots__ = ("centers", "weights")
@@ -335,7 +326,7 @@ class _Arrays:
         rest = np.delete(np.arange(len(d)), hit)
         inv = self.weights[rest] / d[rest]
         scale = 1.0 - self.weights[hit] / pull_norm
-        return (self.centers[hit] + scale * np.array(pull) / inv.sum()).tolist()
+        return (self.centers[hit] + scale * pull / inv.sum()).tolist()
 
     def pull(self, m):
         """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
@@ -344,7 +335,7 @@ class _Arrays:
         d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
         d[m] = np.inf  # center m's own term becomes 0
         pull = (self.weights[:, None] * diff / d[:, None]).sum(axis=0)
-        return tuple(pull.tolist()), float(np.linalg.norm(pull))
+        return pull, float(np.linalg.norm(pull))
 
 
 class _Floats:
@@ -464,17 +455,14 @@ def solve(config: Configuration) -> SolveResult:
 def _solve(config: Configuration) -> SolveResult:
     arith = _arithmetic(config)
     (x, y), iters, residual, m, at_center = _minimize(arith, config.tolerance)
-    if at_center is None:
-        case, at_center = _case(arith, x, y, m)
-    else:
-        case = CaseTag.absorbed(m)  # the loop stopped on center m
+    point = Point2(x, y)
+    case = classify_case(config, point, m)
     floating = case.is_floating
-    if floating:
-        point = Point2(x, y)
-    else:
+    if not floating:
         point = config.circles[m].center
         (ux, uy), pull_norm = at_center or arith.pull(m)
-        ux, uy = (ux / pull_norm, uy / pull_norm) if pull_norm > 0 else (1.0, 0.0)
+        # float(): the array back end's pull is an array
+        ux, uy = (float(ux) / pull_norm, float(uy) / pull_norm) if pull_norm > 0 else (1.0, 0.0)
         residual = 0.0
         iters = 0
     # one pass over the circles: the distance from the point to each center

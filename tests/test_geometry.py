@@ -1,5 +1,6 @@
 """Geometry primitive tests."""
 
+import collections
 import copy
 import dataclasses
 import math
@@ -34,6 +35,8 @@ from ftcircles.geometry import (
 from conftest import angle_at, distance_to_circle
 
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
+# a center that is not a Point2, so its coordinates are never checked
+Center = collections.namedtuple("Center", "x y")
 UNIT_TRIANGLE = (
     Circle(Point2(0.0, 0.0), 0.1),
     Circle(Point2(2.0, 0.0), 0.1),
@@ -346,6 +349,14 @@ class TestConfigurationValidation:
             (
                 lambda: Configuration(UNIT_TRIANGLE + (Circle((9, 9), 0.1),), (1, 1, 1, 1)),
                 r"^circle 3 must be a Circle with a Point2 center, got Circle\(center=\(9, 9\)",
+            ),
+            (
+                lambda: Configuration(UNIT_TRIANGLE + (Circle(Center("a", 9), 0.1),), (1, 1, 1, 1)),
+                r"^circle 3 must be a Circle with a Point2 center, got Circle\(center=Center\(x='a'",
+            ),
+            (
+                lambda: Configuration((Circle(Center(10**400, 9), 0.1),) + UNIT_TRIANGLE, (1, 1, 1, 1)),
+                r"^circle 0 must be a Circle with a Point2 center, got Circle\(center=Center\(x=1000",
             ),
             (lambda: Configuration(None, (1, 1, 1)), "^circles must be a sequence, got None$"),
             (
