@@ -1,12 +1,13 @@
 """Independent brute-force verification and random instance generation.
 
-The oracle minimizer never touches the solver: it evaluates the exact
-objective on a coarse grid over the inflated bounding box of the centers,
-then zooms in on the best point with ever smaller grids. It uses objective
-values only, no gradients. Finite-difference helpers check the gradient and
-the first-variation identity for segment lengths. Instance generators are
-seeded and reject configurations that violate non-overlap, the floating
-condition, or the point-outside-disks assumption.
+The oracle minimizer never touches the solver: it evaluates the objective
+on a coarse grid over the inflated bounding box of the centers, then zooms
+in on the best point with ever smaller grids. Grid values come from square
+roots of offsets scaled by a power of two, and no gradients are used.
+Finite-difference helpers check the gradient and the first-variation
+identity for segment lengths. Instance generators are seeded and reject
+configurations that violate non-overlap, the floating condition, or the
+point-outside-disks assumption.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ _ZOOM_CELLS = 2.0
 _ZOOM_SHRINK = 4.0
 _ZOOM_STOP = 1e-10
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-
 # central-difference step of the finite-difference helpers
 _STEP = 1e-6
 
@@ -64,16 +62,17 @@ def oracle_minimize(
     grid_cells: int = GRID_CELLS_DEFAULT,
     refine_iters: int = REFINE_ITERS_DEFAULT,
 ) -> Point2:
-    """Coarse grid search plus grid zoom on the exact objective.
+    """Coarse grid search plus grid zoom on objective values.
 
     The coarse grid has ``grid_cells`` points per side over the bounding box
     of the centers inflated by the largest radius plus 1e-6 times the box's
     larger side; in curve mode grid points strictly inside a disk are
     excluded. Each zoom round re-grids a window of a few cells around the
     best point seen and shrinks the window, until its half-width falls below
-    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Uses
-    objective values only and returns the best point seen. Raises
-    ``PreconditionViolated`` unless ``grid_cells >= 1`` and
+    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Grid
+    values come from square roots of offsets scaled by a power of two (see
+    ``_best_on_grid``), never from a gradient, and the best point seen is
+    returned. Raises ``PreconditionViolated`` unless ``grid_cells >= 1`` and
     ``refine_iters >= 0``.
     """
     if grid_cells < 1 or refine_iters < 0:
@@ -82,21 +81,24 @@ def oracle_minimize(
         )
     centers = config.centers_array()
     radii = config.radii_array()
-    disks = (
-        centers[:, 0],
-        centers[:, 1],
-        radii,
-        config.weights_array(),
-        config.distance_mode is DistanceMode.TO_CURVE,
-    )
     lo, hi = centers.min(axis=0), centers.max(axis=0)
     # relative to the scene's size, so a scaled scene gets the scaled box
     pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
     lo, hi = lo - pad, hi + pad
-    bx, by, best_val = _best_on_screened_grid(
+    size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
+    # 2**-e with 2**e the power of two of the box size: scaling by it is exact
+    scale = math.ldexp(1.0, -math.frexp(size)[1])
+    disks = (
+        centers[:, 0],
+        centers[:, 1],
+        radii * scale,
+        config.weights_array(),
+        config.distance_mode is DistanceMode.TO_CURVE,
+        scale,
+    )
+    bx, by, best_val = _best_on_grid(
         np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells), disks
     )
-    size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     half = _ZOOM_CELLS * size / max(grid_cells - 1, 1)
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     for _ in range(refine_iters):
@@ -110,93 +112,33 @@ def oracle_minimize(
 
 
 def _best_on_grid(xs: np.ndarray, ys: np.ndarray, disks) -> tuple[float, float, float]:
-    """Best point, and its value, of the grid ``xs`` x ``ys``.
+    """Best point of the grid ``xs`` x ``ys``, and its value scaled by ``2**-e``.
 
-    ``disks`` is ``(cx, cy, radii, weights, curve)``, curve being true in
-    curve mode. One hypot over the outer product of the axes; row k of gap
-    is the point (xs[k % nx], ys[k // nx]). Excluded points read +inf. In
-    curve mode gap stands in for |gap|: the two differ only on rows with a
-    point inside a disk (d - r < 0 exactly when d < r), which the mask then
-    excludes.
+    ``disks`` is ``(cx, cy, radii, weights, curve, scale)``: the radii are
+    already multiplied by ``scale = 2**-e``, and curve is true in curve mode.
+    A distance is ``sqrt(dx'**2 + dy'**2)`` with ``dx' = (x - cx) scale``;
+    the box is below ``2**e`` on a side, so at any coordinate scale no square
+    overflows and only an offset below about 1e-154 of the box underflows,
+    far below the rounding of the sum. Every value is the weighted sum
+    times exactly ``scale``, which keeps the argmin. The gaps are laid out
+    ``(n, ny, nx)``, so column k of the product is the point
+    ``(xs[k % nx], ys[k // nx])``. Set mode clips the gaps at 0; curve mode
+    reads +inf at a point strictly inside a disk.
     """
-    cx, cy, radii, weights, curve = disks
-    gap = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
-    gap -= radii
-    if not curve:
-        vals = np.maximum(gap, 0.0) @ weights
+    cx, cy, radii, weights, curve, scale = disks
+    dx2 = np.square((xs - cx[:, None]) * scale)
+    dy2 = np.square((ys - cy[:, None]) * scale)
+    buf = dy2[:, :, None] + dx2[:, None, :]
+    np.sqrt(buf, out=buf)
+    buf -= radii[:, None, None]
+    gaps = buf.reshape(len(cx), -1)
+    if curve:
+        vals = weights @ gaps
+        vals[gaps.min(axis=0) < 0.0] = np.inf
     else:
-        vals = gap @ weights
-        if gap.min() < 0.0:
-            for j in range(len(cx)):
-                vals[gap[:, j] < 0.0] = np.inf
+        vals = weights @ np.maximum(gaps, 0.0, out=gaps)
     k = int(vals.argmin())
     return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
-
-
-def _best_on_screened_grid(xs: np.ndarray, ys: np.ndarray, disks) -> tuple[float, float, float]:
-    """``_best_on_grid``, bit for bit, with hypot only on the rows that can win.
-
-    A bound pass takes every gap as ``sqrt(dx*dx + dy*dy) - r`` in an
-    (n, ny*nx) layout, about 4x cheaper than hypot, and each row's value
-    ``approx`` from those gaps. With ``D = dmax + rmax`` and libm hypot
-    within 1 ulp, each gap is within ``gap_err = 3 eps D + 2**-537`` of the
-    hypot gap (``2**-537`` is the square root of the worst underflow error in
-    a sum of squares), and each row value within ``(n + 3) eps sum(w) D +
-    2**-537 sum(w) + n 2**-1074`` of ``_best_on_grid``'s; ``row_err``
-    doubles the latter, with ``_TINY`` above ``n 2**-1074``, and each use
-    doubles ``gap_err``, to cover
-    second-order terms and the rounding of the bounds themselves. A row is
-    certainly outside every disk when all its gaps exceed ``2 gap_err`` and
-    certainly inside one when some gap is below ``-2 gap_err``. The argmin
-    can only be a row that is not certainly inside and whose ``approx`` is
-    within ``2 row_err`` of the best certainly-outside row. Only those rows
-    get hypot, written into the full (ny*nx, n) gap matrix whose other rows
-    are +inf, so the product runs on the same matrix shape as in
-    ``_best_on_grid`` and each exact row keeps its bits (a product over fewer
-    rows can round differently). Falls back to ``_best_on_grid`` when
-    ``sum(w) D`` reaches ``2**1020`` (squares overflow from coordinates near
-    1e154 up) or no row is certainly outside.
-    """
-    cx, cy, radii, weights, curve = disks
-    n = len(cx)
-    with np.errstate(over="ignore", under="ignore"):
-        dx2 = np.square(xs - cx[:, None])
-        dy2 = np.square(ys - cy[:, None])
-        buf = np.add(dy2[:, :, None], dx2[:, None, :])
-        np.sqrt(buf, out=buf)
-        buf -= radii[:, None, None]
-        gaps = buf.reshape(n, -1)
-        if curve:
-            low = gaps.min(axis=0)
-        else:
-            np.maximum(gaps, 0.0, out=gaps)
-        approx = weights @ gaps
-        span = math.sqrt(dx2.max() + dy2.max()) + float(radii.max())
-    wsum = float(weights.sum())
-    # wsum * span bounds every row value, so below 2**1020 nothing overflows
-    if not wsum * span < 2.0**1020:
-        return _best_on_grid(xs, ys, disks)
-    gap_err = 3.0 * _EPS * span + 2.0**-537
-    row_err = 2.0 * (wsum * (gap_err + n * _EPS * span) + _TINY)
-    if curve:
-        outside = low > 2.0 * gap_err
-        if not outside.any():
-            return _best_on_grid(xs, ys, disks)
-        keep = (approx <= approx[outside].min() + 2.0 * row_err) & (low >= -2.0 * gap_err)
-    else:
-        keep = approx <= approx.min() + 2.0 * row_err
-    rows = np.flatnonzero(keep)
-    exact = np.hypot(xs[rows % len(xs)][:, None] - cx, ys[rows // len(xs)][:, None] - cy)
-    exact -= radii
-    gap = buf.reshape(-1, n)
-    gap.fill(np.inf)
-    gap[rows] = exact if curve else np.maximum(exact, 0.0)
-    vals = (gap @ weights)[rows]
-    if curve:
-        vals[(exact < 0.0).any(axis=1)] = np.inf
-    i = int(vals.argmin())
-    k = rows[i]
-    return xs[k % len(xs)], ys[k // len(xs)], float(vals[i])
 
 
 def finite_difference_gradient(config: Configuration, p: Point2) -> np.ndarray:
@@ -312,7 +254,12 @@ def regular_polygon_config(
     radius: float = 0.2,
     distance_mode: DistanceMode = DistanceMode.TO_CURVE,
 ) -> Configuration:
-    """Unit-weight circles centered at the vertices of a regular n-gon."""
+    """Unit-weight circles centered at the vertices of a regular n-gon.
+
+    Neighbouring centers are ``2 circumradius sin(pi/n)`` apart, so the
+    default circumradius 2 with radius 0.2 fits n <= 31 only; from n = 32 up
+    it raises ``InvalidConfiguration`` (circles 0 and 1 overlap or touch).
+    """
     circles = []
     for k in range(n):
         ang = math.pi / 2.0 + 2.0 * math.pi * k / n

@@ -5,8 +5,8 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,22 +182,6 @@ def _xy(p):
     return [p.x, p.y]
 
 
-def _reference_best_on_grid(xs, ys, disks):
-    """Full-grid evaluation: hypot on every point, as before the screen."""
-    cx, cy, radii, weights, curve = disks
-    gap = np.hypot((xs[:, None] - cx)[None], (ys[:, None] - cy)[:, None]).reshape(-1, len(cx))
-    gap -= radii
-    if not curve:
-        vals = np.maximum(gap, 0.0) @ weights
-    else:
-        vals = gap @ weights
-        if gap.min() < 0.0:
-            for j in range(len(cx)):
-                vals[gap[:, j] < 0.0] = np.inf
-    k = int(vals.argmin())
-    return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
-
-
 _BASES = {
     "floating": lambda n, seed, mode: random_floating_config(n, seed, distance_mode=mode),
     "dominated": lambda n, seed, mode: random_dominated_config(
@@ -210,8 +194,8 @@ _BASES = {
 }
 
 
-class TestScreenedGrid:
-    """The screened coarse grid returns what hypot on every point returns."""
+class TestGrid:
+    """The grid search on power-of-two scaled square roots."""
 
     @given(
         kind=st.sampled_from(sorted(_BASES)),
@@ -221,41 +205,57 @@ class TestScreenedGrid:
         cells=st.integers(1, 80),
         iters=st.integers(0, 40),
         scale=st.integers(-300, 300).map(lambda e: 10.0**e),
+        k=st.integers(-980, 1000),
+        j=st.integers(-200, 200),
     )
-    @example(kind="floating", n=4, seed=3, mode=DistanceMode.TO_CURVE, cells=80, iters=40, scale=1e300)
-    @example(kind="floating", n=5, seed=1, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1e155)
-    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=65, iters=40, scale=1e-160)
-    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_SET, cells=65, iters=0, scale=1e-300)
-    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0)
-    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1.0)
-    @example(kind="just-inside", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0)
-    @example(kind="dominated", n=3, seed=2, mode=DistanceMode.TO_CURVE, cells=1, iters=40, scale=1.0)
+    @example(kind="floating", n=4, seed=3, mode=DistanceMode.TO_CURVE, cells=80, iters=40, scale=1e300, k=1000, j=200)
+    @example(kind="floating", n=5, seed=1, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1e155, k=-980, j=-200)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=65, iters=40, scale=1e-160, k=-980, j=0)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_SET, cells=65, iters=0, scale=1e-300, k=1000, j=1)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0, k=-1, j=-1)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1.0, k=3, j=5)
+    @example(kind="just-inside", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0, k=-7, j=9)
+    @example(kind="dominated", n=3, seed=2, mode=DistanceMode.TO_CURVE, cells=1, iters=40, scale=1.0, k=600, j=-30)
     @settings(max_examples=150, deadline=None)
-    def test_matches_full_grid_search(self, kind, n, seed, mode, cells, iters, scale):
-        config = _scaled(_BASES[kind](n, seed, mode), scale)
-        # the coarse grid's value too, bit for bit, not only its point
-        assert _coarse(config, cells, ftcircles.oracle._best_on_screened_grid) == _coarse(
-            config, cells, _reference_best_on_grid
+    def test_scale_free_and_close_to_objective(self, kind, n, seed, mode, cells, iters, scale, k, j):
+        base = _BASES[kind](n, seed, mode)
+        # (a) scaling the scene by 2**k scales the point by 2**k, bit for bit
+        p = oracle_minimize(base, cells, iters)
+        q = oracle_minimize(_scaled(base, 2.0**k), cells, iters)
+        assert _xy(q) == [p.x * 2.0**k, p.y * 2.0**k]
+        # (b) scaling every weight by 2**j keeps the point
+        config = _scaled(base, scale)
+        heavier = replace(config, weights=tuple(w * 2.0**j for w in config.weights))
+        assert _xy(oracle_minimize(heavier, cells, iters)) == _xy(
+            oracle_minimize(config, cells, iters)
         )
-        got = oracle_minimize(config, cells, iters)
-        with mock.patch.object(ftcircles.oracle, "_best_on_screened_grid", _reference_best_on_grid):
-            want = oracle_minimize(config, cells, iters)
-        assert _xy(got) == _xy(want)
+        # (c) the grid value, scaled back, is objective up to rounding
+        x, y, val, e = _coarse(config, cells)
+        centers = config.centers_array()
+        d = np.hypot(x - centers[:, 0], y - centers[:, 1])
+        bound = 8.0 * np.finfo(float).eps * float(config.weights_array() @ (d + config.radii_array()))
+        assert abs(math.ldexp(val, e) - objective(config, [x, y])) <= bound
 
 
-def _coarse(config, cells, best_on_grid):
-    """(x, y, value) of the best coarse grid point, as oracle_minimize lays the grid out."""
+def _coarse(config, cells):
+    """(x, y, value, e) of the best coarse grid point, as oracle_minimize lays the grid out.
+
+    The value is the grid's, scaled by ``2**-e``.
+    """
     centers, radii = config.centers_array(), config.radii_array()
-    curve = config.distance_mode is DistanceMode.TO_CURVE
-    disks = (centers[:, 0], centers[:, 1], radii, config.weights_array(), curve)
     lo, hi = centers.min(axis=0), centers.max(axis=0)
     pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
     lo, hi = lo - pad, hi + pad
-    return best_on_grid(np.linspace(lo[0], hi[0], cells), np.linspace(lo[1], hi[1], cells), disks)
+    e = math.frexp(float(max(hi - lo)))[1]
+    scale = math.ldexp(1.0, -e)
+    curve = config.distance_mode is DistanceMode.TO_CURVE
+    disks = (centers[:, 0], centers[:, 1], radii * scale, config.weights_array(), curve, scale)
+    xs, ys = np.linspace(lo[0], hi[0], cells), np.linspace(lo[1], hi[1], cells)
+    return (*ftcircles.oracle._best_on_grid(xs, ys, disks), e)
 
 
 class TestPinnedPoints:
-    """Oracle points equal, with ==, those of the point-list grid code."""
+    """Oracle points equal, with ==, those pinned in oracle_points.json."""
 
     @pytest.mark.parametrize("mode", list(DistanceMode))
     def test_on_circle_scene_puts_the_coarse_argmin_on_the_circle(self, mode):
@@ -365,6 +365,12 @@ class TestGenerators:
     def test_too_few_circles_are_rejected(self, generator, n):
         with pytest.raises(InvalidConfiguration, match=f"need at least 3 circles, got {n}$"):
             generator(n, 0)
+
+    def test_polygon_defaults_fit_31_circles_only(self):
+        # neighbours are 4 sin(pi/n) apart, below twice the radius 0.2 from n = 32
+        assert regular_polygon_config(31).n == 31
+        with pytest.raises(InvalidConfiguration, match="^circles 0 and 1 overlap or touch$"):
+            regular_polygon_config(32)
 
     @pytest.mark.parametrize("dominant", [4, 7, -1])
     def test_dominant_outside_the_circles_is_rejected(self, dominant):
