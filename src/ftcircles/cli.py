@@ -20,7 +20,7 @@ from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneE
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
 from .geometry import Circle, DistanceMode, project_onto_circle, sine_residuals
 from .inverse import AngleTriple, weights_from_angles
-from .oracle import GRID_CELLS_DEFAULT, REFINE_ITERS_DEFAULT, oracle_minimize
+from .oracle import oracle_minimize
 from .plasticity import (
     SectorAngles,
     TriangleRatios,
@@ -89,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimizer vs the solver")
     p.add_argument("scene")
-    p.add_argument("--grid", type=int, default=GRID_CELLS_DEFAULT,
-                   help="points per side of the coarse grid (default %(default)s)")
-    p.add_argument("--refine", type=int, default=REFINE_ITERS_DEFAULT,
-                   help="cap on the zoom rounds after the coarse grid (default %(default)s)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify-geometric", help="radial shifts must keep the point fixed")
@@ -262,15 +258,13 @@ def _write_frames(trace: EvolutionTrace, directory: Path) -> None:
 
 
 def _cmd_oracle(args, config, point) -> int:
-    if args.grid < 1 or args.refine < 0:
-        raise SceneError(f"need --grid >= 1 and --refine >= 0, got {args.grid}, {args.refine}")
     result = solve(config)
     if not result.case.is_floating and config.distance_mode is DistanceMode.TO_CURVE:
         raise PreconditionViolated(
             f"the solution is absorbed at the center of circle {result.case.index}, inside its "
             "disk, and the curve-mode oracle excludes disk interiors"
         )
-    brute = oracle_minimize(config, grid_cells=args.grid, refine_iters=args.refine)
+    brute = oracle_minimize(config)
     gap = result.point.distance_to(brute)
     print(f"solver point=({result.point.x:.12g}, {result.point.y:.12g})")
     print(f"oracle point=({brute.x:.12g}, {brute.y:.12g})")

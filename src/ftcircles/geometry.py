@@ -22,12 +22,6 @@ if TYPE_CHECKING:
 #: Two points closer than this are treated as coincident.
 COINCIDENT_EPS = 1e-12
 
-# math.hypot and np.hypot agree to within a few ulps; a pair whose
-# math.hypot exceeds its radius sum by this factor (plus an absolute floor
-# for subnormal values) is apart under np.hypot too
-_HYPOT_MARGIN = 1.0 + 1e-9
-_HYPOT_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class Point2:
@@ -57,12 +51,14 @@ class Point2:
 
 @dataclass(frozen=True)
 class Circle:
-    """A circle given by its center and a strictly positive finite radius."""
+    """A circle given by its ``Point2`` center and a strictly positive finite radius."""
 
     center: Point2
     radius: float
 
     def __post_init__(self):
+        if not isinstance(self.center, Point2):
+            raise InvalidConfiguration(f"center must be a Point2, got {self.center!r}")
         try:
             valid = math.isfinite(self.radius) and self.radius > 0.0
         except (TypeError, OverflowError):
@@ -223,10 +219,8 @@ def first_touching_pair(
     of all touching pairs the lexicographically first is returned. A
     sort-and-sweep on x (Shamos & Hoey 1976) tests only the pairs whose
     computed ``x_j - x_i`` is at most ``r_i + max(r)``: the others cannot
-    touch, because the hypot is at least ``|x_j - x_i|``; the same bound on
-    ``|y_j - y_i|`` and a ``math.hypot`` test with a margin skip pairs that
-    are clearly apart. ``math.hypot`` can differ from ``np.hypot`` in the
-    last bit, so the remaining pairs are decided by ``np.hypot``.
+    touch, because the hypot is at least ``|x_j - x_i|``. The same bound on
+    ``|y_j - y_i|`` skips more pairs, and ``np.hypot`` decides the rest.
     """
     n = len(xs)
     order = sorted(range(n), key=xs.__getitem__)
@@ -242,11 +236,7 @@ def first_touching_pair(
                 break
             dy = ys[j] - yi
             s = ri + radii[j]
-            if (
-                -s <= dy <= s
-                and math.hypot(dx, dy) <= s * _HYPOT_MARGIN + _HYPOT_FLOOR
-                and np.hypot(dx, dy) <= s
-            ):
+            if -s <= dy <= s and np.hypot(dx, dy) <= s:
                 pair = (i, j) if i < j else (j, i)
                 if first is None or pair < first:
                     first = pair
@@ -266,22 +256,6 @@ def project_onto_circle(p: Point2, c: Circle) -> Point2:
         raise DegenerateProjection("projection of the center onto its circle is not unique")
     k = c.radius / d
     return Point2(c.center.x + k * dx, c.center.y + k * dy)
-
-
-def distances_to_circles(center_distances, radii, mode: DistanceMode):
-    """Distances to the circles (TO_CURVE) or their disks (TO_SET), from the center distances.
-
-    On arrays, as the oracle passes them for a grid of points, ``radii``
-    broadcasts against ``center_distances`` along the last axis. Two
-    sequences of floats, as ``solve`` passes them for one point, give a
-    list of floats with the values the arrays would hold.
-    """
-    curve = mode is DistanceMode.TO_CURVE
-    if isinstance(center_distances, np.ndarray):
-        gap = center_distances - radii
-        return np.abs(gap) if curve else np.maximum(gap, 0.0)
-    gaps = map(operator.sub, center_distances, radii)
-    return list(map(abs, gaps)) if curve else [max(g, 0.0) for g in gaps]
 
 
 def azimuths_at(apex: Point2, points) -> list[float]:

@@ -1,9 +1,9 @@
 """Independent brute-force verification and random instance generation.
 
 The oracle minimizer never touches the solver: it evaluates the objective
-on a coarse grid over the inflated bounding box of the centers, then zooms
-in on the best point with ever smaller grids. Grid values come from square
-roots of offsets scaled by a power of two, and no gradients are used.
+on a fixed 64 x 64 grid over the inflated bounding box of the centers, then
+zooms in on the best point with ever smaller grids. Grid values come from
+square roots of offsets scaled by a power of two, and no gradients are used.
 Finite-difference helpers check the gradient and the first-variation
 identity for segment lengths. Instance generators are seeded and reject
 configurations that violate non-overlap, the floating condition, or the
@@ -24,19 +24,19 @@ from .geometry import (
     Configuration,
     DistanceMode,
     Point2,
-    distances_to_circles,
     pair_distances,
 )
 from .solver import solve
 
-GRID_CELLS_DEFAULT = 64
-REFINE_ITERS_DEFAULT = 40
-
-# Each zoom grid has _ZOOM_POINTS per side and spans +-_ZOOM_CELLS cells of
-# the previous grid around the best point; the window shrinks by
-# _ZOOM_SHRINK per round and the zoom stops once its half-width is below
-# _ZOOM_STOP times the box size. 17 points over +-2 cells shrink 4x per round,
-# so each grid's spacing is the next window's half-width over two.
+# The coarse grid has _GRID_POINTS per side. Each zoom grid has
+# _ZOOM_POINTS per side and spans +-_ZOOM_CELLS cells of the previous grid
+# around the best point; the window shrinks by _ZOOM_SHRINK per round and the
+# zoom stops once its half-width is below _ZOOM_STOP times the box size, which
+# takes 15 rounds, or after _ZOOM_ROUNDS rounds, once that product underflows
+# to 0. 17 points over +-2 cells shrink 4x per round, so each grid's spacing
+# is the next window's half-width over two.
+_GRID_POINTS = 64
+_ZOOM_ROUNDS = 40
 _ZOOM_POINTS = 17
 _ZOOM_CELLS = 2.0
 _ZOOM_SHRINK = 4.0
@@ -51,34 +51,26 @@ def objective(config: Configuration, points) -> np.ndarray | float:
     pts = np.asarray(points, dtype=float)
     many = np.atleast_2d(pts)
     centers = config.centers_array()
-    d = np.hypot(many[:, 0:1] - centers[:, 0], many[:, 1:2] - centers[:, 1])
-    dist = distances_to_circles(d, config.radii_array(), config.distance_mode)
+    gap = np.hypot(many[:, 0:1] - centers[:, 0], many[:, 1:2] - centers[:, 1])
+    gap -= config.radii_array()
+    dist = np.abs(gap) if config.distance_mode is DistanceMode.TO_CURVE else np.maximum(gap, 0.0)
     vals = dist @ config.weights_array()
     return float(vals[0]) if pts.ndim == 1 else vals
 
 
-def oracle_minimize(
-    config: Configuration,
-    grid_cells: int = GRID_CELLS_DEFAULT,
-    refine_iters: int = REFINE_ITERS_DEFAULT,
-) -> Point2:
+def oracle_minimize(config: Configuration) -> Point2:
     """Coarse grid search plus grid zoom on objective values.
 
-    The coarse grid has ``grid_cells`` points per side over the bounding box
-    of the centers inflated by the largest radius plus 1e-6 times the box's
-    larger side; in curve mode grid points strictly inside a disk are
-    excluded. Each zoom round re-grids a window of a few cells around the
-    best point seen and shrinks the window, until its half-width falls below
-    ``1e-10`` times the box size or ``refine_iters`` rounds have run. Grid
+    The coarse grid has 64 points per side over the bounding box of the
+    centers inflated by the largest radius plus 1e-6 times the box's larger
+    side; in curve mode grid points strictly inside a disk are excluded.
+    Each zoom round re-grids a window of a few cells around the best point
+    seen and shrinks the window 4x, until its half-width falls below
+    ``1e-10`` times the box size (15 rounds) or 40 rounds have run. Grid
     values come from square roots of offsets scaled by a power of two (see
     ``_best_on_grid``), never from a gradient, and the best point seen is
-    returned. Raises ``PreconditionViolated`` unless ``grid_cells >= 1`` and
-    ``refine_iters >= 0``.
+    returned.
     """
-    if grid_cells < 1 or refine_iters < 0:
-        raise PreconditionViolated(
-            f"need grid_cells >= 1 and refine_iters >= 0, got {grid_cells}, {refine_iters}"
-        )
     centers = config.centers_array()
     radii = config.radii_array()
     lo, hi = centers.min(axis=0), centers.max(axis=0)
@@ -86,8 +78,10 @@ def oracle_minimize(
     pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
     lo, hi = lo - pad, hi + pad
     size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    # 2**-e with 2**e the power of two of the box size: scaling by it is exact
-    scale = math.ldexp(1.0, -math.frexp(size)[1])
+    # 2**-e with 2**e the power of two of the box size: scaling by it is
+    # exact; below a box of 2**-1023 the scale stays 2**1023, the largest
+    # power of two
+    scale = math.ldexp(1.0, min(-math.frexp(size)[1], 1023))
     disks = (
         centers[:, 0],
         centers[:, 1],
@@ -97,11 +91,11 @@ def oracle_minimize(
         scale,
     )
     bx, by, best_val = _best_on_grid(
-        np.linspace(lo[0], hi[0], grid_cells), np.linspace(lo[1], hi[1], grid_cells), disks
+        np.linspace(lo[0], hi[0], _GRID_POINTS), np.linspace(lo[1], hi[1], _GRID_POINTS), disks
     )
-    half = _ZOOM_CELLS * size / max(grid_cells - 1, 1)
+    half = _ZOOM_CELLS * size / (_GRID_POINTS - 1)
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    for _ in range(refine_iters):
+    for _ in range(_ZOOM_ROUNDS):
         if half < _ZOOM_STOP * size:
             break
         x, y, val = _best_on_grid(bx + half * offsets, by + half * offsets, disks)
@@ -112,18 +106,18 @@ def oracle_minimize(
 
 
 def _best_on_grid(xs: np.ndarray, ys: np.ndarray, disks) -> tuple[float, float, float]:
-    """Best point of the grid ``xs`` x ``ys``, and its value scaled by ``2**-e``.
+    """Best point of the grid ``xs`` x ``ys``, and its value times ``scale``.
 
     ``disks`` is ``(cx, cy, radii, weights, curve, scale)``: the radii are
-    already multiplied by ``scale = 2**-e``, and curve is true in curve mode.
-    A distance is ``sqrt(dx'**2 + dy'**2)`` with ``dx' = (x - cx) scale``;
-    the box is below ``2**e`` on a side, so at any coordinate scale no square
-    overflows and only an offset below about 1e-154 of the box underflows,
-    far below the rounding of the sum. Every value is the weighted sum
-    times exactly ``scale``, which keeps the argmin. The gaps are laid out
-    ``(n, ny, nx)``, so column k of the product is the point
-    ``(xs[k % nx], ys[k // nx])``. Set mode clips the gaps at 0; curve mode
-    reads +inf at a point strictly inside a disk.
+    already multiplied by ``scale``, a power of two, and curve is true in
+    curve mode. A distance is ``sqrt(dx'**2 + dy'**2)`` with
+    ``dx' = (x - cx) scale``; the box is below ``1 / scale`` on a side, so
+    at any coordinate scale no square overflows and only an offset below
+    about 1e-154 of the box underflows, far below the rounding of the sum.
+    Every value is the weighted sum times exactly ``scale``, which keeps
+    the argmin. The gaps are laid out ``(n, ny, nx)``, so column k of the
+    product is the point ``(xs[k % nx], ys[k // nx])``. Set mode clips the
+    gaps at 0; curve mode reads +inf at a point strictly inside a disk.
     """
     cx, cy, radii, weights, curve, scale = disks
     dx2 = np.square((xs - cx[:, None]) * scale)

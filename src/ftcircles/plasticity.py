@@ -99,10 +99,6 @@ class SectorAngles:
         """Unsigned angle in [0, pi] between rays i and j."""
         return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
 
-    def signed_sin(self, i: int, j: int) -> float:
-        """sin of the signed rotation from ray i to ray j."""
-        return math.sin(self.azimuths[j] - self.azimuths[i])
-
     def cyclic_order(self) -> tuple[int, ...]:
         return self._order
 

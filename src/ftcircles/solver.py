@@ -12,6 +12,7 @@ equilibrium residual) afterwards.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,10 +27,10 @@ from .errors import (
 from .geometry import (
     COINCIDENT_EPS,
     Configuration,
+    DistanceMode,
     Point2,
     azimuths_at,
     cosine_residuals,
-    distances_to_circles,
     sectors_of,
 )
 
@@ -488,7 +489,9 @@ def _solve(config: Configuration) -> SolveResult:
         raise DegenerateProjection("projection of the center onto its circle is not unique")
     if not floating:
         d[m] = 0.0  # the absorbed point is center m
-    distances = distances_to_circles(d, config.radii, config.distance_mode)
+    gaps = map(operator.sub, d, config.radii)
+    curve = config.distance_mode is DistanceMode.TO_CURVE
+    distances = list(map(abs, gaps)) if curve else [max(g, 0.0) for g in gaps]
     azimuths = azimuths_at(point, projection_xy) if floating else []
     order, sectors = sectors_of(azimuths) if floating else ((), ())
     return SolveResult(

@@ -16,8 +16,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED_NAMES = (
     "CalledOnAbsorbed",
     "DegenerateAngles",
+    "GRID_CELLS_DEFAULT",
     "GeometryPreconditionViolated",
     "MissingRatio",
+    "REFINE_ITERS_DEFAULT",
     "StepOutOfRange",
     "StepTooSmall",
     "StepTooLarge",
@@ -25,6 +27,7 @@ REMOVED_NAMES = (
     "default_scale",
     "default_schedule",
     "distance_to_circle",
+    "distances_to_circles",
     "sector_decomposition",
     "transfer_residuals",
 )
@@ -35,6 +38,7 @@ REMOVED_KEYWORDS = (
     (ftcircles.plasticity_n, ("strict",)),
     (ftcircles.finite_difference_gradient, ("h",)),
     (ftcircles.directional_derivative_to_circle, ("h",)),
+    (ftcircles.oracle_minimize, ("grid_cells", "refine_iters")),
     (ftcircles.random_floating_config, ("tolerance", "box", "min_separation")),
     (ftcircles.random_dominated_config, ("radius",)),
     (ftcircles.regular_polygon_config, ("weight",)),
@@ -129,6 +133,7 @@ class TestExports:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(ftcircles.SectorAngles, "from_matrix")
         assert not hasattr(ftcircles.SectorAngles, "matrix")
+        assert not hasattr(ftcircles.SectorAngles, "signed_sin")
 
     def test_removed_keywords_are_gone(self):
         for func, keywords in REMOVED_KEYWORDS:

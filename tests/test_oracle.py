@@ -39,14 +39,14 @@ PINNED = Path(__file__).with_name("oracle_points.json")
 
 class TestOracleMinimize:
     def test_equilateral_centroid(self, equilateral_config):
-        p = oracle_minimize(equilateral_config, grid_cells=200, refine_iters=200)
+        p = oracle_minimize(equilateral_config)
         assert p.distance_to(Point2(0.0, 0.0)) < 1e-4
 
     def test_matches_solver_on_random(self):
         for n, seed in ((3, 0), (4, 1), (5, 2), (6, 3)):
             config = random_floating_config(n, seed=seed)
             solved = solve(config).point
-            brute = oracle_minimize(config, grid_cells=250, refine_iters=200)
+            brute = oracle_minimize(config)
             assert solved.distance_to(brute) < 1e-4, f"n={n} seed={seed}"
 
     def test_uses_no_solver_code(self, monkeypatch):
@@ -71,9 +71,11 @@ class TestOracleMinimize:
             assert oracle_minimize(config).distance_to(Point2(*expected[key])) < 1e-4, key
 
     @pytest.mark.parametrize("mode", list(DistanceMode))
-    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-6, 1e6])
+    @pytest.mark.parametrize("s", [1e-320, 1e-310, 1e-300, 1e-160, 1e-6, 1e6])
     def test_scaled_scene_gives_the_scaled_point(self, s, mode):
-        # the box pad is relative to the scene, so the grid scales with it
+        # the box pad is relative to the scene, so the grid scales with it;
+        # below a box of 2**-1023 the power-of-two scale of the grid values
+        # stops at 2**1023
         config = random_floating_config(4, 11, distance_mode=mode)
         centers = config.centers_array()
         size = float((centers.max(axis=0) - centers.min(axis=0)).max())
@@ -90,54 +92,54 @@ class TestOracleMinimize:
         )
         assert out.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("cells, iters", [(0, 40), (-3, 40), (64, -1)])
-    def test_rejects_empty_grid_and_negative_rounds(self, cells, iters):
-        config = random_floating_config(3, seed=0)
-        with pytest.raises(PreconditionViolated, match="grid_cells >= 1 and refine_iters >= 0"):
-            oracle_minimize(config, grid_cells=cells, refine_iters=iters)
+    @pytest.mark.parametrize("s, grids", [(1e-300, 16), (1.0, 16), (1e300, 16), (1e-320, 41)])
+    def test_zoom_schedule(self, s, grids, monkeypatch):
+        # the coarse grid and 15 zoom rounds, until the window is below
+        # 1e-10 of the box; at 1e-320 that bound underflows to 0, and the
+        # cap of 40 rounds ends the zoom
+        calls = []
+        best_on_grid = ftcircles.oracle._best_on_grid
+
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) <= 100, "the zoom does not stop"
+            return best_on_grid(*args)
+
+        monkeypatch.setattr(ftcircles.oracle, "_best_on_grid", counted)
+        oracle_minimize(_scaled(random_floating_config(4, 11), s))
+        assert len(calls) == grids
 
     def test_absorbed_instance(self):
         config = random_dominated_config(3, seed=4)
         tag = classify_case(config)
         assert tag.index == 0
-        brute = oracle_minimize(config, grid_cells=300, refine_iters=300)
+        brute = oracle_minimize(config)
         assert brute.distance_to(config.circles[0].center) < 1e-3
 
 
 def pinned_scenes():
-    """Name -> (configuration, grid_cells, refine_iters) of every point in oracle_points.json."""
+    """Name -> configuration of every point in oracle_points.json."""
     scenes = {}
     for mode in DistanceMode:
         for n in range(3, 8):
             for seed in range(16):
-                scenes[f"floating {mode.value} n={n} seed={seed}"] = (
-                    random_floating_config(n, seed, distance_mode=mode), 64, 40
+                scenes[f"floating {mode.value} n={n} seed={seed}"] = random_floating_config(
+                    n, seed, distance_mode=mode
                 )
         for n in range(3, 7):
             for seed in range(6):
-                scenes[f"dominated {mode.value} n={n} seed={seed}"] = (
-                    random_dominated_config(n, seed, dominant=seed % n, distance_mode=mode), 64, 40
+                scenes[f"dominated {mode.value} n={n} seed={seed}"] = random_dominated_config(
+                    n, seed, dominant=seed % n, distance_mode=mode
                 )
         for n in range(3, 9):
-            scenes[f"polygon {mode.value} n={n}"] = (
-                regular_polygon_config(n, distance_mode=mode), 64, 40
-            )
-        for cells, iters in ((1, 40), (2, 0), (7, 3), (200, 40)):
-            for n in (3, 5):
-                scenes[f"grid {cells}x{iters} {mode.value} n={n}"] = (
-                    random_floating_config(n, 100 + cells, distance_mode=mode), cells, iters
-                )
-        # squares of grid offsets overflow from 1e155 up, and underflow
-        # toward 1e-160 and below
+            scenes[f"polygon {mode.value} n={n}"] = regular_polygon_config(n, distance_mode=mode)
+        # unscaled, squares of grid offsets would overflow from 1e155 up, and
+        # underflow from 1e-160 down
         for scale in ("1e155", "1e200", "1e300", "1e-160", "1e-300"):
-            scenes[f"scaled {scale} {mode.value} n=4"] = (
-                _scaled(random_floating_config(4, 11, distance_mode=mode), float(scale)), 64, 40
+            scenes[f"scaled {scale} {mode.value} n=4"] = _scaled(
+                random_floating_config(4, 11, distance_mode=mode), float(scale)
             )
-        # the middle point of an odd grid is the origin, 1e-160 or 1e-300
-        # from every center, so the squares of its offsets underflow
-        for scale in ("1e-160", "1e-300"):
-            scenes[f"cross {scale} {mode.value}"] = (_scaled(_cross(mode), float(scale)), 65, 40)
-        scenes[f"on-circle {mode.value}"] = (_on_circle(mode), 64, 40)
+        scenes[f"on-circle {mode.value}"] = _on_circle(mode)
     return scenes
 
 
@@ -203,33 +205,31 @@ class TestGrid:
         seed=st.integers(0, 20),
         mode=st.sampled_from(list(DistanceMode)),
         cells=st.integers(1, 80),
-        iters=st.integers(0, 40),
         scale=st.integers(-300, 300).map(lambda e: 10.0**e),
         k=st.integers(-980, 1000),
         j=st.integers(-200, 200),
     )
-    @example(kind="floating", n=4, seed=3, mode=DistanceMode.TO_CURVE, cells=80, iters=40, scale=1e300, k=1000, j=200)
-    @example(kind="floating", n=5, seed=1, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1e155, k=-980, j=-200)
-    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=65, iters=40, scale=1e-160, k=-980, j=0)
-    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_SET, cells=65, iters=0, scale=1e-300, k=1000, j=1)
-    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0, k=-1, j=-1)
-    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_SET, cells=64, iters=40, scale=1.0, k=3, j=5)
-    @example(kind="just-inside", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, iters=0, scale=1.0, k=-7, j=9)
-    @example(kind="dominated", n=3, seed=2, mode=DistanceMode.TO_CURVE, cells=1, iters=40, scale=1.0, k=600, j=-30)
+    @example(kind="floating", n=4, seed=3, mode=DistanceMode.TO_CURVE, cells=80, scale=1e300, k=1000, j=200)
+    @example(kind="floating", n=5, seed=1, mode=DistanceMode.TO_SET, cells=64, scale=1e155, k=-980, j=-200)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=65, scale=1e-160, k=-980, j=0)
+    @example(kind="cross", n=4, seed=0, mode=DistanceMode.TO_SET, cells=65, scale=1e-300, k=1000, j=1)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, scale=1.0, k=-1, j=-1)
+    @example(kind="on-circle", n=4, seed=0, mode=DistanceMode.TO_SET, cells=64, scale=1.0, k=3, j=5)
+    @example(kind="just-inside", n=4, seed=0, mode=DistanceMode.TO_CURVE, cells=64, scale=1.0, k=-7, j=9)
+    @example(kind="dominated", n=3, seed=2, mode=DistanceMode.TO_CURVE, cells=1, scale=1.0, k=600, j=-30)
     @settings(max_examples=150, deadline=None)
-    def test_scale_free_and_close_to_objective(self, kind, n, seed, mode, cells, iters, scale, k, j):
+    def test_scale_free_and_close_to_objective(self, kind, n, seed, mode, cells, scale, k, j):
         base = _BASES[kind](n, seed, mode)
         # (a) scaling the scene by 2**k scales the point by 2**k, bit for bit
-        p = oracle_minimize(base, cells, iters)
-        q = oracle_minimize(_scaled(base, 2.0**k), cells, iters)
+        p = oracle_minimize(base)
+        q = oracle_minimize(_scaled(base, 2.0**k))
         assert _xy(q) == [p.x * 2.0**k, p.y * 2.0**k]
         # (b) scaling every weight by 2**j keeps the point
         config = _scaled(base, scale)
         heavier = replace(config, weights=tuple(w * 2.0**j for w in config.weights))
-        assert _xy(oracle_minimize(heavier, cells, iters)) == _xy(
-            oracle_minimize(config, cells, iters)
-        )
-        # (c) the grid value, scaled back, is objective up to rounding
+        assert _xy(oracle_minimize(heavier)) == _xy(oracle_minimize(config))
+        # (c) the value of a grid of any size, scaled back, is objective up
+        # to rounding
         x, y, val, e = _coarse(config, cells)
         centers = config.centers_array()
         d = np.hypot(x - centers[:, 0], y - centers[:, 1])
@@ -238,7 +238,7 @@ class TestGrid:
 
 
 def _coarse(config, cells):
-    """(x, y, value, e) of the best coarse grid point, as oracle_minimize lays the grid out.
+    """(x, y, value, e) of the best point of a ``cells``-point grid on oracle_minimize's box.
 
     The value is the grid's, scaled by ``2**-e``.
     """
@@ -246,7 +246,7 @@ def _coarse(config, cells):
     lo, hi = centers.min(axis=0), centers.max(axis=0)
     pad = float(radii.max()) + 1e-6 * float((hi - lo).max())
     lo, hi = lo - pad, hi + pad
-    e = math.frexp(float(max(hi - lo)))[1]
+    e = max(math.frexp(float(max(hi - lo)))[1], -1023)
     scale = math.ldexp(1.0, -e)
     curve = config.distance_mode is DistanceMode.TO_CURVE
     disks = (centers[:, 0], centers[:, 1], radii * scale, config.weights_array(), curve, scale)
@@ -260,17 +260,17 @@ class TestPinnedPoints:
     @pytest.mark.parametrize("mode", list(DistanceMode))
     def test_on_circle_scene_puts_the_coarse_argmin_on_the_circle(self, mode):
         config = _on_circle(mode)
-        p = oracle_minimize(config, 64, 0)
+        x, y, _, _ = _coarse(config, 64)
         c = config.circles[0]
-        assert np.hypot(p.x - c.center.x, p.y - c.center.y) - c.radius == 0.0
+        assert np.hypot(x - c.center.x, y - c.center.y) - c.radius == 0.0
 
     def test_points_match_pinned(self):
         pinned = json.loads(PINNED.read_text())
         assert sorted(pinned) == sorted(pinned_scenes())
         wrong = [
             name
-            for name, (config, cells, iters) in pinned_scenes().items()
-            if _xy(oracle_minimize(config, cells, iters)) != pinned[name]
+            for name, config in pinned_scenes().items()
+            if _xy(oracle_minimize(config)) != pinned[name]
         ]
         assert wrong == []
 
@@ -409,8 +409,8 @@ if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_oracle.py rewrites the pinned points
     # from the current code
     points = {
-        name: _xy(oracle_minimize(config, cells, iters))
-        for name, (config, cells, iters) in sorted(pinned_scenes().items())
+        name: _xy(oracle_minimize(config))
+        for name, config in sorted(pinned_scenes().items())
     }
     lines = [f"{json.dumps(name)}: {json.dumps(p)}" for name, p in points.items()]
     PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -292,7 +292,7 @@ class TestCli:
         assert names == ["frame_000.svg", "frame_001.svg", "frame_002.svg"]
 
     def test_oracle(self, eq_scene_path, capsys):
-        assert main(["oracle", eq_scene_path, "--grid", "150"]) == 0
+        assert main(["oracle", eq_scene_path]) == 0
         out = capsys.readouterr().out
         gap = float(out.split("disagreement=")[1])
         assert gap < 1e-4
@@ -398,13 +398,13 @@ class TestCli:
         assert main(["verify-geometric", eq_scene_path, "--shifts", shifts]) == 1
         assert capsys.readouterr().out == f"ERROR:invalid_scene:{BAD_SHIFTS[shifts]}\n"
 
-    def test_oracle_bad_grid(self, eq_scene_path, capsys):
-        assert main(["oracle", eq_scene_path, "--grid", "0"]) == 1
-        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
-
-    def test_oracle_bad_refine(self, eq_scene_path, capsys):
-        assert main(["oracle", eq_scene_path, "--refine", "-5"]) == 1
-        assert capsys.readouterr().out.startswith("ERROR:invalid_scene:")
+    @pytest.mark.parametrize("option", ["--grid", "--refine"])
+    def test_oracle_takes_no_grid_options(self, eq_scene_path, option, capsys):
+        # the oracle's grid is fixed, so these are usage errors
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", eq_scene_path, option, "64"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option} 64" in capsys.readouterr().err
 
     def test_evolve_negative_steps(self, pentagon_path, capsys):
         assert main(["evolve", pentagon_path, "--type", "A", "--steps", "-5"]) == 1
@@ -431,7 +431,6 @@ class TestCli:
         [
             ["plasticity", "--total", "-1"],
             ["evolve", "--type", "A", "--steps", "-1"],
-            ["oracle", "--grid", "0"],
             ["verify-geometric", "--shifts", "0,0,0", "--tol", "-1"],
         ],
         ids=lambda argv: argv[0],
