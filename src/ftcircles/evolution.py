@@ -33,12 +33,10 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvalidConfiguration, PreconditionViolated
 from .geometry import Configuration, Point2, pair_distances
 from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
-from .solver import solve
+from .solver import SolveResult, solve
 
 #: Weight changes smaller than this (relative to the total) count as unchanged.
 _CHANGE_EPS = 1e-12
@@ -100,19 +98,48 @@ def _default_schedule(config: Configuration, steps: int) -> list[float]:
 
 def compose_rays(
     w_a: float, dir_a: Sequence[float], w_b: float, dir_b: Sequence[float]
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, tuple[float, float]]:
     """Magnitude and direction of the weighted vector sum of two unit rays.
 
-    Opposite collinear rays give magnitude |w_a - w_b|. The rays cancel
-    when the magnitude is at most 1e-15 of its largest value |w_a| + |w_b|,
-    so the test does not depend on the weight scale; the direction is
-    undefined then and (1, 0) is returned with magnitude 0.
+    Opposite collinear rays give magnitude |w_a - w_b|. The sum is taken on
+    the weights scaled by the power of two of the larger |w|, so it cannot
+    overflow; the magnitude is scaled back, and is inf only when it lies
+    beyond the float range. The rays cancel when the scaled magnitude is at
+    most 1e-15 of its largest value, the sum of the scaled |w|, so the test
+    does not depend on the weight scale; the direction is undefined then
+    and (1, 0) is returned with magnitude 0. Raises InvalidConfiguration,
+    naming the argument, on a weight that is not a finite number or a
+    direction that is not a pair of them.
     """
-    v = float(w_a) * np.asarray(dir_a, float) + float(w_b) * np.asarray(dir_b, float)
-    m = float(np.linalg.norm(v))
-    if m <= 1e-15 * (abs(float(w_a)) + abs(float(w_b))):
-        return 0.0, np.array([1.0, 0.0])
-    return m, v / m
+    for name, w in (("w_a", w_a), ("w_b", w_b)):
+        if not _is_finite(w):
+            raise InvalidConfiguration(f"{name} must be a finite number, got {w!r}")
+    for name, d in (("dir_a", dir_a), ("dir_b", dir_b)):
+        try:
+            fits = len(d) == 2 and all(map(_is_finite, d))
+        except TypeError:  # no length
+            fits = False
+        if not fits:
+            raise InvalidConfiguration(f"{name} must be a pair of finite numbers, got {d!r}")
+    e = math.frexp(max(abs(w_a), abs(w_b)))[1]
+    a, b = math.ldexp(w_a, -e), math.ldexp(w_b, -e)
+    x = a * dir_a[0] + b * dir_b[0]
+    y = a * dir_a[1] + b * dir_b[1]
+    m = math.hypot(x, y)
+    if m <= 1e-15 * (abs(a) + abs(b)):
+        return 0.0, (1.0, 0.0)
+    u = (x / m, y / m)
+    try:
+        return math.ldexp(m, e), u
+    except OverflowError:  # the magnitude lies beyond the float range
+        return math.inf, u
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        return False
 
 
 def _checked_schedule(values: Iterable, pairs: bool) -> list:
@@ -135,15 +162,14 @@ def _checked_schedule(values: Iterable, pairs: bool) -> list:
     return checked
 
 
-def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
-    """Solve, check the pentagon preconditions, return point, ray layout, unit rays."""
+def _prepare(config: Configuration) -> tuple[SolveResult, SectorAngles]:
+    """Solve, check the pentagon preconditions, return the solution and its ray layout."""
     if config.n != 5:
         raise PreconditionViolated(f"evolution is defined for 5 circles, got {config.n}")
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("evolution requires a floating instance")
     layout = SectorAngles.from_result(base)
-    rays = np.column_stack([np.cos(layout.azimuths), np.sin(layout.azimuths)])
     # growing branches (labels 3, 4) must lie in the sector from ray 2 to
     # ray 0 that avoids ray 1, i.e. the input labels run around the point
     if not layout.label_orientation():
@@ -152,7 +178,7 @@ def _prepare(config: Configuration) -> tuple[Point2, SectorAngles, np.ndarray]:
         raise PreconditionViolated(
             f"circle labels must run around the point in order, got cycle {order[k:] + order[:k]}"
         )
-    return base.point, layout, rays
+    return base, layout
 
 
 def _evolve(
@@ -251,7 +277,7 @@ def evolve_type_a(
     """
     if increments is not None:
         increments = _checked_schedule(increments, pairs=True)
-    point, layout, _ = _prepare(config)
+    base, layout = _prepare(config)
     if increments is None:
         increments = [(d, d) for d in _default_schedule(config, steps)]
     r = list(config.weights)
@@ -261,7 +287,7 @@ def evolve_type_a(
         ((d3, d4), coeffs, labels, f"branches 3,4 +({d3:.6g},{d4:.6g})")
         for d3, d4 in increments
     )
-    return _evolve(EvolutionType.TYPE_A, config, point, scale, r, labels, [1.0] * 5, moves)
+    return _evolve(EvolutionType.TYPE_A, config, base.point, scale, r, labels, [1.0] * 5, moves)
 
 
 def evolve_type_b(
@@ -281,26 +307,35 @@ def evolve_type_b(
     """
     if schedule is not None:
         schedule = _checked_schedule(schedule, pairs=False)
-    point, layout, rays = _prepare(config)
+    base, _ = _prepare(config)
     if schedule is None:
         schedule = _default_schedule(config, steps)
     w = config.weights
-    m, u_c = compose_rays(w[3], rays[3], w[4], rays[4])
+    az = base.ray_azimuths
+    x3, y3 = math.cos(az[3]), math.sin(az[3])
+    x4, y4 = math.cos(az[4]), math.sin(az[4])
+    m, (ux, uy) = compose_rays(w[3], (x3, y3), w[4], (x4, y4))
     if m <= 0.0:
         raise PreconditionViolated("rays 3 and 4 cancel exactly; composite undefined")
-    # fixed split of the composite magnitude back onto rays 3 and 4
-    split = np.linalg.solve(np.column_stack([rays[3], rays[4]]), u_c)
-    if np.any(split <= 0.0):
+    # fixed split of the composite magnitude back onto rays 3 and 4: the
+    # solution s of s3 * ray3 + s4 * ray4 = u by Cramer's rule
+    det = x3 * y4 - x4 * y3
+    if det == 0.0:
+        raise PreconditionViolated("rays 3 and 4 are collinear; composite split undefined")
+    split = [(ux * y4 - x4 * uy) / det, (x3 * uy - ux * y3) / det]
+    if min(split) <= 0.0:
         raise PreconditionViolated("composite direction leaves the cone of rays 3 and 4")
 
     r = [w[0], w[1], w[2], m]
     total = reduce(add, r)
     # reduced rays: 0, 1, 2 and the composite as 3; triangle labels first
-    azimuths = np.append(layout.azimuths[:3], math.atan2(u_c[1], u_c[0]))
+    azimuths = [*az[:3], math.atan2(uy, ux)]
     grow_c, grow_1 = [0, 1, 2, 3], [0, 3, 2, 1]
     coeffs_c, coeffs_1 = (
         transfer_coefficients(
-            TriangleRatios.from_angles(SectorAngles(azimuths[labels])), n=4, total=total
+            TriangleRatios.from_angles(SectorAngles([azimuths[i] for i in labels])),
+            n=4,
+            total=total,
         )
         for labels in (grow_c, grow_1)
     )
@@ -310,7 +345,7 @@ def evolve_type_b(
         else ((d,), coeffs_1, grow_1, f"branch 1 +{d:.6g}")
         for k, d in enumerate(schedule)
     )
-    factor = [1.0, 1.0, 1.0, *split.tolist()]
+    factor = [1.0, 1.0, 1.0, *split]
     return _evolve(
-        EvolutionType.TYPE_B, config, point, scale, r, [0, 1, 2, 3, 3], factor, moves
+        EvolutionType.TYPE_B, config, base.point, scale, r, [0, 1, 2, 3, 3], factor, moves
     )

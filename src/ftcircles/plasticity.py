@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,24 +61,30 @@ class SectorAngles:
     (:meth:`from_result`, :meth:`from_points`).
     """
 
-    __slots__ = ("n", "azimuths", "_order", "_sectors")
+    __slots__ = ("n", "azimuths", "_az", "_order", "_sectors")
 
     def __init__(self, azimuths: Sequence[float]):
-        az = np.asarray(azimuths, dtype=float)
-        if az.ndim != 1 or az.size < 3:
+        try:
+            az = [float(a) for a in azimuths]
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfiguration(
+                f"ray azimuths must be a sequence of numbers, got {azimuths!r}"
+            ) from None
+        if len(az) < 3:
             raise InvalidConfiguration("need at least 3 ray azimuths")
-        if not np.isfinite(az).all():
-            raise InvalidConfiguration(f"ray azimuths must be finite, got {az.tolist()}")
+        if not all(map(math.isfinite, az)):
+            raise InvalidConfiguration(f"ray azimuths must be finite, got {az}")
         self._set(az, *sectors_of(az))
 
-    def _set(self, az: np.ndarray, order: tuple[int, ...], sectors: tuple[float, ...]) -> None:
+    def _set(self, az: list[float], order: tuple[int, ...], sectors: tuple[float, ...]) -> None:
         """Hold the rays ``az`` with their cyclic order and sectors from ``sectors_of``."""
-        k = int(np.argmin(sectors))
+        k = min(range(len(sectors)), key=sectors.__getitem__)  # the first minimum
         if sectors[k] < 1e-9:
             i, j = sorted((order[k], order[(k + 1) % len(order)]))
             raise InvalidConfiguration(f"rays {i} and {j} coincide")
-        self.n = int(az.size)
-        self.azimuths = az
+        self.n = len(az)
+        self.azimuths = np.array(az)
+        self._az = az
         self._order = order
         self._sectors = sectors
 
@@ -86,9 +94,7 @@ class SectorAngles:
         if not result.case.is_floating:
             raise PreconditionViolated("sector angles require a floating solution")
         layout = cls.__new__(cls)
-        layout._set(
-            np.asarray(result.ray_azimuths, dtype=float), result.sector_order, result.sector_angles
-        )
+        layout._set(list(result.ray_azimuths), result.sector_order, result.sector_angles)
         return layout
 
     @classmethod
@@ -139,7 +145,7 @@ class TriangleRatios:
         n = angles.n
         if n < 4:
             raise InvalidConfiguration("triangle ratios need n >= 4 rays")
-        az = angles.azimuths.tolist()
+        az = angles._az
 
         def s(i: int, j: int) -> float:
             """sin of the signed rotation from ray i to ray j."""
@@ -170,14 +176,26 @@ class PlasticityCoefficients:
     a: np.ndarray
     const: np.ndarray
 
-    def triangle_weights(self, free_weights: Sequence[float]) -> list[float]:
-        """The first three weights for the n - 3 free weights, as floats.
+    _rows: list[list[float]] = field(init=False, repr=False, compare=False)
+    _const: list[float] = field(init=False, repr=False, compare=False)
 
-        The sums ``a @ free + const`` round as numpy's array arithmetic does;
-        only the product is a numpy call, because its matrix-vector kernel
-        may fuse multiply-adds that a float sum would round differently.
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", np.asarray(self.a, dtype=float).tolist())
+        object.__setattr__(self, "_const", np.asarray(self.const, dtype=float).tolist())
+
+    def triangle_weights(self, free_weights: Sequence[float]) -> list[float]:
+        """The first three weights ``a @ free + const`` for the n - 3 free weights.
+
+        Each is a float sum in index order, ``a[i, 0] * free[0] + ... +
+        const[i]``, so it rounds the same under every BLAS kernel.
         """
-        return [x + c for x, c in zip((self.a @ free_weights).tolist(), self.const.tolist())]
+        if len(free_weights) != self.n - 3:
+            raise InvalidConfiguration(
+                f"expected {self.n - 3} free weights, got {len(free_weights)}"
+            )
+        return [
+            reduce(add, map(mul, row, free_weights)) + c for row, c in zip(self._rows, self._const)
+        ]
 
     def apply(self, free_weights: Sequence[float]) -> np.ndarray:
         """Full weight vector for the given free weights."""
@@ -186,7 +204,7 @@ class PlasticityCoefficients:
             raise InvalidConfiguration(
                 f"expected {self.n - 3} free weights, got {free.shape}"
             )
-        return np.concatenate([self.triangle_weights(free), free])
+        return np.concatenate([self.triangle_weights(free.tolist()), free])
 
 
 def transfer_coefficients(
@@ -308,6 +326,27 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     return max(b1, b2, b4, b2 + b3, b3 + b4) < math.pi - _MIN_SINE
 
 
+def _column(values, n: int, name: str, plural: str, expected: str, valid) -> list[float]:
+    """The n ``values`` as floats; ShiftedConfigInvalid names a wrong count or the first bad value."""
+    try:
+        values = list(values)
+    except TypeError:  # not iterable
+        raise ShiftedConfigInvalid(f"expected {n} {plural}, got {values!r}") from None
+    if len(values) != n:
+        raise ShiftedConfigInvalid(f"expected {n} {plural}, got {len(values)}")
+    column = []
+    for i, value in enumerate(values):
+        try:
+            x = float(value)
+            fits = valid(x)
+        except (TypeError, ValueError, OverflowError):
+            fits = False
+        if not fits:
+            raise ShiftedConfigInvalid(f"{name} {i} must be {expected}, got {value!r}")
+        column.append(x)
+    return column
+
+
 def shifted_configuration(
     config: Configuration,
     radial_shifts: Sequence[float],
@@ -318,35 +357,32 @@ def shifted_configuration(
     The point is that of ``solve(config)``, the stored result once the
     configuration has been solved; PreconditionViolated is raised when it
     is absorbed. Positive shifts move centers away from the point. Raises
-    ShiftedConfigInvalid when the shifts or ``new_radii`` are not n values,
-    when a shift is not finite, or when the result overlaps, loses the
+    ShiftedConfigInvalid, before any solve, when the shifts or ``new_radii``
+    are not n values, when a shift is not finite or a radius not positive
+    and finite (naming its index), and when the result overlaps, loses the
     floating condition, or swallows the base point into a disk. The
     floating check solves the shifted configuration, so errors of ``solve``
     pass through and a later ``solve(shifted)`` returns the stored result.
     """
-    shifts = np.asarray(radial_shifts, dtype=float)
-    if shifts.shape != (config.n,):
-        raise ShiftedConfigInvalid(f"expected {config.n} shifts, got {shifts.shape}")
-    if not np.isfinite(shifts).all():
-        raise ShiftedConfigInvalid(f"shifts must be finite, got {shifts.tolist()}")
-    radii = config.radii_array() if new_radii is None else np.asarray(new_radii, float)
-    if radii.shape != (config.n,):
-        raise ShiftedConfigInvalid(f"expected {config.n} radii, got {radii.shape}")
+    shifts = _column(radial_shifts, config.n, "shift", "shifts", "finite", math.isfinite)
+    radii = config.radii if new_radii is None else _column(
+        new_radii, config.n, "radius", "radii", "positive and finite",
+        lambda r: math.isfinite(r) and r > 0.0,
+    )
     base = solve(config)
     if not base.case.is_floating:
         raise PreconditionViolated("geometric plasticity requires a floating instance")
-    p = base.point.as_array()
+    px, py = base.point.x, base.point.y
     circles = []
-    for i, c in enumerate(config.circles):
-        v = c.center.as_array() - p
-        dist = float(np.linalg.norm(v))
-        new_dist = dist + shifts[i]
-        if new_dist <= radii[i]:
+    for i, (x, y, shift, r) in enumerate(zip(config.xs, config.ys, shifts, radii)):
+        dx, dy = x - px, y - py
+        dist = math.hypot(dx, dy)
+        new_dist = dist + shift
+        if new_dist <= r:
             raise ShiftedConfigInvalid(
                 f"shift {i} places the solution point inside or on the disk"
             )
-        center = p + (v / dist) * new_dist
-        circles.append(Circle(Point2.from_array(center), float(radii[i])))
+        circles.append(Circle(Point2(px + dx / dist * new_dist, py + dy / dist * new_dist), r))
     try:
         shifted = replace(config, circles=tuple(circles))
     except InvalidConfiguration as exc:

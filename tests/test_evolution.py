@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from ftcircles.scene import load_scene
 
 from conftest import assert_close
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
+
 PINNED = Path(__file__).with_name("evolution_traces.json")
 DEMO_PENTAGON = Path(__file__).resolve().parents[1] / "demos" / "scenes" / "pentagon.json"
 
@@ -50,6 +54,34 @@ class TestComposeRays:
         m, d = compose_rays(1.0, [1.0, 0.0], 1.0, [0.0, 1.0])
         assert m == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert_close(d, [math.sqrt(0.5), math.sqrt(0.5)], 1e-15, "bisector")
+
+    def test_huge_weights_do_not_cancel(self):
+        # 1e-15 * (|w_a| + |w_b|) overflows to inf at these weights
+        m, d = compose_rays(1e308, [1.0, 0.0], 1e308, [1.0, 0.0])
+        assert m == math.inf and d == (1.0, 0.0)
+        c, s = 0.5, math.sqrt(0.75)
+        assert compose_rays(1e308, [c, s], 1e308, [c, -s]) == (1e308, (1.0, 0.0))
+
+    def test_subnormal_weights_do_not_cancel(self):
+        assert compose_rays(1e-310, [1.0, 0.0], 1e-310, [1.0, 0.0]) == (2e-310, (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((1.0, [1.0, 0.0, 0.0], 1.0, [0.0, 1.0]), "dir_a"),
+            ((1.0, [1.0, 0.0], 1.0, [0.0]), "dir_b"),
+            ((1.0, [1.0, math.nan], 1.0, [0.0, 1.0]), "dir_a"),
+            ((1.0, 1.0, 1.0, [0.0, 1.0]), "dir_a"),
+            ((math.nan, [1.0, 0.0], 1.0, [0.0, 1.0]), "w_a"),
+            ((1.0, [1.0, 0.0], math.nan, [0.0, 1.0]), "w_b"),
+            ((1.0, [1.0, 0.0], -math.inf, [0.0, 1.0]), "w_b"),
+            (("1", [1.0, 0.0], 1.0, [0.0, 1.0]), "w_a"),
+        ],
+        ids=["3d", "1d", "nan-dir", "scalar-dir", "nan-w_a", "nan-w_b", "inf-w_b", "text-w_a"],
+    )
+    def test_bad_arguments_rejected(self, args, name):
+        with pytest.raises(InvalidConfiguration, match=f"^{name} must be"):
+            compose_rays(*args)
 
 
 class TestTypeA:
@@ -212,6 +244,37 @@ class TestTypeB:
             frame = Configuration(pentagon.circles, s.weights)
             result = solve(frame)
             assert result.point.distance_to(trace.point) < 1e-8
+
+    def test_split_matches_a_linear_solve(self, monkeypatch):
+        # the composite's split onto rays 3 and 4, by Cramer's rule, agrees
+        # with LAPACK's solve of the same 2x2 system to 4 ulp
+        import ftcircles.evolution as evolution
+
+        factors = []
+        evolve = evolution._evolve
+
+        def recording(*args):
+            factors.append(args[6])
+            return evolve(*args)
+
+        monkeypatch.setattr(evolution, "_evolve", recording)
+        pentagons = [
+            scene.configuration()
+            for seed in (1, 2, 3)
+            for scene in WORKLOADS["small-n"].make(seed)
+            if scene.kind == "pentagon"
+        ]
+        assert len(pentagons) == 96
+        for config in pentagons:
+            evolve_type_b(config, steps=0)
+            az = solve(config).ray_azimuths
+            rays = np.array([np.cos(az[3:]), np.sin(az[3:])])
+            _, u = compose_rays(config.weights[3], rays[:, 0], config.weights[4], rays[:, 1])
+            reference = np.linalg.solve(rays, u).tolist()
+            split = factors.pop()[3:]
+            assert len(split) == 2 and min(split) > 0.0
+            for s, ref in zip(split, reference):
+                assert abs(s - ref) <= 4 * math.ulp(ref), (split, reference)
 
 
 def trace_record(trace):

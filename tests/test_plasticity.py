@@ -94,6 +94,15 @@ class TestSectorAngles:
         with pytest.raises(InvalidConfiguration, match="finite"):
             SectorAngles([bad, 0.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "azimuths, pair",
+        [([0.0, 1e-10, 2e-10, 3.0], "0 and 1"), ([2e-10, 3.0, 0.0, 1e-10], "2 and 3")],
+    )
+    def test_equal_smallest_sectors_name_the_first(self, azimuths, pair):
+        # two sectors of exactly 1e-10: the first in cyclic order is named
+        with pytest.raises(InvalidConfiguration, match=f"^rays {pair} coincide$"):
+            SectorAngles(azimuths)
+
 
 class TestCosineSystem:
     def test_square_symmetric(self):
@@ -207,6 +216,16 @@ class TestTransferCoefficients:
             TriangleRatios.from_angles(angles), n=5, total=float(w.sum())
         )
         assert_close(coeffs.apply(w[3:]), w, 1e-8, "n=5 transfer")
+
+    def test_triangle_weights_are_the_affine_map(self):
+        # a float sum per row, within rounding of numpy's a @ free + const
+        _, angles = solved_angles(5, seed=6)
+        coeffs = transfer_coefficients(TriangleRatios.from_angles(angles), n=5, total=3.0)
+        free = [0.7, 1.3]
+        assert_close(coeffs.triangle_weights(free), coeffs.a @ free + coeffs.const, 1e-15, "sums")
+        for bad in ([0.7], [0.7, 1.3, 0.1]):
+            with pytest.raises(InvalidConfiguration, match="expected 2 free weights"):
+                coeffs.triangle_weights(bad)
 
     def test_columns_sum_to_minus_one(self):
         _, angles = solved_angles(5, seed=10)
@@ -339,16 +358,34 @@ class TestGeometricPlasticity:
         with pytest.raises(ShiftedConfigInvalid):
             shifted_configuration(config, [-(gap - 0.5 * config.circles[0].radius), 0, 0, 0])
 
-    @pytest.mark.parametrize(
-        "new_radii, shape",
-        [([0.01] * 3, "(3,)"), ([0.01] * 5, "(5,)"), ([[0.01]] * 4, "(4, 1)")],
-        ids=["short", "long", "nested"],
-    )
-    def test_wrong_radius_count_rejected(self, new_radii, shape):
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_wrong_radius_count_rejected(self, count):
         config = random_floating_config(4, seed=14)
         with pytest.raises(ShiftedConfigInvalid) as info:
-            shifted_configuration(config, [0.0] * 4, new_radii=new_radii)
-        assert str(info.value) == f"expected 4 radii, got {shape}"
+            shifted_configuration(config, [0.0] * 4, new_radii=[0.01] * count)
+        assert str(info.value) == f"expected 4 radii, got {count}"
+
+    @pytest.mark.parametrize(
+        "index, bad",
+        [(0, [0.01]), (1, math.nan), (2, 0.0), (1, -0.01), (0, math.inf), (2, "x")],
+        ids=["nested", "nan", "zero", "negative", "inf", "text"],
+    )
+    def test_bad_radius_rejected(self, index, bad):
+        # checked before any circle is built or any solve: the absorbed
+        # triangle would raise PreconditionViolated once solved
+        config = Configuration(
+            (
+                Circle(Point2(0, 0), 0.1),
+                Circle(Point2(3, 0.2), 0.1),
+                Circle(Point2(1.2, 2.6), 0.1),
+            ),
+            (10.0, 1.0, 1.0),
+        )
+        new_radii = [0.01] * 3
+        new_radii[index] = bad
+        with pytest.raises(ShiftedConfigInvalid) as info:
+            shifted_configuration(config, [0.0] * 3, new_radii=new_radii)
+        assert str(info.value) == f"radius {index} must be positive and finite, got {bad!r}"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_shift_rejected(self, bad):
