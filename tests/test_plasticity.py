@@ -358,7 +358,7 @@ class TestGeometricPlasticity:
         with pytest.raises(ShiftedConfigInvalid):
             shifted_configuration(config, [-(gap - 0.5 * config.circles[0].radius), 0, 0, 0])
 
-    @pytest.mark.parametrize("count", [3, 5])
+    @pytest.mark.parametrize("count", [3, 5], ids=["short", "long"])
     def test_wrong_radius_count_rejected(self, count):
         config = random_floating_config(4, seed=14)
         with pytest.raises(ShiftedConfigInvalid) as info:
