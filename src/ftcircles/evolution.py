@@ -92,7 +92,7 @@ class EvolutionTrace:
 
 def _default_schedule(config: Configuration, steps: int) -> list[float]:
     """Geometrically decaying increments: 0.01 * total * 0.9**k."""
-    total = sum(config.weights)
+    total = reduce(add, config.weights)  # in index order: ``sum`` compensates from Python 3.12
     return [0.01 * total * 0.9**k for k in range(steps)]
 
 

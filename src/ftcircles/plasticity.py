@@ -288,20 +288,30 @@ def plasticity_n(
     The free ratios run over rays 4..n (0-based labels 3..n-1). The weight
     scale is fixed by the constant total. The four-ray statement also needs
     the interior/exterior triangle hypotheses; callers check them with
-    :func:`plasticity4_preconditions`.
+    :func:`plasticity4_preconditions`. Raises InvalidConfiguration on a
+    wrong number of free ratios, on a ratio that is not a finite number
+    (naming its index) and on a total that is not one.
     """
-    n = angles.n
-    free = np.asarray(free_ratios, dtype=float)
-    if free.shape != (n - 3,):
-        raise InvalidConfiguration(f"expected {n - 3} free ratios, got {free.shape}")
+    free = _column(
+        InvalidConfiguration, free_ratios, angles.n - 3, "free ratio", "free ratios", "finite",
+        math.isfinite,
+    )
+    try:
+        scale = float(total)
+        fits = math.isfinite(scale)
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits:
+        raise InvalidConfiguration(f"total must be finite, got {total!r}")
     ratios = TriangleRatios.from_angles(angles)
-    w2r = ratios.r2 * (1.0 - sum(free[k] * ratios.q3[3 + k] for k in range(n - 3)))
-    w3r = ratios.r3 * (1.0 - sum(free[k] * ratios.q2[3 + k] for k in range(n - 3)))
-    den = 1.0 + w2r + w3r + float(free.sum())
+    # float sums in index order, so they round the same under every Python
+    w2r = ratios.r2 * (1.0 - reduce(add, map(mul, free, ratios.q3.values())))
+    w3r = ratios.r3 * (1.0 - reduce(add, map(mul, free, ratios.q2.values())))
+    den = 1.0 + w2r + w3r + reduce(add, free)
     if abs(den) < _MIN_SINE:
         raise SingularSystem("weight ratios sum to zero; no finite scale exists")
-    w1 = total / den
-    return np.concatenate([[w1, w1 * w2r, w1 * w3r], w1 * free])
+    w1 = scale / den
+    return np.array([w1, w1 * w2r, w1 * w3r] + [w1 * f for f in free])
 
 
 def plasticity4_preconditions(angles: SectorAngles) -> bool:
@@ -326,14 +336,14 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     return max(b1, b2, b4, b2 + b3, b3 + b4) < math.pi - _MIN_SINE
 
 
-def _column(values, n: int, name: str, plural: str, expected: str, valid) -> list[float]:
-    """The n ``values`` as floats; ShiftedConfigInvalid names a wrong count or the first bad value."""
+def _column(error, values, n: int, name: str, plural: str, expected: str, valid) -> list[float]:
+    """The n ``values`` as floats; ``error`` names a wrong count or the first bad value."""
     try:
         values = list(values)
     except TypeError:  # not iterable
-        raise ShiftedConfigInvalid(f"expected {n} {plural}, got {values!r}") from None
+        raise error(f"expected {n} {plural}, got {values!r}") from None
     if len(values) != n:
-        raise ShiftedConfigInvalid(f"expected {n} {plural}, got {len(values)}")
+        raise error(f"expected {n} {plural}, got {len(values)}")
     column = []
     for i, value in enumerate(values):
         try:
@@ -342,7 +352,7 @@ def _column(values, n: int, name: str, plural: str, expected: str, valid) -> lis
         except (TypeError, ValueError, OverflowError):
             fits = False
         if not fits:
-            raise ShiftedConfigInvalid(f"{name} {i} must be {expected}, got {value!r}")
+            raise error(f"{name} {i} must be {expected}, got {value!r}")
         column.append(x)
     return column
 
@@ -364,9 +374,11 @@ def shifted_configuration(
     floating check solves the shifted configuration, so errors of ``solve``
     pass through and a later ``solve(shifted)`` returns the stored result.
     """
-    shifts = _column(radial_shifts, config.n, "shift", "shifts", "finite", math.isfinite)
+    shifts = _column(
+        ShiftedConfigInvalid, radial_shifts, config.n, "shift", "shifts", "finite", math.isfinite
+    )
     radii = config.radii if new_radii is None else _column(
-        new_radii, config.n, "radius", "radii", "positive and finite",
+        ShiftedConfigInvalid, new_radii, config.n, "radius", "radii", "positive and finite",
         lambda r: math.isfinite(r) and r > 0.0,
     )
     base = solve(config)

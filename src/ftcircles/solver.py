@@ -335,6 +335,9 @@ class _Arrays:
         sq = diff * diff
         d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
         d[m] = np.inf  # center m's own term becomes 0
+        tiny = d == 0.0
+        if tiny.any():  # the squares underflow to 0 on a tiny scene
+            d[tiny] = np.hypot(diff[tiny, 0], diff[tiny, 1])
         pull = (self.weights[:, None] * diff / d[:, None]).sum(axis=0)
         return pull, float(np.linalg.norm(pull))
 
@@ -343,18 +346,25 @@ class _Floats:
     """``_Arrays`` on Python floats, for n < ``_SMALL_N``.
 
     It reads the configuration's float columns, which hold the values of
-    its arrays. ``here`` is the lists ``dx, dy, d`` of ``centers - point``
-    and their lengths. Each sum adds its terms in index order with ``+=``,
-    several sums to a pass (``sum`` on floats rounds differently from
-    Python 3.12 on). The pull is summed in the same order and to the same
-    bits as on arrays; its norm is ``math.hypot``'s, which can differ from
-    ``np.linalg.norm``'s in the last bit.
+    its arrays, as ``rows`` of weight and center. ``at`` walks them once:
+    per center it takes ``center - point`` and its ``math.hypot`` length,
+    adds to the objective, keeps the first nearest center (as
+    ``d.index(min(d))``) and adds the gradient and Hessian terms; ``here``
+    is that gradient with the point, and the Weiszfeld and Vardi-Zhang
+    steps take their distances again from the point. A center at distance
+    0 adds no gradient term: the loop reads no gradient on a center. Each
+    sum adds its terms in index order with ``+=`` (``sum`` on floats
+    rounds differently from Python 3.12 on). The pull is summed in the
+    same order and to the same bits as on arrays; its norm is
+    ``math.hypot``'s, which can differ from ``np.linalg.norm``'s in the
+    last bit.
     """
 
-    __slots__ = ("xs", "ys", "weights")
+    __slots__ = ("xs", "ys", "weights", "rows")
 
     def __init__(self, config: Configuration):
         self.xs, self.ys, self.weights = config.xs, config.ys, config.weights
+        self.rows = tuple(zip(self.weights, self.xs, self.ys))
 
     def center(self, m):
         return self.xs[m], self.ys[m]
@@ -364,61 +374,64 @@ class _Floats:
 
     def centroid(self):
         wsum = px = py = 0.0
-        for w, x, y in zip(self.weights, self.xs, self.ys):
+        for w, x, y in self.rows:
             wsum += w
             px += w * x
             py += w * y
         return px / wsum, py / wsum
 
     def at(self, x, y):
-        dx = [a - x for a in self.xs]
-        dy = [b - y for b in self.ys]
-        d = list(map(math.hypot, dx, dy))
-        f = 0.0
-        for w, di in zip(self.weights, d):
+        hypot = math.hypot
+        f = gx = gy = h_xx = h_yy = h_xy = 0.0
+        hit, d_hit = 0, math.inf
+        for i, (w, a, b) in enumerate(self.rows):
+            a -= x
+            b -= y
+            di = hypot(a, b)
             f += w * di
-        d_hit = min(d)
-        return f, d.index(d_hit), d_hit, (dx, dy, d)
+            if di < d_hit:
+                hit, d_hit = i, di
+            if di:
+                ex, ey, k = a / di, b / di, w / di
+                gx += w * ex
+                gy += w * ey
+                h_xx += k * (1.0 - ex * ex)
+                h_yy += k * (1.0 - ey * ey)
+                h_xy += k * (ex * ey)
+        return f, hit, d_hit, ((-gx, -gy, h_xx, h_yy, -h_xy), x, y)
 
     def gradient(self, here):
-        # the gradient and the Hessian's three entries in one pass
-        dx, dy, d = here
-        gx = gy = h_xx = h_yy = h_xy = 0.0
-        for w, a, b, di in zip(self.weights, dx, dy, d):
-            ex, ey, k = a / di, b / di, w / di
-            gx += w * ex
-            gy += w * ey
-            h_xx += k * (1.0 - ex * ex)
-            h_yy += k * (1.0 - ey * ey)
-            h_xy += k * (ex * ey)
-        return -gx, -gy, h_xx, h_yy, -h_xy
+        """The gradient and the Hessian's entries ``h_xx, h_yy, h_xy``."""
+        return here[0]
 
     def weiszfeld(self, here):
+        _, px, py = here
         inv = nx = ny = 0.0
-        for w, di, x, y in zip(self.weights, here[2], self.xs, self.ys):
-            k = w / di
+        for w, x, y in self.rows:
+            k = w / math.hypot(x - px, y - py)
             inv += k
             nx += k * x
             ny += k * y
         return nx / inv, ny / inv
 
     def vardi_zhang(self, here, hit, pull, pull_norm):
+        _, px, py = here
         inv = 0.0
-        for j, (w, di) in enumerate(zip(self.weights, here[2])):
+        for j, (w, x, y) in enumerate(self.rows):
             if j != hit:
-                inv += w / di
+                inv += w / math.hypot(x - px, y - py)
         scale = 1.0 - self.weights[hit] / pull_norm
         ux, uy = pull
         return self.xs[hit] + scale * ux / inv, self.ys[hit] + scale * uy / inv
 
     def pull(self, m):
-        xs, ys = self.xs, self.ys
-        ax, ay = xs[m], ys[m]
+        ax, ay = self.xs[m], self.ys[m]
         px = py = 0.0
-        for j, (x, y, w) in enumerate(zip(xs, ys, self.weights)):
+        for j, (w, x, y) in enumerate(self.rows):
             if j != m:
                 dx, dy = x - ax, y - ay
-                dj = math.sqrt(dx * dx + dy * dy)
+                # hypot where the squares underflow to 0, on a tiny scene
+                dj = math.sqrt(dx * dx + dy * dy) or math.hypot(dx, dy)
                 px += w * dx / dj
                 py += w * dy / dj
         return (px, py), math.hypot(px, py)

@@ -3,7 +3,8 @@
 import json
 import math
 import sys
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from ftcircles import (
     regular_polygon_config,
     solve,
 )
+from ftcircles.evolution import _default_schedule
 from ftcircles.geometry import first_touching_pair
 from ftcircles.scene import load_scene
 
@@ -366,6 +368,16 @@ def test_bad_scale_rejected(pentagon, evolve, scale):
 def test_bad_schedule_rejected(pentagon, evolve, schedule):
     with pytest.raises(InvalidConfiguration, match="schedule entry"):
         evolve(pentagon, **schedule)
+
+
+def test_default_schedule_adds_the_weights_in_order(pentagon):
+    # in index order each 1e-16 rounds away; a compensated sum (math.fsum,
+    # and sum on floats from Python 3.12 on) keeps them
+    weights = (1.0, 1e-16, 1e-16, 1e-16, 1e-16)
+    in_order = reduce(add, weights)
+    assert math.fsum(weights) != in_order
+    schedule = _default_schedule(Configuration(pentagon.circles, weights), 3)
+    assert schedule == [0.01 * in_order * 0.9**k for k in range(3)]
 
 
 @pytest.mark.parametrize("weight_scale", [1e-20, 1e-16, 1.0])

@@ -284,6 +284,25 @@ class TestPlasticityN:
         out = plasticity_n(angles, list(w[3:] / w[0]), total=float(w.sum()))
         assert_close(out, w, 1e-7, "n=6 recovery")
 
+    @pytest.mark.parametrize("free", [[0.5], [0.5, 0.5, 0.5], 0.5])
+    def test_wrong_free_ratio_count_rejected(self, free):
+        _, angles = solved_angles(5, seed=5)
+        with pytest.raises(InvalidConfiguration, match="expected 2 free ratios"):
+            plasticity_n(angles, free)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, [0.5]])
+    def test_bad_free_ratio_rejected(self, bad):
+        # NaN and inf used to give all-NaN weights, text a bare ValueError
+        _, angles = solved_angles(5, seed=5)
+        with pytest.raises(InvalidConfiguration, match="free ratio 1 must be finite"):
+            plasticity_n(angles, [0.5, bad])
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, "a", None])
+    def test_bad_total_rejected(self, total):
+        _, angles = solved_angles(5, seed=5)
+        with pytest.raises(InvalidConfiguration, match="total must be finite"):
+            plasticity_n(angles, [0.5, 0.5], total=total)
+
 
 class TestResidualSystems:
     def test_closed_form_angles_satisfy_cosine_system(self):

@@ -504,6 +504,35 @@ class TestFloatingSolve:
             steps = re.search(r"after (\d+) steps", str(info.value))
             assert steps is not None and int(steps.group(1)) <= 50
 
+    @pytest.mark.parametrize(
+        "scene, scales",
+        [
+            # the pull's squares underflow to 0: a bare ZeroDivisionError on
+            # floats, and NaN pulls for the whole budget on arrays
+            ("triangle", [10.0**-e for e in range(165, 310, 5)]),
+            ("polygon-32", [1e-170, 1e-200, 1e-300]),
+        ],
+    )
+    def test_tiny_scene_fails_fast_or_solves(self, scene, scales, monkeypatch):
+        if scene == "triangle":
+            centers, radius, weights = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)), 0.1, (1.0,) * 3
+        else:
+            base = regular_polygon_config(32, circumradius=32.0)
+            centers, radius, weights = zip(base.xs, base.ys), base.radii[0], base.weights
+        centers = tuple(centers)
+        for _ in each_loop(monkeypatch):
+            for s in scales:
+                config = Configuration(
+                    tuple(Circle(Point2(x * s, y * s), radius * s) for x, y in centers), weights
+                )
+                try:
+                    solve(config)
+                except NonConvergence as error:
+                    steps = re.search(r"after (\d+) steps", str(error))
+                    assert steps is not None and int(steps.group(1)) <= 50, (s, str(error))
+                except FTCirclesError:
+                    pass
+
 
 @functools.cache
 def _loop_scenes():
