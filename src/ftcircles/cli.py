@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FTCirclesError, NonConvergence, PreconditionViolated, SceneError
+from .errors import checked_number, checked_numbers
 from .evolution import EvolutionTrace, evolve_type_a, evolve_type_b
 from .geometry import Circle, DistanceMode, project_onto_circle, sine_residuals
 from .inverse import AngleTriple, weights_from_angles
@@ -141,14 +142,9 @@ def _cmd_inverse(args, config, point) -> int:
     return 0
 
 
-def _positive(value: float, option: str) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise SceneError(f"{option} must be finite and > 0, got {value}")
-
-
 def _cmd_plasticity(args, config, point) -> int:
     if args.total is not None:
-        _positive(args.total, "--total")
+        checked_number(args.total, "--total", SceneError, positive=True)
     result = solve(config)
     angles = SectorAngles.from_result(result)
     n = config.n
@@ -192,9 +188,7 @@ def _parse_free(expr: str, n: int) -> list[float]:
             raise SceneError(f"bad --free key {key!r}: the free weights are w4..w{n}")
         if label in values:
             raise SceneError(f"--free repeats w{label}")
-        if not math.isfinite(value):
-            raise SceneError(f"bad --free entry {part!r}: not finite")
-        values[label] = value
+        values[label] = checked_number(value, f"--free w{label}", SceneError)
     free = []
     for label in range(4, n + 1):
         if label not in values:
@@ -273,15 +267,12 @@ def _cmd_oracle(args, config, point) -> int:
 
 
 def _cmd_verify_geometric(args, config, point) -> int:
-    _positive(args.tol, "--tol")
+    checked_number(args.tol, "--tol", SceneError, positive=True)
     try:
         shifts = [float(s) for s in args.shifts.split(",")]
     except ValueError as exc:
         raise SceneError(f"bad --shifts value: {exc}") from exc
-    if not all(math.isfinite(s) for s in shifts):
-        raise SceneError(f"bad --shifts value {args.shifts!r}: not finite")
-    if len(shifts) != config.n:
-        raise SceneError(f"--shifts needs {config.n} values, one per circle, got {len(shifts)}")
+    shifts = checked_numbers(shifts, config.n, "--shifts value", "--shifts values", SceneError)
     ok = verify_geometric_plasticity(config, shifts, point_tol=args.tol)
     print(f"invariant={'holds' if ok else 'violated'}")
     return 0

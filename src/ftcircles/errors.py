@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of number arguments.
 
 Every error carries a short machine-readable ``code`` used by the CLI for
 its one-line ``ERROR:<code>:<detail>`` output.
 """
+
+import math
 
 
 class FTCirclesError(Exception):
@@ -74,3 +76,43 @@ class PreconditionViolated(FTCirclesError):
 
     code = "precondition_violated"
 
+
+def checked_number(value, what: str, error=InvalidConfiguration, positive: bool = False) -> float:
+    """``value`` as a float, when ``math.isfinite`` accepts it and, with ``positive``, it is > 0.
+
+    Otherwise raises ``error("<what> must be [positive and] finite, got <value!r>")``.
+    A string is not a number here, though ``float`` would convert it.
+    """
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        finite = False
+    if finite:
+        x = float(value)
+        if x > 0.0 or not positive:
+            return x
+    raise error(f"{what} must be {'positive and ' if positive else ''}finite, got {value!r}")
+
+
+def checked_numbers(
+    values, n: int, what: str, plural: str, error=InvalidConfiguration, positive: bool = False
+) -> list[float]:
+    """The ``n`` ``values`` as floats, each checked as by :func:`checked_number`.
+
+    Raises ``error("expected <n> <plural>, got <len>")`` on a wrong count,
+    and names the first bad value by its index, ``"<what> <i> must be ..."``.
+    """
+    try:
+        values = list(values)
+    except TypeError:  # not iterable
+        raise error(f"expected {n} {plural}, got {values!r}") from None
+    if len(values) != n:
+        raise error(f"expected {n} {plural}, got {len(values)}")
+    # one pass when every value is good; the per-value check finds the bad one
+    try:
+        column = [float(v) for v in values if math.isfinite(v)]
+    except (TypeError, OverflowError):
+        column = []
+    if len(column) == n and (not positive or not column or min(column) > 0.0):
+        return column
+    return [checked_number(v, f"{what} {i}", error, positive) for i, v in enumerate(values)]

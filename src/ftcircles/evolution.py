@@ -33,7 +33,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import InvalidConfiguration, PreconditionViolated
+from .errors import PreconditionViolated, checked_number, checked_numbers
 from .geometry import Configuration, Point2, pair_distances
 from .plasticity import SectorAngles, TriangleRatios, transfer_coefficients
 from .solver import SolveResult, solve
@@ -111,16 +111,9 @@ def compose_rays(
     naming the argument, on a weight that is not a finite number or a
     direction that is not a pair of them.
     """
-    for name, w in (("w_a", w_a), ("w_b", w_b)):
-        if not _is_finite(w):
-            raise InvalidConfiguration(f"{name} must be a finite number, got {w!r}")
-    for name, d in (("dir_a", dir_a), ("dir_b", dir_b)):
-        try:
-            fits = len(d) == 2 and all(map(_is_finite, d))
-        except TypeError:  # no length
-            fits = False
-        if not fits:
-            raise InvalidConfiguration(f"{name} must be a pair of finite numbers, got {d!r}")
+    w_a, w_b = checked_number(w_a, "w_a"), checked_number(w_b, "w_b")
+    dir_a = checked_numbers(dir_a, 2, "dir_a component", "dir_a components")
+    dir_b = checked_numbers(dir_b, 2, "dir_b component", "dir_b components")
     e = math.frexp(max(abs(w_a), abs(w_b)))[1]
     a, b = math.ldexp(w_a, -e), math.ldexp(w_b, -e)
     x = a * dir_a[0] + b * dir_b[0]
@@ -133,33 +126,6 @@ def compose_rays(
         return math.ldexp(m, e), u
     except OverflowError:  # the magnitude lies beyond the float range
         return math.inf, u
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        return False
-
-
-def _checked_schedule(values: Iterable, pairs: bool) -> list:
-    """The schedule as a list of finite numbers, or of pairs of them.
-
-    Raises InvalidConfiguration, before any step runs, on an entry that is
-    not a finite number or, with ``pairs``, not a pair of them.
-    """
-    checked = []
-    for k, value in enumerate(values):
-        try:
-            entry = tuple(value) if pairs else (value,)
-            fits = len(entry) == (2 if pairs else 1) and all(map(math.isfinite, entry))
-        except TypeError:
-            fits = False
-        if not fits:
-            what = "a pair of finite numbers" if pairs else "a finite number"
-            raise InvalidConfiguration(f"schedule entry {k} must be {what}, got {value!r}")
-        checked.append(entry if pairs else value)
-    return checked
 
 
 def _prepare(config: Configuration) -> tuple[SolveResult, SectorAngles]:
@@ -205,8 +171,7 @@ def _evolve(
     if scale is None:
         # the largest initial radius is 10% of the closest center pair
         scale = 0.1 * float(dist.min()) / max(config.weights)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise InvalidConfiguration(f"radius scale must be finite and > 0, got {scale}")
+    scale = checked_number(scale, "radius scale", positive=True)
     pairs = [(i, j, d) for i, row in enumerate(dist.tolist()) for j, d in enumerate(row) if i < j]
     composite = type_tag is EvolutionType.TYPE_B
     expected = "the expected quadrilateral response" if composite else "-+-++"
@@ -255,7 +220,7 @@ def _evolve(
         type_tag=type_tag,
         steps=tuple(steps),
         config=config,
-        scale=float(scale),
+        scale=scale,
         point=point,
         termination=termination,
         pattern_violations=tuple(violations),
@@ -276,7 +241,12 @@ def evolve_type_a(
     up, weights 0 and 2 down.
     """
     if increments is not None:
-        increments = _checked_schedule(increments, pairs=True)
+        increments = [
+            checked_numbers(
+                pair, 2, f"schedule entry {k} increment", f"increments in schedule entry {k}"
+            )
+            for k, pair in enumerate(increments)
+        ]
     base, layout = _prepare(config)
     if increments is None:
         increments = [(d, d) for d in _default_schedule(config, steps)]
@@ -306,7 +276,7 @@ def evolve_type_b(
     weights 0 and 2 down, weight 1 and the composite up.
     """
     if schedule is not None:
-        schedule = _checked_schedule(schedule, pairs=False)
+        schedule = [checked_number(d, f"schedule entry {k}") for k, d in enumerate(schedule)]
     base, _ = _prepare(config)
     if schedule is None:
         schedule = _default_schedule(config, steps)

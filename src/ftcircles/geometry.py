@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DegenerateAngle, DegenerateProjection, InvalidConfiguration
+from .errors import checked_number, checked_numbers
 
 if TYPE_CHECKING:
     from .solver import SolveResult
@@ -109,34 +110,22 @@ class Configuration:
     def __post_init__(self):
         try:
             circles = tuple(self.circles)
-            xs = tuple([float(c.center.x) for c in circles])
-            ys = tuple([float(c.center.y) for c in circles])
-            radii = tuple([float(c.radius) for c in circles])
-        except (TypeError, ValueError, OverflowError, AttributeError):
-            raise InvalidConfiguration(
-                _rejection("circle", self.circles, _circle_row, "a Circle with a Point2 center")
-            ) from None
-        try:
-            weights = tuple(map(float, self.weights))
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfiguration(
-                _rejection("weight", self.weights, float, "a number in the float range")
-            ) from None
+        except TypeError:  # not iterable
+            message = f"circles must be a sequence, got {self.circles!r}"
+            raise InvalidConfiguration(message) from None
+        # a Circle has checked its center and radius when it was built
+        centers = [c.center for c in circles if isinstance(c, Circle)]
+        if len(centers) < len(circles):
+            i, c = next((i, c) for i, c in enumerate(circles) if not isinstance(c, Circle))
+            raise InvalidConfiguration(f"circle {i} must be a Circle, got {c!r}")
         n = len(circles)
         if n < 3:
             raise InvalidConfiguration(f"need at least 3 circles, got {n}")
-        if len(weights) != n:
-            raise InvalidConfiguration(f"{n} circles but {len(weights)} weights")
-        for i, w in enumerate(weights):
-            if not (math.isfinite(w) and w > 0.0):
-                raise InvalidConfiguration(f"weight {i} must be positive and finite, got {w}")
-        tol = self.tolerance
-        try:
-            valid = math.isfinite(tol) and tol > 0.0
-        except (TypeError, OverflowError):
-            valid = False
-        if not valid:
-            raise InvalidConfiguration(f"tolerance must be positive, got {tol!r}")
+        weights = tuple(checked_numbers(self.weights, n, "weight", "weights", positive=True))
+        checked_number(self.tolerance, "tolerance", positive=True)
+        xs = tuple([float(p.x) for p in centers])
+        ys = tuple([float(p.y) for p in centers])
+        radii = tuple([float(c.radius) for c in circles])
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
         pair = first_touching_pair(xs, ys, radii)
@@ -178,23 +167,6 @@ class Configuration:
     def _store(self, name: str, array: np.ndarray) -> None:
         array.flags.writeable = False
         object.__setattr__(self, name, array)
-
-
-def _circle_row(c: Circle) -> tuple[float, float, float]:
-    return float(c.center.x), float(c.center.y), float(c.radius)
-
-
-def _rejection(name: str, values, convert, expected: str) -> str:
-    """Error text naming the first of ``values`` that ``convert`` fails on, by index."""
-    try:
-        for i, value in enumerate(values):
-            try:
-                convert(value)
-            except (TypeError, ValueError, OverflowError, AttributeError):
-                return f"{name} {i} must be {expected}, got {value!r}"
-    except TypeError:  # not iterable
-        pass
-    return f"{name}s must be a sequence, got {values!r}"
 
 
 def pair_distances(points) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AbsorbedWeights, DegenerateAngle, InvalidConfiguration, PreconditionViolated
+from .errors import checked_number
 from .solver import SolveResult
 
 _SUM_TOL = 1e-10
@@ -67,9 +68,7 @@ def angles_from_weights(w1: float, w2: float, w3: float) -> AngleTriple:
     than the sum of the other two); otherwise one site absorbs the solution
     and AbsorbedWeights is raised. Scale-invariant in the weights.
     """
-    w = (float(w1), float(w2), float(w3))
-    if any(x <= 0 or not math.isfinite(x) for x in w):
-        raise InvalidConfiguration(f"weights must be positive and finite, got {w}")
+    w = [checked_number(x, f"weight {k}", positive=True) for k, x in enumerate((w1, w2, w3), 1)]
     phis = []
     for q in range(3):
         r, s = (q + 1) % 3, (q + 2) % 3

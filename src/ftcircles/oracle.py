@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, InvalidConfiguration, PreconditionViolated
+from .errors import FTCirclesError, InvalidConfiguration, PreconditionViolated, checked_numbers
 from .geometry import (
     Circle,
     Configuration,
@@ -151,16 +151,15 @@ def directional_derivative_to_circle(
     The step is 1e-6. For p outside the disk this equals the cosine of the
     angle between the negated direction and the segment from p to its
     projection point. Raises ``PreconditionViolated`` unless the direction
-    is two numbers whose computed norm is finite and nonzero; a nan or
-    infinite component fails.
+    is two finite numbers whose computed norm is finite and nonzero.
     """
-    v = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(v)) if v.shape == (2,) else 0.0
+    dx, dy = checked_numbers(
+        direction, 2, "direction component", "direction components", PreconditionViolated
+    )
+    norm = math.hypot(dx, dy)
     if not (math.isfinite(norm) and norm > 0.0):
-        raise PreconditionViolated(
-            f"direction must be 2 numbers with a finite nonzero norm, got {direction!r}"
-        )
-    v = v / norm
+        raise PreconditionViolated(f"direction must have a finite nonzero norm, got {direction!r}")
+    v = np.array([dx / norm, dy / norm])
     base = p.as_array()
 
     def dist(t: float) -> float:

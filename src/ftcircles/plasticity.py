@@ -37,6 +37,8 @@ from .errors import (
     ShiftedConfigInvalid,
     SingularSystem,
     InvalidConfiguration,
+    checked_number,
+    checked_numbers,
 )
 from .geometry import (
     Circle,
@@ -45,7 +47,6 @@ from .geometry import (
     azimuths_at,
     cosine_matrix,
     sectors_of,
-    wrap_angle,
 )
 from .solver import SolveResult, solve
 
@@ -55,9 +56,8 @@ _MIN_SINE = 1e-12
 class SectorAngles:
     """Pairwise ray angles at the branching point.
 
-    Holds the ray azimuths and exposes unsigned pairwise angles, signed
-    sines of azimuth differences, and the cyclic order of the rays with
-    their sector angles. Built from azimuths or from geometry
+    Holds the ray azimuths and the cyclic order of the rays with their
+    sector angles. Built from azimuths or from geometry
     (:meth:`from_result`, :meth:`from_points`).
     """
 
@@ -65,15 +65,12 @@ class SectorAngles:
 
     def __init__(self, azimuths: Sequence[float]):
         try:
-            az = [float(a) for a in azimuths]
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfiguration(
-                f"ray azimuths must be a sequence of numbers, got {azimuths!r}"
-            ) from None
+            az = [checked_number(a, f"ray azimuth {i}") for i, a in enumerate(azimuths)]
+        except TypeError:  # not iterable
+            message = f"ray azimuths must be a sequence, got {azimuths!r}"
+            raise InvalidConfiguration(message) from None
         if len(az) < 3:
             raise InvalidConfiguration("need at least 3 ray azimuths")
-        if not all(map(math.isfinite, az)):
-            raise InvalidConfiguration(f"ray azimuths must be finite, got {az}")
         self._set(az, *sectors_of(az))
 
     def _set(self, az: list[float], order: tuple[int, ...], sectors: tuple[float, ...]) -> None:
@@ -100,10 +97,6 @@ class SectorAngles:
     @classmethod
     def from_points(cls, apex: Point2, points: Sequence[Point2]) -> "SectorAngles":
         return cls(azimuths_at(apex, [(p.x, p.y) for p in points]))
-
-    def angle(self, i: int, j: int) -> float:
-        """Unsigned angle in [0, pi] between rays i and j."""
-        return float(abs(wrap_angle(self.azimuths[j] - self.azimuths[i])))
 
     def cyclic_order(self) -> tuple[int, ...]:
         return self._order
@@ -197,15 +190,6 @@ class PlasticityCoefficients:
             reduce(add, map(mul, row, free_weights)) + c for row, c in zip(self._rows, self._const)
         ]
 
-    def apply(self, free_weights: Sequence[float]) -> np.ndarray:
-        """Full weight vector for the given free weights."""
-        free = np.asarray(free_weights, dtype=float)
-        if free.shape != (self.n - 3,):
-            raise InvalidConfiguration(
-                f"expected {self.n - 3} free weights, got {free.shape}"
-            )
-        return np.concatenate([self.triangle_weights(free.tolist()), free])
-
 
 def transfer_coefficients(
     ratios: TriangleRatios, n: int, total: float = 1.0
@@ -292,17 +276,8 @@ def plasticity_n(
     wrong number of free ratios, on a ratio that is not a finite number
     (naming its index) and on a total that is not one.
     """
-    free = _column(
-        InvalidConfiguration, free_ratios, angles.n - 3, "free ratio", "free ratios", "finite",
-        math.isfinite,
-    )
-    try:
-        scale = float(total)
-        fits = math.isfinite(scale)
-    except (TypeError, ValueError, OverflowError):
-        fits = False
-    if not fits:
-        raise InvalidConfiguration(f"total must be finite, got {total!r}")
+    free = checked_numbers(free_ratios, angles.n - 3, "free ratio", "free ratios")
+    scale = checked_number(total, "total")
     ratios = TriangleRatios.from_angles(angles)
     # float sums in index order, so they round the same under every Python
     w2r = ratios.r2 * (1.0 - reduce(add, map(mul, free, ratios.q3.values())))
@@ -336,27 +311,6 @@ def plasticity4_preconditions(angles: SectorAngles) -> bool:
     return max(b1, b2, b4, b2 + b3, b3 + b4) < math.pi - _MIN_SINE
 
 
-def _column(error, values, n: int, name: str, plural: str, expected: str, valid) -> list[float]:
-    """The n ``values`` as floats; ``error`` names a wrong count or the first bad value."""
-    try:
-        values = list(values)
-    except TypeError:  # not iterable
-        raise error(f"expected {n} {plural}, got {values!r}") from None
-    if len(values) != n:
-        raise error(f"expected {n} {plural}, got {len(values)}")
-    column = []
-    for i, value in enumerate(values):
-        try:
-            x = float(value)
-            fits = valid(x)
-        except (TypeError, ValueError, OverflowError):
-            fits = False
-        if not fits:
-            raise error(f"{name} {i} must be {expected}, got {value!r}")
-        column.append(x)
-    return column
-
-
 def shifted_configuration(
     config: Configuration,
     radial_shifts: Sequence[float],
@@ -374,12 +328,9 @@ def shifted_configuration(
     floating check solves the shifted configuration, so errors of ``solve``
     pass through and a later ``solve(shifted)`` returns the stored result.
     """
-    shifts = _column(
-        ShiftedConfigInvalid, radial_shifts, config.n, "shift", "shifts", "finite", math.isfinite
-    )
-    radii = config.radii if new_radii is None else _column(
-        ShiftedConfigInvalid, new_radii, config.n, "radius", "radii", "positive and finite",
-        lambda r: math.isfinite(r) and r > 0.0,
+    shifts = checked_numbers(radial_shifts, config.n, "shift", "shifts", ShiftedConfigInvalid)
+    radii = config.radii if new_radii is None else checked_numbers(
+        new_radii, config.n, "radius", "radii", ShiftedConfigInvalid, positive=True
     )
     base = solve(config)
     if not base.case.is_floating:

@@ -332,12 +332,15 @@ class _Arrays:
     def pull(self, m):
         """Pull ``sum_{j!=m} w_j u(A_m, A_j)`` of the other centers at center m, and its norm."""
         diff = self.centers - self.centers[m]
-        sq = diff * diff
-        d = np.sqrt(sq[:, 0] + sq[:, 1])  # np.linalg.norm's rounding, without its overhead
+        with np.errstate(over="ignore"):  # the squares overflow to inf on a huge scene
+            sq = diff * diff
+            s = sq[:, 0] + sq[:, 1]
+        d = np.sqrt(s)  # np.linalg.norm's rounding, without its overhead
+        odd = ~((0.0 < s) & (s < np.inf))
+        odd[m] = False
+        if odd.any():  # the squares underflow to 0 on a tiny scene, or overflow on a huge one
+            d[odd] = np.hypot(diff[odd, 0], diff[odd, 1])
         d[m] = np.inf  # center m's own term becomes 0
-        tiny = d == 0.0
-        if tiny.any():  # the squares underflow to 0 on a tiny scene
-            d[tiny] = np.hypot(diff[tiny, 0], diff[tiny, 1])
         pull = (self.weights[:, None] * diff / d[:, None]).sum(axis=0)
         return pull, float(np.linalg.norm(pull))
 
@@ -430,8 +433,9 @@ class _Floats:
         for j, (w, x, y) in enumerate(self.rows):
             if j != m:
                 dx, dy = x - ax, y - ay
-                # hypot where the squares underflow to 0, on a tiny scene
-                dj = math.sqrt(dx * dx + dy * dy) or math.hypot(dx, dy)
+                # hypot where the squares underflow to 0 on a tiny scene, or overflow on a huge one
+                s = dx * dx + dy * dy
+                dj = math.sqrt(s) if 0.0 < s < math.inf else math.hypot(dx, dy)
                 px += w * dx / dj
                 py += w * dy / dj
         return (px, py), math.hypot(px, py)

@@ -49,6 +49,36 @@ REMOVED_KEYWORDS = (
 )
 
 
+# Where ``isfinite`` may appear outside errors.py, whose checked_number and
+# checked_numbers decide for every number argument: the per-object checks of
+# Point2 and Circle, which stay inline because a call per object costs about
+# 120 ns on the large-n path, and the tests of a computed value.
+ISFINITE_SITES = {
+    "geometry.Point2.__post_init__",
+    "geometry.Circle.__post_init__",
+    "oracle.directional_derivative_to_circle",  # the norm of the direction
+}
+
+
+def _isfinite_scopes(tree: ast.Module) -> set[str]:
+    """Dotted names of the classes and functions of ``tree`` that use ``isfinite``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "isfinite") or (
+                isinstance(child, ast.Name) and child.id == "isfinite"
+            ):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
 def _error_classes():
     """Every FTCirclesError subclass defined in ``ftcircles.errors``."""
     return [
@@ -134,6 +164,8 @@ class TestExports:
         assert not hasattr(ftcircles.SectorAngles, "from_matrix")
         assert not hasattr(ftcircles.SectorAngles, "matrix")
         assert not hasattr(ftcircles.SectorAngles, "signed_sin")
+        assert not hasattr(ftcircles.SectorAngles, "angle")
+        assert not hasattr(ftcircles.PlasticityCoefficients, "apply")
 
     def test_removed_keywords_are_gone(self):
         for func, keywords in REMOVED_KEYWORDS:
@@ -158,3 +190,11 @@ class TestLayering:
                     if alias.name.startswith("_")
                 ]
         assert not private, private
+
+    def test_number_arguments_are_checked_in_errors_only(self):
+        sites = set()
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            if path.name != "errors.py":
+                tree = ast.parse(path.read_text(), filename=str(path))
+                sites |= {f"{path.stem}.{scope}" for scope in _isfinite_scopes(tree)}
+        assert sites == ISFINITE_SITES

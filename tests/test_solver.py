@@ -533,6 +533,25 @@ class TestFloatingSolve:
                 except FTCirclesError:
                     pass
 
+    @pytest.mark.parametrize("n, seed", [(5, seed) for seed in range(6)] + [(34, 2)])
+    def test_huge_scene_is_never_absorbed(self, n, seed, monkeypatch):
+        # the pull's squares overflow to inf from about 1e154 on: every pull
+        # norm read 0, and these floating scenes came out absorbed
+        base = random_floating_config(n, seed)
+        assert solve(base).case.is_floating
+        circles = tuple(zip(base.xs, base.ys, base.radii))
+        for _ in each_loop(monkeypatch):
+            for s in (1e160, 1e200, 1e300):
+                config = Configuration(
+                    tuple(Circle(Point2(x * s, y * s), r * s) for x, y, r in circles),
+                    base.weights,
+                )
+                try:
+                    case = solve(config).case
+                except FTCirclesError:
+                    continue
+                assert case.is_floating, (s, str(case))
+
 
 @functools.cache
 def _loop_scenes():
