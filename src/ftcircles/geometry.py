@@ -22,22 +22,31 @@ if TYPE_CHECKING:
 
 #: Two points closer than this are treated as coincident.
 COINCIDENT_EPS = 1e-12
+# from this many circles (or rays) on, the overlap sweep and the sector sort
+# run on numpy arrays: below it numpy's cost per call exceeds the Python loop's
+_LARGE_N = 96
+# pairs the array sweep tests per block of rows, which bounds its memory
+_SWEEP_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     """A point in the plane. Coordinates must be finite numbers."""
 
     x: float
     y: float
 
-    def __post_init__(self):
+    # written out, so a point costs one call: the generated __init__ would
+    # also call a __post_init__ for the check
+    def __init__(self, x: float, y: float):
         try:
-            finite = math.isfinite(self.x) and math.isfinite(self.y)
+            finite = math.isfinite(x) and math.isfinite(y)
         except (TypeError, OverflowError):  # not a number, or an int beyond the float range
             finite = False
         if not finite:
-            raise InvalidConfiguration(f"coordinates must be finite, got ({self.x}, {self.y})")
+            raise InvalidConfiguration(f"coordinates must be finite, got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -50,22 +59,24 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """A circle given by its ``Point2`` center and a strictly positive finite radius."""
 
     center: Point2
     radius: float
 
-    def __post_init__(self):
-        if not isinstance(self.center, Point2):
-            raise InvalidConfiguration(f"center must be a Point2, got {self.center!r}")
+    def __init__(self, center: Point2, radius: float):
+        if not isinstance(center, Point2):
+            raise InvalidConfiguration(f"center must be a Point2, got {center!r}")
         try:
-            valid = math.isfinite(self.radius) and self.radius > 0.0
+            valid = math.isfinite(radius) and radius > 0.0
         except (TypeError, OverflowError):
             valid = False
         if not valid:
-            raise InvalidConfiguration(f"radius must be positive and finite, got {self.radius}")
+            raise InvalidConfiguration(f"radius must be positive and finite, got {radius}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
 class DistanceMode(Enum):
@@ -88,7 +99,8 @@ class Configuration:
     ``ys`` and ``radii``, next to the ``weights`` tuple; the solver below
     32 centers reads these. The read-only arrays of ``centers_array``,
     ``radii_array`` and ``weights_array`` hold the same values and are
-    each built on first access.
+    each built on first access; from ``_LARGE_N`` circles on, the overlap
+    check builds the center and radius arrays and keeps them.
     """
 
     circles: tuple[Circle, ...]
@@ -98,7 +110,7 @@ class Configuration:
     xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
     radii: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # read-only arrays of the columns, each built on first access
+    # read-only arrays of the columns, each built on first access or by the overlap check
     _centers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _radii: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -128,13 +140,17 @@ class Configuration:
         radii = tuple([float(c.radius) for c in circles])
         if not isinstance(self.distance_mode, DistanceMode):
             raise InvalidConfiguration(f"bad distance mode {self.distance_mode!r}")
-        pair = first_touching_pair(xs, ys, radii)
-        if pair is not None:
-            raise InvalidConfiguration(f"circles {pair[0]} and {pair[1]} overlap or touch")
         for name, value in (
             ("circles", circles), ("weights", weights), ("xs", xs), ("ys", ys), ("radii", radii)
         ):
             object.__setattr__(self, name, value)
+        if n < _LARGE_N:
+            pair = first_touching_pair(xs, ys, radii)
+        else:
+            # the sweep runs on arrays here: build the ones the solver reads
+            pair = first_touching_pair(*self.centers_array().T, self.radii_array())
+        if pair is not None:
+            raise InvalidConfiguration(f"circles {pair[0]} and {pair[1]} overlap or touch")
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so a copy is
@@ -193,8 +209,12 @@ def first_touching_pair(
     computed ``x_j - x_i`` is at most ``r_i + max(r)``: the others cannot
     touch, because the hypot is at least ``|x_j - x_i|``. The same bound on
     ``|y_j - y_i|`` skips more pairs, and ``np.hypot`` decides the rest.
+    From ``_LARGE_N`` circles on the sweep runs on numpy arrays, with the
+    same comparisons on the same pairs.
     """
     n = len(xs)
+    if n >= _LARGE_N:
+        return _first_touching_pair_on_arrays(xs, ys, radii)
     order = sorted(range(n), key=xs.__getitem__)
     r_max = max(radii)
     first = None
@@ -213,6 +233,49 @@ def first_touching_pair(
                 if first is None or pair < first:
                     first = pair
     return first
+
+
+def _first_touching_pair_on_arrays(xs, ys, radii) -> tuple[int, int] | None:
+    """``first_touching_pair``'s sweep as array steps: it tests the pairs the loop tests."""
+    x, y, r = (np.asarray(v, dtype=float) for v in (xs, ys, radii))
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    sx, sy, sr = x[order], y[order], r[order]
+    rows = np.arange(n)
+    first = None
+    # the loop's Python floats overflow to inf without a warning
+    with np.errstate(over="ignore"):
+        reach = sr + r.max()
+        # sorted row a tests rows a+1..end[a]-1, up to the first computed
+        # x_j - x_i beyond reach; x_i + reach rounds differently, so the
+        # windows it gives widen while the next computed difference is within reach
+        end = np.searchsorted(sx, sx + reach, side="right")
+        while True:
+            short = end < n
+            short[short] = sx[end[short]] - sx[short] <= reach[short]
+            if not short.any():
+                break
+            end[short] = np.searchsorted(sx, sx[end[short]], side="right")
+        counts = end - rows - 1
+        total = np.cumsum(counts)
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(total, total[lo] - counts[lo] + _SWEEP_BLOCK, side="right"))
+            hi = max(hi, lo + 1)
+            k = counts[lo:hi]
+            a = np.repeat(rows[lo:hi], k)
+            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(k) - k, k)
+            dx, dy, s = sx[b] - sx[a], sy[b] - sy[a], sr[a] + sr[b]
+            near = (dx <= reach[a]) & (-s <= dy) & (dy <= s)
+            hit = near.nonzero()[0]
+            hit = hit[np.hypot(dx[hit], dy[hit]) <= s[hit]]
+            if len(hit):
+                i, j = order[a[hit]], order[b[hit]]
+                pairs = np.minimum(i, j) * n + np.maximum(i, j)
+                best = int(pairs.min())
+                first = best if first is None else min(first, best)
+            lo = hi
+    return None if first is None else divmod(first, n)
 
 
 def project_onto_circle(p: Point2, c: Circle) -> Point2:
@@ -264,6 +327,14 @@ def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float,
     counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
     the end). The sectors sum to 2*pi.
     """
+    if len(azimuths) >= _LARGE_N:
+        az = np.array(azimuths, dtype=float)
+        # no azimuth to wrap: the sort and the subtractions on arrays
+        if az.max() <= math.pi and az.min() > -math.pi:
+            order = np.argsort(az, kind="stable")
+            s = az[order]
+            sectors = np.append(s[1:] - s[:-1], 2.0 * math.pi - (s[-1] - s[0]))
+            return tuple(order.tolist()), tuple(sectors.tolist())
     az = list(map(float, azimuths))
     if max(az) > math.pi or min(az) < -math.pi:
         az = wrap_angle(az).tolist()

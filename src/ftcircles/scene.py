@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import InvalidConfiguration, SceneError
+from .errors import SceneError, checked_number, checked_numbers
 from .geometry import Circle, Configuration, DistanceMode, Point2
 from .solver import SolveResult
 
@@ -47,26 +47,21 @@ def parse_scene(data: dict) -> tuple[Configuration, Point2 | None]:
     for k, entry in enumerate(raw_circles):
         if not isinstance(entry, dict) or not {"cx", "cy", "r"} <= entry.keys():
             raise SceneError(f"circle {k} must have keys cx, cy, r")
-        try:
-            circles.append(
-                Circle(Point2(float(entry["cx"]), float(entry["cy"])), float(entry["r"]))
-            )
-        except (TypeError, ValueError) as exc:
-            raise SceneError(f"circle {k}: {exc}") from exc
+        cx, cy, r = (
+            checked_number(entry[c], f"circle {k} {c}", SceneError) for c in ("cx", "cy", "r")
+        )
+        circles.append(Circle(Point2(cx, cy), r))
 
     mode_name = data.get("mode", "curve")
     try:
         mode = DistanceMode(mode_name)
     except ValueError as exc:
         raise SceneError(f"mode must be 'curve' or 'set', got {mode_name!r}") from exc
-    tolerance = data.get("tolerance", 1e-10)
-    try:
-        weights = tuple(float(w) for w in raw_weights)
-        config = Configuration(tuple(circles), weights, float(tolerance), mode)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidConfiguration):
-            raise
-        raise SceneError(str(exc)) from exc
+    # a number in a scene is what the library takes as one; the library
+    # checks that radii, weights and tolerance are positive
+    weights = checked_numbers(raw_weights, len(circles), "weight", "weights", SceneError)
+    tolerance = checked_number(data.get("tolerance", 1e-10), "tolerance", SceneError)
+    config = Configuration(tuple(circles), tuple(weights), tolerance, mode)
 
     point = data.get("point")
     return config, _parse_point(point) if point is not None else None
@@ -75,10 +70,7 @@ def parse_scene(data: dict) -> tuple[Configuration, Point2 | None]:
 def _parse_point(raw) -> Point2:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise SceneError(f"point must be [x, y], got {raw!r}")
-    try:
-        return Point2(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"point: {exc}") from exc
+    return Point2(*(checked_number(v, f"point {axis}", SceneError) for axis, v in zip("xy", raw)))
 
 
 def load_scene(path: str | Path) -> tuple[Configuration, Point2 | None]:

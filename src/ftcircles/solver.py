@@ -518,7 +518,7 @@ def _solve(config: Configuration) -> SolveResult:
         sector_angles=sectors,
         sector_order=order,
         # numpy's dot: its rounding is part of the pinned results
-        objective=float(np.dot(config.weights, distances)),
+        objective=float(np.dot(arith.weights, distances)),
         case=case,
         equilibrium_residual=residual,
         iterations=iters,
@@ -536,4 +536,6 @@ def certificate_residuals(result: SolveResult, config: Configuration) -> list[fl
     """
     if not result.case.is_floating:
         raise PreconditionViolated("cosine residuals require a floating solution")
-    return cosine_residuals(result.ray_azimuths, config.weights).tolist()
+    # the weights as the solver's back end reads them
+    weights = config.weights if config.n < _SMALL_N else config.weights_array()
+    return cosine_residuals(result.ray_azimuths, weights).tolist()

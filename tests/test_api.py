@@ -54,8 +54,8 @@ REMOVED_KEYWORDS = (
 # Point2 and Circle, which stay inline because a call per object costs about
 # 120 ns on the large-n path, and the tests of a computed value.
 ISFINITE_SITES = {
-    "geometry.Point2.__post_init__",
-    "geometry.Circle.__post_init__",
+    "geometry.Point2.__init__",
+    "geometry.Circle.__init__",
     "oracle.directional_derivative_to_circle",  # the norm of the direction
 }
 

@@ -7,6 +7,7 @@ message names the argument and its index. Each entry point keeps its own
 error class.
 """
 
+import json
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from ftcircles import (
     InvalidConfiguration,
     Point2,
     PreconditionViolated,
+    SceneError,
     SectorAngles,
     ShiftedConfigInvalid,
     angles_from_weights,
@@ -31,7 +33,7 @@ from ftcircles import (
     solve,
 )
 from ftcircles.cli import main
-from ftcircles.scene import dump_json, scene_dict
+from ftcircles.scene import dump_json, parse_scene, scene_dict
 
 UNIT_TRIANGLE = (
     Circle(Point2(0.0, 0.0), 0.1),
@@ -44,6 +46,33 @@ PENTAGON = regular_polygon_config(5, circumradius=2.0, radius=0.2)
 ABSORBED = Configuration(UNIT_TRIANGLE, (10.0, 1.0, 1.0))
 ANGLES = SectorAngles.from_result(solve(random_floating_config(5, seed=5)))
 UNIT = Circle(Point2(0.0, 0.0), 1.0)
+TRIANGLE_SCENE = dict(scene_dict(Configuration(UNIT_TRIANGLE, (1.0, 1.0, 1.0))), point=[1.0, 1.0])
+
+
+def scene_with(field, v):
+    """The triangle scene with ``v`` in one number field (weight 1, circle 1 or top level)."""
+    scene = json.loads(json.dumps(TRIANGLE_SCENE))
+    if field == "weight":
+        scene["weights"][1] = v
+    elif field == "point y":
+        scene["point"][1] = v
+    elif field in ("cx", "cy", "r"):
+        scene["circles"][1][field] = v
+    else:
+        scene[field] = v
+    return scene
+
+
+# scene field -> message of its SceneError; the library checks that radii,
+# weights and tolerance are positive, with InvalidConfiguration
+SCENE_FIELDS = {
+    "weight": "weight 1 must be finite, got {!r}",
+    "cx": "circle 1 cx must be finite, got {!r}",
+    "cy": "circle 1 cy must be finite, got {!r}",
+    "r": "circle 1 r must be finite, got {!r}",
+    "tolerance": "tolerance must be finite, got {!r}",
+    "point y": "point y must be finite, got {!r}",
+}
 
 # entry point -> (call with the bad value v as one argument, error, message for v)
 ENTRIES = {
@@ -132,6 +161,14 @@ ENTRIES = {
         PreconditionViolated,
         "direction component 1 must be finite, got {!r}",
     ),
+    **{
+        f"parse_scene {field}": (
+            lambda v, field=field: parse_scene(scene_with(field, v)),
+            SceneError,
+            message,
+        )
+        for field, message in SCENE_FIELDS.items()
+    },
 }
 
 NOT_NUMBERS = {
@@ -311,3 +348,11 @@ def test_wrong_count_is_rejected(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", SCENE_FIELDS)
+def test_cli_rejects_a_scene_number_given_as_a_string(field, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene_with(field, "1")))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().out == f"ERROR:invalid_scene:{SCENE_FIELDS[field].format('1')}\n"

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,9 @@ from ftcircles import (
     project_onto_circle,
     solve,
 )
+from ftcircles import geometry
 from ftcircles.geometry import (
+    _LARGE_N,
     azimuths_at,
     first_touching_pair,
     pair_distances,
@@ -204,6 +207,30 @@ class TestSectorDecomposition:
             if min(wrapping_form(wide)[1]) >= 1e-9:
                 assert SectorAngles(wide).sectors() == wrapping_form(wide)[1]
 
+    def test_sectors_of_arrays_match_the_loop(self, monkeypatch):
+        # from _LARGE_N rays on, sectors_of sorts on arrays unless an azimuth
+        # needs wrapping; the loop gives the same order and sectors
+        rng = np.random.default_rng(12)
+        cases = []
+        for k in range(60):
+            n = int(rng.integers(_LARGE_N, 300))
+            xy = rng.standard_normal((n, 2))
+            xy[rng.integers(n, size=n // 8)] = xy[0]  # ties
+            if k % 3 == 0:
+                xy[rng.integers(n)] = (-1.0, 0.0)  # pi
+            if k % 4 == 1:
+                xy[rng.integers(n)] = (-1.0, -0.0)  # -pi, which the loop moves to pi
+            az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
+            if k % 5 == 2:
+                az[rng.integers(n, size=3)] += 2.0 * math.pi  # out of range
+            if k % 6 == 3:
+                az[rng.integers(n, size=4)] = (0.0, -0.0, -0.0, 0.0)  # signed zeros tie
+            cases.append(az.tolist())
+        on_arrays = [sectors_of(az) for az in cases]
+        monkeypatch.setattr(geometry, "_LARGE_N", 10**9)
+        # repr: the signs of zero sectors too
+        assert repr([sectors_of(az) for az in cases]) == repr(on_arrays)
+
 
 def _dirs(rng, n):
     ang = rng.uniform(0, 2 * math.pi, n)
@@ -263,6 +290,20 @@ class TestConfigurationValidation:
             assert c.centers_array().T.tolist() == [list(c.xs), list(c.ys)]
             assert c.radii_array().tolist() == list(c.radii)
 
+    def test_overlap_check_keeps_its_arrays(self):
+        # from _LARGE_N circles on, the sweep's arrays become centers_array and radii_array
+        n = _LARGE_N
+        circles = tuple(Circle(Point2(float(k), 0.5 * (k % 3)), 0.25) for k in range(n))
+        config = Configuration(circles, (1.0,) * n)
+        assert config._centers is not None and config._radii is not None
+        assert config.centers_array() is config._centers and config.radii_array() is config._radii
+        for array in (config._centers, config._radii):
+            assert not array.flags.writeable
+        assert config.centers_array().flags.c_contiguous
+        assert config.centers_array().T.tolist() == [list(config.xs), list(config.ys)]
+        assert config.radii_array().tolist() == list(config.radii)
+        assert copy.deepcopy(config).centers_array().tolist() == config.centers_array().tolist()
+
     def test_point_and_circle_are_frozen_values(self):
         p, c = Point2(1, 2.5), Circle(Point2(1, 2.5), 0.5)
         assert repr(c) == "Circle(center=Point2(x=1, y=2.5), radius=0.5)"
@@ -279,6 +320,39 @@ class TestConfigurationValidation:
             p.x = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.radius = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.y
+        # keywords, and the fields as given
+        assert Point2(y=2.5, x=1) == p and Circle(radius=0.5, center=p) == c
+        assert type(Point2(1, 2.5).x) is int
+        assert dataclasses.replace(c, radius=0.25) == Circle(p, 0.25)
+        assert dataclasses.replace(p, y=np.float64(3.0)) == Point2(1, 3.0)
+        # slots: no instance dict
+        for value in (p, c):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
+        assert [f.name for f in dataclasses.fields(c)] == ["center", "radius"]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Point2(x=math.nan, y=0.0), "coordinates must be finite, got (nan, 0.0)"),
+            (lambda: Point2(0.0, "1"), "coordinates must be finite, got (0.0, 1)"),
+            (lambda: dataclasses.replace(Point2(0, 0), x=math.inf), "coordinates must be finite, got (inf, 0)"),
+            (lambda: Circle(center=Point2(0, 0), radius=0.0), "radius must be positive and finite, got 0.0"),
+            (lambda: Circle(Point2(0, 0), "1"), "radius must be positive and finite, got 1"),
+            (lambda: Circle(center=(0, 0), radius=1.0), "center must be a Point2, got (0, 0)"),
+            (
+                lambda: dataclasses.replace(Circle(Point2(0, 0), 1.0), radius=-1),
+                "radius must be positive and finite, got -1",
+            ),
+        ],
+    )
+    def test_point_and_circle_messages(self, build, message):
+        with pytest.raises(InvalidConfiguration) as info:
+            build()
+        assert str(info.value) == message
 
     def test_columns_hold_the_validated_floats(self):
         circles = (
@@ -436,13 +510,14 @@ def swept(centers, radii):
     return first_touching_pair(*centers.T.tolist(), radii.tolist())
 
 
-def fuzz_circles(rng):
+def fuzz_circles(rng, n=None):
     """Centers and radii for the overlap check: sparse, gridded, equal and exactly touching.
 
-    Half the scenes are scaled by 1e-12..1e12 and translated by up to 1e8
-    scene widths, which leaves few bits in the center differences.
+    The scene has n circles, 3 to 40 when n is None. Half the scenes are
+    scaled by 1e-12..1e12 and translated by up to 1e8 scene widths, which
+    leaves few bits in the center differences.
     """
-    n = int(rng.integers(3, 41))
+    n = int(rng.integers(3, 41)) if n is None else n
     side = 2.0 * math.sqrt(n)
     kind = int(rng.integers(4))
     centers = rng.uniform(0.0, side, (n, 2))
@@ -476,24 +551,70 @@ class TestTouchingPairs:
         # both outcomes are well represented
         assert min(outcomes.values()) > 5000, outcomes
 
-    def test_exact_touch_at_every_scale(self):
+    def test_arrays_name_the_matrix_pair(self):
+        # from _LARGE_N circles on the sweep runs on arrays
+        rng = np.random.default_rng(20261022)
+        outcomes = {"none": 0, "pair": 0}
+        for k in range(160):
+            centers, radii = fuzz_circles(rng, int(rng.integers(_LARGE_N, 400)))
+            if k % 2:
+                radii = radii * 0.1  # sparse enough that most scenes do not touch
+            expected = reference_first_touching_pair(centers, radii)
+            assert swept(centers, radii) == expected, (centers.tolist(), radii.tolist())
+            outcomes["none" if expected is None else "pair"] += 1
+        assert min(outcomes.values()) > 40, outcomes
+
+    @pytest.mark.parametrize("n", [3, _LARGE_N], ids=["loop", "arrays"])
+    def test_exact_touch_at_every_scale(self, n):
         # r = d / 2 on both circles makes r_i + r_j == d exactly
         for exponent in range(-12, 13):
             s = 10.0**exponent
             centers = np.array([[0.1, 0.7], [0.4, 0.3], [5.0, 5.0]]) * s + 1e3 * s
+            centers, radii = padded(centers, np.array([1.0, 1.0, s]), n)
             d = float(np.hypot(*(centers[0] - centers[1])))
-            radii = np.array([d / 2.0, d / 2.0, s])
+            radii[:2] = d / 2.0
             assert swept(centers, radii) == (0, 1)
             radii[1] = np.nextafter(d / 2.0, 0.0)
             assert swept(centers, radii) == reference_first_touching_pair(centers, radii)
 
-
-    def test_break_uses_the_computed_difference(self):
+    @pytest.mark.parametrize("n", [3, _LARGE_N], ids=["loop", "arrays"])
+    def test_break_uses_the_computed_difference(self, n):
         # x_1 - x_0 = 2 + 2**-52 rounds to 2.0 == r_0 + r_1, so the circles
         # touch; x_0 + (r_0 + r_1) rounds to 1 - 2**-52 < x_1, so a sweep that
         # compared x_j with x_i + reach would stop before this pair
         centers = np.array([[-1.0 - 2.0**-52, 0.0], [1.0, 0.0], [0.0, 10.0]])
-        radii = np.array([1.0, 1.0, 1.0])
+        centers, radii = padded(centers, np.array([1.0, 1.0, 1.0]), n)
         assert centers[0, 0] + 2.0 < centers[1, 0]
         assert reference_first_touching_pair(centers, radii) == (0, 1)
         assert swept(centers, radii) == (0, 1)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, "edge"])
+    def test_extreme_scales_without_warnings(self, scale, monkeypatch):
+        # x_i + reach and x_j - x_i overflow at the edge of the float range;
+        # the loop's Python floats do so silently, and so must the arrays
+        rng = np.random.default_rng(3)
+        scenes = []
+        for k in range(12):
+            centers, radii = fuzz_circles(rng, _LARGE_N + 7 * k)
+            # the box of centers becomes [-1, 1]^2, or [-1.79e308, 1.79e308]^2 at the edge
+            low, width = centers.min(axis=0), np.ptp(centers, axis=0)
+            size = 1.79e308 if scale == "edge" else scale
+            centers = (2.0 * (centers - low) / width - 1.0) * size
+            # radii below size / 100, where r_i + r_j and the loop's np.hypot stay finite
+            radii = np.minimum(radii * (0.2 if k % 2 else 2.0) / width.max(), 0.01) * size
+            scenes.append((centers, radii))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_arrays = [swept(c, r) for c, r in scenes]
+            monkeypatch.setattr(geometry, "_LARGE_N", 10**9)
+            assert [swept(c, r) for c, r in scenes] == on_arrays
+        with np.errstate(over="ignore"):
+            assert on_arrays == [reference_first_touching_pair(c, r) for c, r in scenes]
+        assert None in on_arrays and any(on_arrays)
+
+
+def padded(centers, radii, n):
+    """The circles, then circles of the largest radius R up to n in all, 4 R apart beyond them."""
+    k, big = n - len(centers), radii.max()
+    far = np.column_stack([centers[:, 0].max() + 4.0 * big * np.arange(1, k + 1), np.zeros(k)])
+    return np.vstack([centers, far]), np.concatenate([radii, np.full(k, big)])

@@ -44,18 +44,18 @@ MALFORMED = [
     ({"mode": "banana"}, "^mode must be 'curve' or 'set', got 'banana'$"),
     ({"circles": [{"cx": 0.0, "cy": 0.0}]}, "^1 circles but 3 weights$"),
     ({"point": [1.0]}, r"^point must be \[x, y\], got \[1.0\]$"),
-    ({"point": [1.0, "x"]}, "^point: could not convert string to float: 'x'$"),
-    ({"point": [1.0, None]}, r"^point: float\(\) argument must be"),
-    ({"point": [math.inf, 0.0]}, r"^point: coordinates must be finite, got \(inf, 0.0\)$"),
+    ({"point": [1.0, "x"]}, "^point y must be finite, got 'x'$"),
+    ({"point": [1.0, None]}, "^point y must be finite, got None$"),
+    ({"point": [math.inf, 0.0]}, "^point x must be finite, got inf$"),
     ({"weights": 1.0}, "^scene needs a 'weights' list$"),
-    ({"weights": [1.0, "x", 1.0]}, "^could not convert string to float: 'x'$"),
+    ({"weights": [1.0, "x", 1.0]}, "^weight 1 must be finite, got 'x'$"),
     (
         {"circles": EQ_SCENE["circles"][:2] + [{"cx": 0.5, "cy": -0.3}]},
         "^circle 2 must have keys cx, cy, r$",
     ),
     (
         {"circles": [dict(EQ_SCENE["circles"][0], cx="a")] + EQ_SCENE["circles"][1:]},
-        "^circle 0: could not convert string to float: 'a'$",
+        "^circle 0 cx must be finite, got 'a'$",
     ),
 ]
 
