@@ -110,7 +110,7 @@ class Configuration:
     xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
     radii: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # read-only arrays of the columns, each built on first access or by the overlap check
+    # read-only arrays of the columns, each built on first access
     _centers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _radii: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
