@@ -53,8 +53,6 @@ from .evolution import (
     evolve_type_b,
 )
 from .oracle import (
-    directional_derivative_to_circle,
-    finite_difference_gradient,
     objective,
     oracle_minimize,
     random_dominated_config,

@@ -166,11 +166,19 @@ def _evolve(
     matrix that also sets the default scale. A step overlaps when some
     distance is at most ``r_i + r_j``: the decision of
     ``first_touching_pair``, which compares the same ``np.hypot`` values.
+    Without a ``scale``, weights so small (or large) that the default is
+    not positive and finite raise PreconditionViolated; a bad ``scale``
+    argument raises InvalidConfiguration.
     """
     dist = pair_distances(config.centers_array())
     if scale is None:
         # the largest initial radius is 10% of the closest center pair
         scale = 0.1 * float(dist.min()) / max(config.weights)
+        if not 0.0 < scale < math.inf:
+            raise PreconditionViolated(
+                f"weights up to {max(config.weights)!r} give no finite positive default "
+                f"radius scale (0.1 * closest center distance / largest weight = {scale!r})"
+            )
     scale = checked_number(scale, "radius scale", positive=True)
     pairs = [(i, j, d) for i, row in enumerate(dist.tolist()) for j, d in enumerate(row) if i < j]
     composite = type_tag is EvolutionType.TYPE_B

@@ -22,8 +22,8 @@ if TYPE_CHECKING:
 
 #: Two points closer than this are treated as coincident.
 COINCIDENT_EPS = 1e-12
-# from this many circles (or rays) on, the overlap sweep and the sector sort
-# run on numpy arrays: below it numpy's cost per call exceeds the Python loop's
+# from this many circles on, the overlap sweep runs on numpy arrays: below
+# it numpy's cost per call exceeds the Python loop's
 _LARGE_N = 96
 # pairs the array sweep tests per block of rows, which bounds its memory
 _SWEEP_BLOCK = 1 << 16
@@ -99,8 +99,7 @@ class Configuration:
     ``ys`` and ``radii``, next to the ``weights`` tuple; the solver below
     32 centers reads these. The read-only arrays of ``centers_array``,
     ``radii_array`` and ``weights_array`` hold the same values and are
-    each built on first access; from ``_LARGE_N`` circles on, the overlap
-    check builds the center and radius arrays and keeps them.
+    each built on first access.
     """
 
     circles: tuple[Circle, ...]
@@ -144,11 +143,7 @@ class Configuration:
             ("circles", circles), ("weights", weights), ("xs", xs), ("ys", ys), ("radii", radii)
         ):
             object.__setattr__(self, name, value)
-        if n < _LARGE_N:
-            pair = first_touching_pair(xs, ys, radii)
-        else:
-            # the sweep runs on arrays here: build the ones the solver reads
-            pair = first_touching_pair(*self.centers_array().T, self.radii_array())
+        pair = first_touching_pair(xs, ys, radii)
         if pair is not None:
             raise InvalidConfiguration(f"circles {pair[0]} and {pair[1]} overlap or touch")
 
@@ -327,14 +322,6 @@ def sectors_of(azimuths: Sequence[float]) -> tuple[tuple[int, ...], tuple[float,
     counterclockwise angle from ray order[k] to ray order[k+1] (wrapping at
     the end). The sectors sum to 2*pi.
     """
-    if len(azimuths) >= _LARGE_N:
-        az = np.array(azimuths, dtype=float)
-        # no azimuth to wrap: the sort and the subtractions on arrays
-        if az.max() <= math.pi and az.min() > -math.pi:
-            order = np.argsort(az, kind="stable")
-            s = az[order]
-            sectors = np.append(s[1:] - s[:-1], 2.0 * math.pi - (s[-1] - s[0]))
-            return tuple(order.tolist()), tuple(sectors.tolist())
     az = list(map(float, azimuths))
     if max(az) > math.pi or min(az) < -math.pi:
         az = wrap_angle(az).tolist()

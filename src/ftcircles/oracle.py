@@ -4,21 +4,18 @@ The oracle minimizer never touches the solver: it evaluates the objective
 on a fixed 64 x 64 grid over the inflated bounding box of the centers, then
 zooms in on the best point with ever smaller grids. Grid values come from
 square roots of offsets scaled by a power of two, and no gradients are used.
-Finite-difference helpers check the gradient and the first-variation
-identity for segment lengths. Instance generators are seeded and reject
-configurations that violate non-overlap, the floating condition, or the
-point-outside-disks assumption.
+Instance generators are seeded and reject configurations that violate
+non-overlap, the floating condition, or the point-outside-disks assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
-from .errors import FTCirclesError, InvalidConfiguration, PreconditionViolated, checked_numbers
+from .errors import FTCirclesError, InvalidConfiguration
 from .geometry import (
     Circle,
     Configuration,
@@ -41,9 +38,6 @@ _ZOOM_POINTS = 17
 _ZOOM_CELLS = 2.0
 _ZOOM_SHRINK = 4.0
 _ZOOM_STOP = 1e-10
-
-# central-difference step of the finite-difference helpers
-_STEP = 1e-6
 
 
 def objective(config: Configuration, points) -> np.ndarray | float:
@@ -135,45 +129,7 @@ def _best_on_grid(xs: np.ndarray, ys: np.ndarray, disks) -> tuple[float, float, 
     return xs[k % len(xs)], ys[k // len(xs)], float(vals[k])
 
 
-def finite_difference_gradient(config: Configuration, p: Point2) -> np.ndarray:
-    """Central-difference gradient of the objective at p, with step 1e-6."""
-    x, y = p.x, p.y
-    gx = (objective(config, [x + _STEP, y]) - objective(config, [x - _STEP, y])) / (2.0 * _STEP)
-    gy = (objective(config, [x, y + _STEP]) - objective(config, [x, y - _STEP])) / (2.0 * _STEP)
-    return np.array([gx, gy])
-
-
-def directional_derivative_to_circle(
-    circle: Circle, p: Point2, direction: Sequence[float]
-) -> float:
-    """Central-difference derivative of the circle distance along a direction.
-
-    The step is 1e-6. For p outside the disk this equals the cosine of the
-    angle between the negated direction and the segment from p to its
-    projection point. Raises ``PreconditionViolated`` unless the direction
-    is two finite numbers whose computed norm is finite and nonzero.
-    """
-    dx, dy = checked_numbers(
-        direction, 2, "direction component", "direction components", PreconditionViolated
-    )
-    norm = math.hypot(dx, dy)
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise PreconditionViolated(f"direction must have a finite nonzero norm, got {direction!r}")
-    v = np.array([dx / norm, dy / norm])
-    base = p.as_array()
-
-    def dist(t: float) -> float:
-        q = base + t * v
-        return abs(math.hypot(q[0] - circle.center.x, q[1] - circle.center.y) - circle.radius)
-
-    return (dist(_STEP) - dist(-_STEP)) / (2.0 * _STEP)
-
-
-def random_floating_config(
-    n: int,
-    seed: int,
-    distance_mode: DistanceMode = DistanceMode.TO_CURVE,
-) -> Configuration:
+def random_floating_config(n: int, seed: int) -> Configuration:
     """Seeded random floating instance with the point safely outside all disks.
 
     Rejection-samples centers with a minimum pairwise separation and weights
@@ -185,12 +141,7 @@ def random_floating_config(
     for _ in range(2000):
         centers = _sample_centers(rng, n)
         weights = rng.uniform(0.5, 1.5, size=n)
-        probe = Configuration(
-            tuple(Circle(Point2(*c), 1e-6) for c in centers),
-            tuple(weights),
-            1e-10,
-            distance_mode,
-        )
+        probe = Configuration(tuple(Circle(Point2(*c), 1e-6) for c in centers), tuple(weights))
         try:
             result = solve(probe)
         except FTCirclesError:
@@ -213,12 +164,7 @@ def random_floating_config(
     raise RuntimeError(f"no valid floating instance found for n={n}, seed={seed}")
 
 
-def random_dominated_config(
-    n: int,
-    seed: int,
-    dominant: int = 0,
-    distance_mode: DistanceMode = DistanceMode.TO_CURVE,
-) -> Configuration:
+def random_dominated_config(n: int, seed: int, dominant: int = 0) -> Configuration:
     """Seeded instance whose dominant weight absorbs the solution.
 
     The dominant weight exceeds the sum of all others, which bounds the pull
@@ -236,16 +182,11 @@ def random_dominated_config(
     return Configuration(
         tuple(Circle(Point2(*c), 1e-4) for c in centers),
         tuple(float(w) for w in weights),
-        1e-10,
-        distance_mode,
     )
 
 
 def regular_polygon_config(
-    n: int,
-    circumradius: float = 2.0,
-    radius: float = 0.2,
-    distance_mode: DistanceMode = DistanceMode.TO_CURVE,
+    n: int, circumradius: float = 2.0, radius: float = 0.2
 ) -> Configuration:
     """Unit-weight circles centered at the vertices of a regular n-gon.
 
@@ -262,7 +203,7 @@ def regular_polygon_config(
                 radius,
             )
         )
-    return Configuration(tuple(circles), tuple([1.0] * n), 1e-10, distance_mode)
+    return Configuration(tuple(circles), tuple([1.0] * n))
 
 
 def _sample_centers(rng, n: int) -> np.ndarray:

@@ -18,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateProjection,
-    NonConvergence,
-    PreconditionViolated,
-    SolutionInsideDisk,
-)
+from .errors import NonConvergence, PreconditionViolated, SolutionInsideDisk
 from .geometry import (
     COINCIDENT_EPS,
     Configuration,
@@ -126,7 +121,7 @@ def classify_case(
     arith = _arithmetic(config)
     x, y = point.x, point.y
     m = arith.at(x, y)[1] if nearest is None else nearest
-    if arith.distance(m, x, y) < COINCIDENT_EPS:
+    if math.hypot(config.xs[m] - x, config.ys[m] - y) < COINCIDENT_EPS:
         return CaseTag.absorbed(m)
     if arith.pull(m)[1] <= arith.weights[m]:
         return CaseTag.absorbed(m)
@@ -292,10 +287,6 @@ class _Arrays:
     def center(self, m):
         return tuple(self.centers[m].tolist())
 
-    def distance(self, m, x, y):
-        """Distance from center m to the point ``(x, y)``."""
-        return float(np.hypot(*(self.centers[m] - (x, y))))
-
     def centroid(self):
         w = self.weights
         return ((w[:, None] * self.centers).sum(axis=0) / w.sum()).tolist()
@@ -371,9 +362,6 @@ class _Floats:
 
     def center(self, m):
         return self.xs[m], self.ys[m]
-
-    def distance(self, m, x, y):
-        return math.hypot(self.xs[m] - x, self.ys[m] - y)
 
     def centroid(self):
         wsum = px = py = 0.0
@@ -486,6 +474,8 @@ def _solve(config: Configuration) -> SolveResult:
     # one pass over the circles: the distance from the point to each center
     # with math.hypot, as Point2.distance_to (numpy's hypot can differ in the
     # last bit), and the projection onto each circle, as project_onto_circle
+    # without its coincidence test: classify_case absorbs a point within
+    # COINCIDENT_EPS of its nearest center, and only that center can be at 0
     px, py = point.x, point.y
     d, projection_xy = [], []
     for i, (cx, cy, r) in enumerate(zip(config.xs, config.ys, config.radii)):
@@ -502,8 +492,6 @@ def _solve(config: Configuration) -> SolveResult:
         d.append(di)
         k = r / di
         projection_xy.append((cx + k * ox, cy + k * oy))
-    if min(d) < COINCIDENT_EPS:
-        raise DegenerateProjection("projection of the center onto its circle is not unique")
     if not floating:
         d[m] = 0.0  # the absorbed point is center m
     gaps = map(operator.sub, d, config.radii)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ftcircles import Circle, Configuration, DegenerateAngle, DistanceMode, Point2
+from ftcircles import Circle, Configuration, DegenerateAngle, DistanceMode, Point2, objective
 from ftcircles import project_onto_circle  # noqa: F401 (imported from here with angle_at)
 from ftcircles.geometry import COINCIDENT_EPS
 
@@ -66,3 +66,33 @@ def angle_at(apex: Point2, a: Point2, b: Point2) -> float:
             raise DegenerateAngle(f"ray endpoint coincides with apex {apex}")
         rays.append(v / norm)
     return math.acos(float(np.clip(np.dot(rays[0], rays[1]), -1.0, 1.0)))
+
+
+# Central differences with step 1e-6, the reference for the gradient and
+# the first-variation identity of segment lengths.
+STEP = 1e-6
+
+
+def finite_difference_gradient(config: Configuration, p: Point2) -> np.ndarray:
+    """Central-difference gradient of the objective at p."""
+    x, y = p.x, p.y
+    gx = (objective(config, [x + STEP, y]) - objective(config, [x - STEP, y])) / (2.0 * STEP)
+    gy = (objective(config, [x, y + STEP]) - objective(config, [x, y - STEP])) / (2.0 * STEP)
+    return np.array([gx, gy])
+
+
+def directional_derivative_to_circle(circle: Circle, p: Point2, direction) -> float:
+    """Central-difference derivative of the distance from p to the circle along a unit direction.
+
+    For p outside the disk this equals the cosine of the angle between the
+    negated direction and the segment from p to its projection point.
+    """
+    vx, vy = direction
+
+    def dist(t: float) -> float:
+        return abs(
+            math.hypot(p.x + t * vx - circle.center.x, p.y + t * vy - circle.center.y)
+            - circle.radius
+        )
+
+    return (dist(STEP) - dist(-STEP)) / (2.0 * STEP)

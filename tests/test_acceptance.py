@@ -39,7 +39,8 @@ from ftcircles import (
     verify_geometric_plasticity,
     weights_from_angles,
 )
-from ftcircles.oracle import directional_derivative_to_circle
+
+from conftest import directional_derivative_to_circle
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:

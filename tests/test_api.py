@@ -26,8 +26,10 @@ REMOVED_NAMES = (
     "angle_at",
     "default_scale",
     "default_schedule",
+    "directional_derivative_to_circle",
     "distance_to_circle",
     "distances_to_circles",
+    "finite_difference_gradient",
     "sector_decomposition",
     "transfer_residuals",
 )
@@ -36,12 +38,10 @@ REMOVED_NAMES = (
 REMOVED_KEYWORDS = (
     (ftcircles.shifted_configuration, ("base_point",)),
     (ftcircles.plasticity_n, ("strict",)),
-    (ftcircles.finite_difference_gradient, ("h",)),
-    (ftcircles.directional_derivative_to_circle, ("h",)),
     (ftcircles.oracle_minimize, ("grid_cells", "refine_iters")),
-    (ftcircles.random_floating_config, ("tolerance", "box", "min_separation")),
-    (ftcircles.random_dominated_config, ("radius",)),
-    (ftcircles.regular_polygon_config, ("weight",)),
+    (ftcircles.random_floating_config, ("tolerance", "box", "min_separation", "distance_mode")),
+    (ftcircles.random_dominated_config, ("radius", "distance_mode")),
+    (ftcircles.regular_polygon_config, ("weight", "distance_mode")),
     (ftcircles.cosine_system_weights, ("atol",)),
     (ftcircles.solve, ("max_iters", "initial")),
     (svg.render_svg, ("size",)),
@@ -52,11 +52,10 @@ REMOVED_KEYWORDS = (
 # Where ``isfinite`` may appear outside errors.py, whose checked_number and
 # checked_numbers decide for every number argument: the per-object checks of
 # Point2 and Circle, which stay inline because a call per object costs about
-# 120 ns on the large-n path, and the tests of a computed value.
+# 120 ns on the large-n path.
 ISFINITE_SITES = {
     "geometry.Point2.__init__",
     "geometry.Circle.__init__",
-    "oracle.directional_derivative_to_circle",  # the norm of the direction
 }
 
 

@@ -17,13 +17,11 @@ from ftcircles import (
     Configuration,
     InvalidConfiguration,
     Point2,
-    PreconditionViolated,
     SceneError,
     SectorAngles,
     ShiftedConfigInvalid,
     angles_from_weights,
     compose_rays,
-    directional_derivative_to_circle,
     evolve_type_a,
     evolve_type_b,
     plasticity_n,
@@ -45,7 +43,6 @@ PENTAGON = regular_polygon_config(5, circumradius=2.0, radius=0.2)
 # shifted_configuration rows also show that it checks before it solves
 ABSORBED = Configuration(UNIT_TRIANGLE, (10.0, 1.0, 1.0))
 ANGLES = SectorAngles.from_result(solve(random_floating_config(5, seed=5)))
-UNIT = Circle(Point2(0.0, 0.0), 1.0)
 TRIANGLE_SCENE = dict(scene_dict(Configuration(UNIT_TRIANGLE, (1.0, 1.0, 1.0))), point=[1.0, 1.0])
 
 
@@ -155,11 +152,6 @@ ENTRIES = {
         lambda v: angles_from_weights(3.0, v, 5.0),
         InvalidConfiguration,
         "weight 2 must be positive and finite, got {!r}",
-    ),
-    "directional_derivative_to_circle": (
-        lambda v: directional_derivative_to_circle(UNIT, Point2(3.0, 0.0), [1.0, v]),
-        PreconditionViolated,
-        "direction component 1 must be finite, got {!r}",
     ),
     **{
         f"parse_scene {field}": (
@@ -287,21 +279,6 @@ COUNTS = {
         lambda: evolve_type_a(PENTAGON, increments=[0.1]),
         InvalidConfiguration,
         "expected 2 increments in schedule entry 0, got 0.1",
-    ),
-    "direction long": (
-        lambda: directional_derivative_to_circle(UNIT, Point2(3.0, 0.0), [1.0, 0.0, 0.0]),
-        PreconditionViolated,
-        "expected 2 direction components, got 3",
-    ),
-    "direction short": (
-        lambda: directional_derivative_to_circle(UNIT, Point2(3.0, 0.0), [1.0]),
-        PreconditionViolated,
-        "expected 2 direction components, got 1",
-    ),
-    "direction scalar": (
-        lambda: directional_derivative_to_circle(UNIT, Point2(3.0, 0.0), 1.0),
-        PreconditionViolated,
-        "expected 2 direction components, got 1.0",
     ),
 }
 

@@ -12,6 +12,7 @@ import pytest
 
 from ftcircles import (
     Configuration,
+    InvalidConfiguration,
     PreconditionViolated,
     SectorAngles,
     TerminationReason,
@@ -338,6 +339,18 @@ def test_type_b_patterns_do_not_depend_on_weight_scale(pentagon, weight_scale):
     scaled = Configuration(pentagon.circles, tuple(w * weight_scale for w in pentagon.weights))
     patterns = [s.pattern_string() for s in evolve_type_b(scaled, steps=10).steps]
     assert patterns == [s.pattern_string() for s in evolve_type_b(pentagon, steps=10).steps]
+
+
+@pytest.mark.parametrize("evolve", [evolve_type_a, evolve_type_b])
+def test_weights_without_a_finite_default_scale(pentagon, evolve):
+    # 0.1 * 4 sin(pi/5) / 1e-320 overflows: no finite scale fits these weights
+    tiny = Configuration(pentagon.circles, tuple(w * 1e-320 for w in pentagon.weights))
+    with pytest.raises(PreconditionViolated, match=r"^weights up to 1e-320 give no finite"):
+        evolve(tiny, steps=2)
+    # a scale the caller passes gets the argument check
+    message = r"^radius scale must be positive and finite, got inf$"
+    with pytest.raises(InvalidConfiguration, match=message):
+        evolve(tiny, scale=math.inf, steps=2)
 
 
 def reference_overlap_step(config, steps, scale):

@@ -207,30 +207,6 @@ class TestSectorDecomposition:
             if min(wrapping_form(wide)[1]) >= 1e-9:
                 assert SectorAngles(wide).sectors() == wrapping_form(wide)[1]
 
-    def test_sectors_of_arrays_match_the_loop(self, monkeypatch):
-        # from _LARGE_N rays on, sectors_of sorts on arrays unless an azimuth
-        # needs wrapping; the loop gives the same order and sectors
-        rng = np.random.default_rng(12)
-        cases = []
-        for k in range(60):
-            n = int(rng.integers(_LARGE_N, 300))
-            xy = rng.standard_normal((n, 2))
-            xy[rng.integers(n, size=n // 8)] = xy[0]  # ties
-            if k % 3 == 0:
-                xy[rng.integers(n)] = (-1.0, 0.0)  # pi
-            if k % 4 == 1:
-                xy[rng.integers(n)] = (-1.0, -0.0)  # -pi, which the loop moves to pi
-            az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
-            if k % 5 == 2:
-                az[rng.integers(n, size=3)] += 2.0 * math.pi  # out of range
-            if k % 6 == 3:
-                az[rng.integers(n, size=4)] = (0.0, -0.0, -0.0, 0.0)  # signed zeros tie
-            cases.append(az.tolist())
-        on_arrays = [sectors_of(az) for az in cases]
-        monkeypatch.setattr(geometry, "_LARGE_N", 10**9)
-        # repr: the signs of zero sectors too
-        assert repr([sectors_of(az) for az in cases]) == repr(on_arrays)
-
 
 def _dirs(rng, n):
     ang = rng.uniform(0, 2 * math.pi, n)
@@ -290,19 +266,12 @@ class TestConfigurationValidation:
             assert c.centers_array().T.tolist() == [list(c.xs), list(c.ys)]
             assert c.radii_array().tolist() == list(c.radii)
 
-    def test_overlap_check_keeps_its_arrays(self):
-        # from _LARGE_N circles on, the sweep's arrays become centers_array and radii_array
-        n = _LARGE_N
+    @pytest.mark.parametrize("n", [3, _LARGE_N])
+    def test_validation_builds_no_arrays(self, n):
+        # the overlap sweep runs on the columns at any n; the arrays wait for a reader
         circles = tuple(Circle(Point2(float(k), 0.5 * (k % 3)), 0.25) for k in range(n))
         config = Configuration(circles, (1.0,) * n)
-        assert config._centers is not None and config._radii is not None
-        assert config.centers_array() is config._centers and config.radii_array() is config._radii
-        for array in (config._centers, config._radii):
-            assert not array.flags.writeable
-        assert config.centers_array().flags.c_contiguous
-        assert config.centers_array().T.tolist() == [list(config.xs), list(config.ys)]
-        assert config.radii_array().tolist() == list(config.radii)
-        assert copy.deepcopy(config).centers_array().tolist() == config.centers_array().tolist()
+        assert (config._centers, config._radii, config._weights) == (None, None, None)
 
     def test_point_and_circle_are_frozen_values(self):
         p, c = Point2(1, 2.5), Circle(Point2(1, 2.5), 0.5)

@@ -32,7 +32,6 @@ from ftcircles import (
     cosine_residuals,
     evolve_type_a,
     evolve_type_b,
-    finite_difference_gradient,
     objective,
     project_onto_circle,
     random_dominated_config,
@@ -44,7 +43,13 @@ from ftcircles import (
 
 from ftcircles.geometry import cosine_matrix, pair_distances
 
-from conftest import EQUILATERAL_CIRCUMRADIUS, assert_close, distance_to_circle, triangle_config
+from conftest import (
+    EQUILATERAL_CIRCUMRADIUS,
+    assert_close,
+    distance_to_circle,
+    finite_difference_gradient,
+    triangle_config,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's seeded scene pools)
@@ -564,11 +569,11 @@ def _loop_scenes():
     for mode in DistanceMode:
         for n in range(3, 17):
             for seed in range(5):
-                scenes[f"floating-{mode.name}-{n}-{seed}"] = random_floating_config(
-                    n, seed, distance_mode=mode
+                scenes[f"floating-{mode.name}-{n}-{seed}"] = dataclasses.replace(
+                    random_floating_config(n, seed), distance_mode=mode
                 )
-                scenes[f"dominated-{mode.name}-{n}-{seed}"] = random_dominated_config(
-                    n, seed, dominant=seed % n, distance_mode=mode
+                scenes[f"dominated-{mode.name}-{n}-{seed}"] = dataclasses.replace(
+                    random_dominated_config(n, seed, dominant=seed % n), distance_mode=mode
                 )
     for n in range(3, 13):
         scenes[f"polygon-{n}"] = regular_polygon_config(n)
@@ -760,6 +765,20 @@ class TestAbsorbedSolve:
         )
         assert solve(as_set).distances[0] == 0.0
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-13, 1e-20, 1e-300])
+    def test_tiny_absorbed_scene_projects_every_circle(self, s):
+        # the other centers lie within 1e-12 of the absorbing one from 1e-13
+        # down, yet every projection from it is well defined
+        base = random_dominated_config(4, 1, dominant=2)
+        circles = tuple(
+            Circle(Point2(c.center.x * s, c.center.y * s), c.radius * s) for c in base.circles
+        )
+        result = solve(Configuration(circles, base.weights))
+        assert str(result.case) == "absorbed(at=2)"
+        for (x, y), c in zip(result.projection_xy, circles):
+            on_circle = math.hypot(x - c.center.x, y - c.center.y)
+            assert abs(on_circle - c.radius) <= 1e-11 * c.radius
+
     def test_certificate_requires_floating(self):
         config = triangle_config(weights=(10.0, 1.0, 1.0))
         result = solve(config)
@@ -922,7 +941,9 @@ def _assembly_scenes():
     for n in (3, 4, 5, 6):
         for seed in range(10):
             for mode in DistanceMode:
-                yield random_dominated_config(n, seed=seed, dominant=seed % n, distance_mode=mode)
+                yield dataclasses.replace(
+                    random_dominated_config(n, seed=seed, dominant=seed % n), distance_mode=mode
+                )
     for n in (32, 40):
         yield regular_polygon_config(n, circumradius=float(n))
     for scene in WORKLOADS["large-n"].make(1):
