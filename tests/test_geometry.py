@@ -185,13 +185,6 @@ class TestSectorDecomposition:
         # sectors_of maps only -pi to pi when every azimuth lies in [-pi, pi];
         # wrapping every azimuth first, then np.diff/np.append, gives the same
         # bits on atan2 azimuths
-        def wrapping_form(azimuths):
-            az = wrap_angle(azimuths)
-            order = np.argsort(az, kind="stable")
-            s = az[order]
-            sectors = np.append(np.diff(s), 2.0 * math.pi - (s[-1] - s[0]))
-            return tuple(order.tolist()), tuple(sectors.tolist())
-
         rng = np.random.default_rng(11)
         for k in range(5000):
             n = 3 + k % 8
@@ -200,12 +193,42 @@ class TestSectorDecomposition:
             if k % 5 == 0:
                 xy[rng.integers(n)] = (-1.0, 0.0) if k % 2 else (-1.0, -0.0)  # pi and -pi
             az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
-            assert sectors_of(az) == wrapping_form(az), az
+            assert sectors_of(az) == _wrapping_form(az), az
             # azimuths outside [-pi, pi] are wrapped first
             wide = az + 2.0 * math.pi * rng.integers(-2, 3, n)
-            assert sectors_of(wide) == wrapping_form(wide), wide
-            if min(wrapping_form(wide)[1]) >= 1e-9:
-                assert SectorAngles(wide).sectors() == wrapping_form(wide)[1]
+            assert sectors_of(wide) == _wrapping_form(wide), wide
+            if min(_wrapping_form(wide)[1]) >= 1e-9:
+                assert SectorAngles(wide).sectors() == _wrapping_form(wide)[1]
+
+    @pytest.mark.parametrize("edge", ["ties", "pi", "minus pi", "out of range", "signed zeros"])
+    def test_sectors_of_at_large_n(self, edge):
+        # one stable sort serves every size: from _LARGE_N rays on, with the
+        # azimuths that once sent the sort down another path, it still gives
+        # the wrapping form's order and sectors, signs of zero sectors too
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            n = int(rng.integers(_LARGE_N, 300))
+            xy = rng.standard_normal((n, 2))
+            xy[rng.integers(n, size=n // 8)] = xy[0]  # ties in every case
+            if edge == "pi":
+                xy[rng.integers(n)] = (-1.0, 0.0)
+            elif edge == "minus pi":
+                xy[rng.integers(n)] = (-1.0, -0.0)  # moved to pi
+            az = np.array([math.atan2(y, x) for x, y in xy.tolist()])
+            if edge == "out of range":
+                az[rng.integers(n, size=3)] += 2.0 * math.pi
+            elif edge == "signed zeros":
+                az[rng.integers(n, size=4)] = (0.0, -0.0, -0.0, 0.0)
+            assert repr(sectors_of(az.tolist())) == repr(_wrapping_form(az)), edge
+
+
+def _wrapping_form(azimuths):
+    """Order and sectors of the azimuths, every one wrapped, sorted on arrays."""
+    az = wrap_angle(azimuths)
+    order = np.argsort(az, kind="stable")
+    s = az[order]
+    sectors = np.append(np.diff(s), 2.0 * math.pi - (s[-1] - s[0]))
+    return tuple(order.tolist()), tuple(sectors.tolist())
 
 
 def _dirs(rng, n):

@@ -368,6 +368,32 @@ class TestGenerators:
         with pytest.raises(InvalidConfiguration, match=rf"0\.\.3, got {dominant}$"):
             random_dominated_config(4, 0, dominant=dominant)
 
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: random_floating_config(5, 3),
+            lambda: random_dominated_config(5, 3, dominant=2),
+            lambda: regular_polygon_config(5),
+        ],
+        ids=["floating", "dominated", "polygon"],
+    )
+    def test_set_mode_scene_is_a_replace(self, generate):
+        # the generators make TO_CURVE scenes; replace gives the TO_SET scene
+        # with the same circles, weights, tolerance and float columns
+        curve = generate()
+        as_set = replace(curve, distance_mode=DistanceMode.TO_SET)
+        assert curve.distance_mode is DistanceMode.TO_CURVE
+        assert (as_set.circles, as_set.weights, as_set.tolerance) == (
+            curve.circles,
+            curve.weights,
+            curve.tolerance,
+        )
+        assert (as_set.xs, as_set.ys, as_set.radii) == (curve.xs, curve.ys, curve.radii)
+        # at a center the modes differ by that circle's weighted radius only
+        center = [curve.xs[0], curve.ys[0]]
+        gap = objective(curve, center) - objective(as_set, center)
+        assert gap == pytest.approx(curve.weights[0] * curve.radii[0], rel=1e-12)
+
 
 class TestConvexity:
     def test_midpoint_probe(self):

@@ -208,6 +208,18 @@ class TestClassifyFromMinimizer:
         assert classify_case(config, Point2(1.0, 1.0)) == CaseTag.absorbed(0)
         assert classify_case(triangle_config(), Point2(1.4, 0.9)).is_floating
 
+    @pytest.mark.parametrize("given", [False, True], ids=["nearest found", "nearest given"])
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_point_next_to_a_center_is_absorbed_there(self, n, given):
+        # within COINCIDENT_EPS of a center the point is absorbed there on
+        # either back end, though the center's pull would leave it floating
+        config = regular_polygon_config(n, circumradius=float(n))
+        m = n // 2
+        c = config.circles[m].center
+        nearest = m if given else None
+        assert classify_case(config, Point2(c.x + 1e-13, c.y), nearest) == CaseTag.absorbed(m)
+        assert classify_case(config, Point2(c.x + 1e-11, c.y), nearest).is_floating
+
     @pytest.mark.parametrize("xs", [(0, 1, 2), (0, 1.5, 2)])
     def test_collinear_unique_minimizer(self, xs, monkeypatch):
         # on a line the minimizer is the weighted median, here the middle center
